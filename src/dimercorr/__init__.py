@@ -43,6 +43,7 @@ from .models import (
     ModelParams,
     analytic_eigensystem,
     build_hamiltonian,
+    closed_form_correlations,
     concurrence_analytic,
     ground_state_limit,
     thermal_state,
@@ -83,6 +84,7 @@ __all__ = [
     "build_hamiltonian",
     "check_density_matrix",
     "classical_correlation",
+    "closed_form_correlations",
     "concurrence",
     "concurrence_analytic",
     "count_peaks",

@@ -12,16 +12,15 @@ import sys
 
 import numpy as np
 
-from .correlations import report
 from .exceptions import DomainError, ValidationError
-from .models import ModelParams, thermal_state
-from .sweep import AXIS_NAMES, Axis, SweepSpec, SweepTable, run_sweep
+from .models import ModelParams, closed_form_correlations
+from .sweep import AXIS_NAMES, RECORD_COLUMNS, Axis, SweepSpec, SweepTable, run_sweep
 from .threshold import threshold_curve
 from .verify import SUITES, run_suites
 
 __all__ = ["build_parser", "entry", "main"]
 
-CSV_HEADER = "T,gamma,b1,b2,total,quantum,classical,concurrence"
+CSV_HEADER = ",".join(RECORD_COLUMNS)  # T,gamma,b1,b2,total,quantum,classical,concurrence
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -82,9 +81,15 @@ _MODEL_AXES = {
 }
 
 
-def _record_line(t: float, p_gamma: float, b1: float, b2: float, rep) -> str:
-    values = (t, p_gamma, b1, b2, rep.total, rep.quantum, rep.classical, rep.concurrence)
-    return ",".join(_fmt(v) for v in values)
+def _records(columns: dict) -> list[tuple[float, ...]]:
+    """Rows of the record columns, each a tuple in RECORD_COLUMNS order."""
+    arrays = np.broadcast_arrays(*(np.asarray(columns[name], dtype=float) for name in RECORD_COLUMNS))
+    return list(zip(*(a.ravel().tolist() for a in arrays)))
+
+
+def _to_csv(columns: dict) -> str:
+    lines = [CSV_HEADER] + [",".join(_fmt(v) for v in rec) for rec in _records(columns)]
+    return "\n".join(lines) + "\n"
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -97,17 +102,10 @@ def _write_output(text: str, path: str | None) -> None:
 
 def _cmd_point(args: argparse.Namespace) -> int:
     params = _base_params(args.model, args.gamma, args.b1, args.b2)
-    rep = report(thermal_state(params, args.temp))
-    lines = [CSV_HEADER, _record_line(args.temp, params.gamma, params.b1, params.b2, rep)]
-    _write_output("\n".join(lines) + "\n", args.output)
+    columns = {"T": args.temp, "gamma": params.gamma, "b1": params.b1, "b2": params.b2}
+    columns.update(closed_form_correlations(params.gamma, params.b1, params.b2, args.temp, params.j))
+    _write_output(_to_csv(columns), args.output)
     return EXIT_OK
-
-
-def _table_to_csv(table: SweepTable) -> str:
-    lines = [CSV_HEADER]
-    for row in table.rows:
-        lines.append(_record_line(row.t, row.gamma, row.b1, row.b2, row.report))
-    return "\n".join(lines) + "\n"
 
 
 def _table_to_json(table: SweepTable) -> str:
@@ -127,17 +125,8 @@ def _table_to_json(table: SweepTable) -> str:
             "axes": axes,
         },
         "records": [
-            {
-                "T": float(_fmt(row.t)),
-                "gamma": float(_fmt(row.gamma)),
-                "b1": float(_fmt(row.b1)),
-                "b2": float(_fmt(row.b2)),
-                "total": float(_fmt(row.report.total)),
-                "quantum": float(_fmt(row.report.quantum)),
-                "classical": float(_fmt(row.report.classical)),
-                "concurrence": float(_fmt(row.report.concurrence)),
-            }
-            for row in table.rows
+            {name: float(_fmt(v)) for name, v in zip(RECORD_COLUMNS, rec)}
+            for rec in _records(table.columns)
         ],
     }
     return json.dumps(payload, indent=2) + "\n"
@@ -162,7 +151,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         temp=args.temp,
     )
     table = run_sweep(spec, threads=args.threads)
-    text = _table_to_json(table) if args.format == "json" else _table_to_csv(table)
+    text = _table_to_json(table) if args.format == "json" else _to_csv(table.columns)
     _write_output(text, args.output)
     return EXIT_OK
 
@@ -230,7 +219,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--format", choices=["csv", "json"], default="csv")
     sweep.add_argument("--output", default=None)
-    sweep.add_argument("--threads", type=int, default=None, help="worker thread cap")
+    sweep.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="accepted for compatibility and ignored: the grid is one vectorised pass (must be >= 1)",
+    )
     sweep.set_defaults(func=_cmd_sweep)
 
     thr = sub.add_parser("threshold", help="zero-field threshold temperatures over a gamma range")

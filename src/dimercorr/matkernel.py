@@ -21,6 +21,7 @@ __all__ = [
     "TRACE_TOL",
     "EigenSystem",
     "check_density_matrix",
+    "check_positive_finite",
     "gibbs",
     "hermitian_eig",
     "is_hermitian",
@@ -115,6 +116,18 @@ def check_density_matrix(
     return m
 
 
+def check_positive_finite(value, name: str = "temperature") -> None:
+    """Raise DomainError unless every entry of ``value`` is finite and positive.
+
+    Works on scalars and arrays alike; NaN and +-inf are rejected, so they
+    never reach an exponent or an eigensolver.
+    """
+    v = np.asarray(value, dtype=float)
+    bad = ~(np.isfinite(v) & (v > 0.0))
+    if bad.any():
+        raise DomainError(f"{name} must be positive and finite, got {v[bad].flat[0]}")
+
+
 class EigenSystem(NamedTuple):
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
 
@@ -141,8 +154,7 @@ def gibbs(h: np.ndarray, temperature: float) -> np.ndarray:
     Boltzmann weights are shifted by the ground energy before
     exponentiating, so the construction stays finite at any T > 0.
     """
-    if temperature <= 0:
-        raise DomainError(f"temperature must be positive, got {temperature}")
+    check_positive_finite(temperature)
     values, vectors = hermitian_eig(h)
     weights = np.exp(-(values - values[0]) / temperature)
     weights /= weights.sum()

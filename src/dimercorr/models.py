@@ -7,7 +7,10 @@ The model is
 
 with anisotropy gamma in [-1, 1], exchange J > 0 (antiferromagnetic) and
 local fields b1, b2 measured in units of J.  Boltzmann's constant is 1, so
-temperatures are energies.  Two parameter families admit closed forms: zero
+temperatures are energies.  The Hamiltonian conserves total S_z, so every
+thermal state is an X-state and closed_form_correlations evaluates the
+correlations for any (gamma, b1, b2) over whole arrays at once.  Closed-form
+eigensystems and thermal states are written out for two families: zero
 field with any gamma, and gamma = -1 (the XY point) with arbitrary fields.
 """
 
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError, UnsupportedFamilyError
-from .matkernel import gibbs, hermitian_eig, kron, pauli
+from .matkernel import check_positive_finite, gibbs, hermitian_eig, kron, pauli
 
 __all__ = [
     "LOG_DOMAIN_T",
@@ -27,6 +30,7 @@ __all__ = [
     "ModelParams",
     "analytic_eigensystem",
     "build_hamiltonian",
+    "closed_form_correlations",
     "concurrence_analytic",
     "ground_state_limit",
     "thermal_state",
@@ -56,8 +60,10 @@ class ModelParams:
     def __post_init__(self) -> None:
         if not -1.0 <= self.gamma <= 1.0:
             raise DomainError(f"gamma must lie in [-1, 1], got {self.gamma}")
-        if self.j <= 0:
-            raise DomainError(f"j must be positive, got {self.j}")
+        for name in ("b1", "b2"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
+        check_positive_finite(self.j, "j")
 
 
 @dataclass(frozen=True)
@@ -129,11 +135,6 @@ def analytic_eigensystem(p: ModelParams) -> list[EigenPair]:
     )
 
 
-def _check_temperature(t: float) -> None:
-    if t <= 0:
-        raise DomainError(f"temperature must be positive, got {t}")
-
-
 def _boltzmann_mixture(pairs: list[EigenPair], t: float) -> np.ndarray:
     # Weights shifted by the ground energy stay in (0, 1] at any T > 0.
     energies = np.array([pair.energy for pair in pairs])
@@ -159,7 +160,7 @@ def thermal_state_analytic(p: ModelParams, t: float) -> np.ndarray:
     Below T/J = 0.02 both families fall back to log-domain Boltzmann
     weights over the closed-form eigenpairs, which cannot overflow.
     """
-    _check_temperature(t)
+    check_positive_finite(t)
     tau = t / p.j  # closed forms are written for J = 1
     if p.b1 == 0.0 and p.b2 == 0.0:
         if tau < LOG_DOMAIN_T:
@@ -215,32 +216,92 @@ def ground_state_limit(p: ModelParams) -> np.ndarray:
 
 
 def concurrence_analytic(p: ModelParams, t: float) -> float:
-    """Closed-form concurrence of the thermal state, supported families only.
+    """Closed-form concurrence of the thermal state, any (gamma, b1, b2).
 
-    Zero field:  C = max{0, (sinh u - e^{-(1+gamma) J/T}) / (cosh u + e^{-(1+gamma) J/T})}
-    with u = (1-gamma) J/T.  XY point:  C = (2/Z) max{0, s - 1} with s and Z
-    as in thermal_state_analytic.  Both are evaluated with all exponentials
-    rescaled to non-positive arguments, so they cannot overflow at any T.
+    A scalar view of closed_form_correlations, kept as the closed-form side
+    of the comparisons with the dense route concurrence(thermal_state(p, t)).
     """
-    _check_temperature(t)
-    tau = t / p.j
-    if p.b1 == 0.0 and p.b2 == 0.0:
-        # Numerator and denominator divided by e^u: every exponent <= 0.
-        u = (1.0 - p.gamma) / tau
-        small = math.exp(-2.0 * u)
-        cross = 2.0 * math.exp(-2.0 / tau)
-        return max(0.0, (1.0 - small - cross) / (1.0 + small + cross))
-    if p.gamma == -1.0:
-        delta = p.b1 - p.b2
-        sigma = p.b1 + p.b2
-        root_d = math.sqrt(delta * delta + 4.0)
-        a, u = abs(sigma) / tau, root_d / tau
-        m = max(a, u)
-        # 2(s - 1)/Z with numerator and denominator scaled by e^{-m}.
-        num = 2.0 * ((math.exp(u - m) - math.exp(-u - m)) / root_d - math.exp(-m))
-        den = math.exp(a - m) + math.exp(-a - m) + math.exp(u - m) + math.exp(-u - m)
-        return max(0.0, num / den)
-    raise UnsupportedFamilyError(
-        "no closed-form concurrence for gamma != -1 with nonzero fields; "
-        "use concurrence(thermal_state(p, t))"
+    return float(closed_form_correlations(p.gamma, p.b1, p.b2, t, p.j)["concurrence"])
+
+
+def _xlog2x(x: np.ndarray) -> np.ndarray:
+    """x log2 x elementwise, with 0 log 0 = 0."""
+    return np.where(x > 0.0, x * np.log2(np.where(x > 0.0, x, 1.0)), 0.0)
+
+
+def _check_kernel_inputs(gamma, b1, b2, t, j) -> None:
+    bad = ~((gamma >= -1.0) & (gamma <= 1.0))  # NaN fails both comparisons
+    if bad.any():
+        raise DomainError(f"gamma must lie in [-1, 1], got {gamma[bad].flat[0]}")
+    for name, v in (("b1", b1), ("b2", b2)):
+        bad = ~np.isfinite(v)
+        if bad.any():
+            raise DomainError(f"{name} must be finite, got {v[bad].flat[0]}")
+    check_positive_finite(t)
+    check_positive_finite(j, "j")
+
+
+def closed_form_correlations(gamma, b1, b2, t, j=1.0) -> dict[str, np.ndarray]:
+    """Total, quantum and classical correlation (bits) and concurrence of the Gibbs state.
+
+    Arguments broadcast against each other and every result has the
+    broadcast shape.  H conserves total S_z, so the thermal state is an
+    X-state: |uu> and |dd> are eigenstates at J[(1+gamma)/2 +- (b1+b2)], and
+    |ud>, |du> mix into levels at J[-(1+gamma)/2 +- r] with
+    r = sqrt((b1-b2)^2 + (1-gamma)^2) and mixing angle cos(theta) = (b1-b2)/r.
+    From the ground-shifted Boltzmann populations of these four levels:
+
+    - S12 is the entropy of the populations, and both marginals are diagonal;
+    - rho22 and rho33 split the mixed pair by the mixing angle, with
+      1 - |cos(theta)| written as (1-gamma)^2 / (r (r + |b1-b2|)) so that
+      strong fields lose no digits to cancellation;
+    - |rho23| = (p_low - p_high) sin(theta) / 2 and rho14 = 0, so the
+      concurrence is C = 2 max(0, |rho23| - sqrt(rho11 rho44))
+      (Yu and Eberly, QIC 7, 459 (2007); Wootters, PRL 80, 2245 (1998)).
+
+    Every exponent is nonpositive, so nothing overflows at any T > 0.
+    Non-finite inputs, gamma outside [-1, 1] and T or j <= 0 raise DomainError.
+    """
+    gamma, b1, b2, t, j = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (gamma, b1, b2, t, j))
     )
+    _check_kernel_inputs(gamma, b1, b2, t, j)
+    tau = t / j  # the levels below are in units of J
+    sigma = b1 + b2
+    delta = b1 - b2
+    gap = 1.0 - gamma  # coupling inside the |ud>, |du> block
+    r = np.hypot(delta, gap)
+    r_safe = np.where(r > 0.0, r, 1.0)  # r = 0 only at gamma = 1, b1 = b2
+    # Levels measured from the lower mixed level, in units of J.  |uu> and |dd>
+    # sit (1+gamma) + r +- sigma above it; writing (1+gamma) + r as
+    # 2 + (r - (1-gamma)) = 2 + delta^2 / (r + 1 - gamma) keeps level crossings
+    # such as b1 = b2 = 1 exact, where 1/T would amplify any rounding.
+    lift = 2.0 + np.where(r > 0.0, delta * delta / (r_safe + gap), 0.0)
+    levels = np.stack([lift + sigma, lift - sigma, 2.0 * r, np.zeros_like(r)])
+    x = (levels - levels.min(axis=0)) / tau  # Boltzmann exponents, all >= 0
+    weights = np.exp(-x)
+    z = weights.sum(axis=0)
+    p_uu, p_dd, p_hi, p_lo = weights / z
+
+    one_minus_cos = np.where(r > 0.0, gap * gap / (r_safe * (r_safe + np.abs(delta))), 1.0)
+    # diagonal weight of the basis state the upper level leans toward, and of the other
+    upper_side = 0.5 * (p_hi * (2.0 - one_minus_cos) + p_lo * one_minus_cos)
+    lower_side = 0.5 * (p_hi * one_minus_cos + p_lo * (2.0 - one_minus_cos))
+    rho22 = np.where(delta >= 0.0, upper_side, lower_side)  # |ud>
+    rho33 = np.where(delta >= 0.0, lower_side, upper_side)  # |du>
+
+    # p_lo - p_hi = p_lo (1 - e^{-2r/tau}), kept exact for small r / tau
+    rho23 = -p_lo * np.expm1(-2.0 * r / tau) * gap / (2.0 * r_safe)
+    corners = np.exp(-0.5 * (x[0] + x[1])) / z  # sqrt(rho11 rho44) without underflow
+    c = np.clip(2.0 * (rho23 - corners), 0.0, 1.0)
+
+    s12 = -(_xlog2x(p_uu) + _xlog2x(p_dd) + _xlog2x(p_hi) + _xlog2x(p_lo))
+    s1 = -(_xlog2x(p_uu + rho22) + _xlog2x(rho33 + p_dd))
+    s2 = -(_xlog2x(p_uu + rho33) + _xlog2x(rho22 + p_dd))
+    total = np.maximum(s1 + s2 - s12, 0.0)  # >= 0 by subadditivity; clamp the rounding
+
+    # E_f = h(x) at x = (1 - sqrt(1 - C^2)) / 2, formed without cancellation
+    root = np.sqrt((1.0 - c) * (1.0 + c))
+    small = c * c / (2.0 * (1.0 + root))
+    quantum = -(_xlog2x(small) + (1.0 - small) * np.log1p(-small) / math.log(2.0))
+    return {"total": total, "quantum": quantum, "classical": total - quantum, "concurrence": c}

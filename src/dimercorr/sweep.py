@@ -1,26 +1,26 @@
 """Parameter sweeps over temperature, anisotropy and fields.
 
-A sweep evaluates the full correlation report on a one- or two-axis grid.
+A sweep evaluates the full correlation report on a one- or two-axis grid
+with one call to the vectorised closed form, closed_form_correlations.
 Rows are produced in row-major order (axis 1 outer, axis 2 inner) and the
-output is deterministic for a fixed spec regardless of how many worker
-threads evaluate the grid.
+output is deterministic for a fixed spec.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
-from .correlations import CorrelationReport, report
+from .correlations import CorrelationReport
 from .exceptions import DomainError
-from .models import ModelParams, thermal_state
+from .matkernel import check_positive_finite
+from .models import ModelParams, closed_form_correlations
 
 __all__ = [
     "AXIS_NAMES",
+    "RECORD_COLUMNS",
     "Axis",
     "SweepRow",
     "SweepSpec",
@@ -31,18 +31,22 @@ __all__ = [
     "run_sweep",
 ]
 
-# Fields of (params, T) each axis writes; two axes must not overlap.
-_AXIS_TARGETS = {
-    "T": frozenset({"T"}),
-    "gamma": frozenset({"gamma"}),
-    "b1": frozenset({"b1"}),
-    "b2": frozenset({"b2"}),
-    "b_uniform": frozenset({"b1", "b2"}),
-    "b_anti": frozenset({"b1", "b2"}),
+# (column, sign) pairs each axis writes; two axes must not share a column.
+_AXIS_WRITES = {
+    "T": (("T", 1.0),),
+    "gamma": (("gamma", 1.0),),
+    "b1": (("b1", 1.0),),
+    "b2": (("b2", 1.0),),
+    "b_uniform": (("b1", 1.0), ("b2", 1.0)),
+    "b_anti": (("b1", 1.0), ("b2", -1.0)),
 }
-AXIS_NAMES = tuple(_AXIS_TARGETS)
+AXIS_NAMES = tuple(_AXIS_WRITES)
 
-_COLUMNS = ("total", "quantum", "classical", "concurrence")
+RECORD_COLUMNS = ("T", "gamma", "b1", "b2", "total", "quantum", "classical", "concurrence")
+
+
+def _targets(axis: Axis) -> set[str]:
+    return {column for column, _ in _AXIS_WRITES[axis.name]}
 
 
 @dataclass(frozen=True)
@@ -55,8 +59,11 @@ class Axis:
     points: int
 
     def __post_init__(self) -> None:
-        if self.name not in _AXIS_TARGETS:
+        if self.name not in _AXIS_WRITES:
             raise ValueError(f"unknown axis {self.name!r}; choose from {', '.join(AXIS_NAMES)}")
+        for end in (self.start, self.stop):
+            if not math.isfinite(end):
+                raise DomainError(f"axis {self.name!r} needs finite endpoints, got {end}")
         if self.points < 2:
             raise ValueError(f"axis {self.name!r} needs at least 2 points, got {self.points}")
         if not self.start < self.stop:
@@ -83,7 +90,7 @@ class SweepSpec:
         if self.axis2 is not None:
             if self.axis1.name == self.axis2.name:
                 raise ValueError("sweep axes must have distinct names")
-            if _AXIS_TARGETS[self.axis1.name] & _AXIS_TARGETS[self.axis2.name]:
+            if _targets(self.axis1) & _targets(self.axis2):
                 raise ValueError(
                     f"axes {self.axis1.name!r} and {self.axis2.name!r} write the same field"
                 )
@@ -94,8 +101,8 @@ class SweepSpec:
                 raise DomainError("temperature grid must be strictly positive")
         elif self.temp is None:
             raise ValueError("a sweep without a T axis needs a fixed temp")
-        elif self.temp <= 0:
-            raise DomainError(f"temperature must be positive, got {self.temp}")
+        else:
+            check_positive_finite(self.temp)
 
 
 @dataclass(frozen=True)
@@ -111,75 +118,64 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepTable:
-    """Sweep output: row-major rows aligned with the axis value arrays."""
+    """Sweep output: one array per record column, in row-major grid order.
+
+    ``columns`` maps each name of RECORD_COLUMNS to an array with one entry
+    per grid point, aligned with the axis value arrays.
+    """
 
     spec: SweepSpec
     axis1_values: np.ndarray
     axis2_values: np.ndarray | None
-    rows: list[SweepRow]
+    columns: dict[str, np.ndarray]
 
     @property
     def is_1d(self) -> bool:
         return self.axis2_values is None
 
+    @property
+    def rows(self) -> list[SweepRow]:
+        """The grid points as SweepRow objects, built from the columns."""
+        values = [self.columns[name].tolist() for name in RECORD_COLUMNS]
+        return [
+            SweepRow(t=t, gamma=gamma, b1=b1, b2=b2, report=CorrelationReport(*outputs))
+            for t, gamma, b1, b2, *outputs in zip(*values)
+        ]
+
     def column(self, name: str) -> np.ndarray:
-        if name not in _COLUMNS:
-            raise ValueError(f"unknown column {name!r}; choose from {', '.join(_COLUMNS)}")
-        return np.array([getattr(row.report, name) for row in self.rows])
-
-
-def _apply_axis(params: ModelParams, t: float, name: str, value: float) -> tuple[ModelParams, float]:
-    if name == "T":
-        return params, value
-    if name == "gamma":
-        return replace(params, gamma=value), t
-    if name == "b1":
-        return replace(params, b1=value), t
-    if name == "b2":
-        return replace(params, b2=value), t
-    if name == "b_uniform":
-        return replace(params, b1=value, b2=value), t
-    return replace(params, b1=value, b2=-value), t  # b_anti
-
-
-def _evaluate(task: tuple[ModelParams, float]) -> CorrelationReport:
-    params, t = task
-    return report(thermal_state(params, t))
+        if name not in RECORD_COLUMNS:
+            raise ValueError(f"unknown column {name!r}; choose from {', '.join(RECORD_COLUMNS)}")
+        return self.columns[name].copy()
 
 
 def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepTable:
-    """Evaluate the grid and assemble rows in row-major order.
+    """Evaluate the whole grid in one vectorised closed-form call.
 
-    ``threads`` caps the worker-thread count (default: logical processor
-    count).  Every grid point is an independent pure computation, so the
-    table is identical for any thread count.
+    ``threads`` is accepted for compatibility and otherwise ignored: the
+    grid is one array computation, so there is nothing to spread over
+    threads.  A value below 1 is still a usage error (ValueError).
     """
-    axis1_values = spec.axis1.values()
-    axis2_values = spec.axis2.values() if spec.axis2 is not None else None
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    axes = [spec.axis1] + ([spec.axis2] if spec.axis2 is not None else [])
+    grids = [axis.values() for axis in axes]
+    mesh = np.meshgrid(*grids, indexing="ij")
+    base = spec.base
     base_t = spec.temp if spec.temp is not None else 1.0  # overwritten by any T axis
-
-    tasks: list[tuple[ModelParams, float]] = []
-    for v1 in axis1_values:
-        params, t = _apply_axis(spec.base, base_t, spec.axis1.name, float(v1))
-        if axis2_values is None:
-            tasks.append((params, t))
-            continue
-        for v2 in axis2_values:
-            tasks.append(_apply_axis(params, t, spec.axis2.name, float(v2)))
-
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(_evaluate, tasks))
-    else:
-        reports = [_evaluate(task) for task in tasks]
-
-    rows = [
-        SweepRow(t=t, gamma=params.gamma, b1=params.b1, b2=params.b2, report=rep)
-        for (params, t), rep in zip(tasks, reports)
-    ]
-    return SweepTable(spec=spec, axis1_values=axis1_values, axis2_values=axis2_values, rows=rows)
+    fixed = {"T": base_t, "gamma": base.gamma, "b1": base.b1, "b2": base.b2}
+    columns = {name: np.full(mesh[0].size, value, dtype=float) for name, value in fixed.items()}
+    for axis, values in zip(axes, mesh):
+        for name, sign in _AXIS_WRITES[axis.name]:
+            columns[name] = sign * values.ravel()
+    columns.update(
+        closed_form_correlations(columns["gamma"], columns["b1"], columns["b2"], columns["T"], base.j)
+    )
+    return SweepTable(
+        spec=spec,
+        axis1_values=grids[0],
+        axis2_values=grids[1] if len(grids) == 2 else None,
+        columns=columns,
+    )
 
 
 def _require_1d(table: SweepTable) -> None:
@@ -211,6 +207,8 @@ def detect_quantum_exceeds_classical(table: SweepTable) -> list[tuple[float, flo
 def count_peaks(table: SweepTable, column: str, min_prominence: float = 0.01) -> int:
     """Number of interior local maxima of ``column`` with the given prominence."""
     _require_1d(table)
+    from scipy.signal import find_peaks  # imported here: it dominates the package's import time
+
     peaks, _ = find_peaks(table.column(column), prominence=min_prominence)
     return int(peaks.size)
 

@@ -4,7 +4,7 @@ At zero field the concurrence of the anisotropic dimer dies at the
 temperature solving  gamma = (T/2) ln(e^{2/T} - 2)  (temperatures in units
 of J).  The right-hand side decreases strictly from 1 toward -infinity on
 (0, 2/ln 2), so a bracketed bisection is enough.  For arbitrary parameters
-the threshold is located numerically from the concurrence itself.
+the threshold is located numerically from the closed-form concurrence.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .correlations import concurrence
 from .exceptions import DomainError
-from .models import ModelParams, thermal_state
+from .matkernel import check_positive_finite
+from .models import ModelParams, closed_form_correlations
 
 __all__ = [
     "ThresholdPoint",
@@ -95,16 +95,20 @@ def tth_numeric(p: ModelParams, t_max: float, *, scan_points: int = 200) -> floa
     the range.  Multiple transitions trigger a warning and the largest is
     returned.
     """
-    if t_max <= 0:
-        raise DomainError(f"t_max must be positive, got {t_max}")
+    check_positive_finite(t_max, "t_max")
     if scan_points < 2:
         raise ValueError(f"scan_points must be at least 2, got {scan_points}")
+
+    def entangled(t):
+        c = closed_form_correlations(p.gamma, p.b1, p.b2, t, p.j)["concurrence"]
+        return c > _POSITIVE_C
+
     grid = np.linspace(t_max / scan_points, t_max, scan_points)
-    positive = [concurrence(thermal_state(p, float(t))) > _POSITIVE_C for t in grid]
-    transitions = [i for i in range(scan_points - 1) if positive[i] and not positive[i + 1]]
-    if not transitions:
+    positive = entangled(grid)
+    transitions = np.flatnonzero(positive[:-1] & ~positive[1:])
+    if transitions.size == 0:
         return None
-    if len(transitions) > 1:
+    if transitions.size > 1:
         warnings.warn(
             "concurrence turns off more than once in the scan range; "
             "returning the largest transition temperature",
@@ -113,7 +117,7 @@ def tth_numeric(p: ModelParams, t_max: float, *, scan_points: int = 200) -> floa
     lo, hi = float(grid[transitions[-1]]), float(grid[transitions[-1] + 1])
     while hi - lo > 1e-8:
         mid = 0.5 * (lo + hi)
-        if concurrence(thermal_state(p, mid)) > _POSITIVE_C:
+        if entangled(mid):
             lo = mid
         else:
             hi = mid

@@ -77,7 +77,7 @@ def check_gibbs_equivalence(samples: int = 200, seed: int = 7) -> CheckResult:
 
 
 def check_wootters_closed_form() -> list[CheckResult]:
-    """Closed-form concurrence vs the eigenvalue pipeline, both families.
+    """Closed-form concurrence (the kernel behind point and sweep) vs the eigenvalue pipeline.
 
     Temperatures start at 0.5: below that the smallest pipeline eigenvalue
     underflows and its square root amplifies eigensolver noise above 1e-10,

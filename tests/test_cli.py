@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -203,3 +204,66 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith(CSV_HEADER)
+
+
+@pytest.mark.parametrize(
+    "flag,value,name",
+    [("--b1", "inf", "b1"), ("--b1", "nan", "b1"), ("--temp", "nan", "temp"), ("--temp", "inf", "temp")],
+)
+def test_point_rejects_non_finite_inputs(capsys, flag, value, name):
+    argv = {"--b1": "0.5", "--temp": "1", flag: value}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would escape main() and fail the test
+        code, out, err = run_cli(
+            capsys, "point", "--model", "xy", "--b1", argv["--b1"], "--temp", argv["--temp"]
+        )
+    assert code == 3
+    assert out == ""
+    assert name in err and "finite" in err
+
+
+def test_sweep_rejects_non_finite_axis_and_temp(capsys):
+    code, _, err = run_cli(capsys, "sweep", "--model", "xy", "--temp", "1", "--axis", "b1=-inf:1:5")
+    assert code == 3 and "finite" in err
+    code, _, err = run_cli(capsys, "sweep", "--model", "xy", "--temp", "nan", "--axis", "b1=0:1:5")
+    assert code == 3 and "temperature" in err
+
+
+def test_sweep_rejects_grid_leaving_the_domain(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--model", "heisenberg", "--temp", "1", "--axis", "gamma=-1.5:0.5:5"
+    )
+    assert code == 3
+    assert out == ""
+    assert "gamma" in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_sweep_threads_below_one_is_usage_error(capsys, threads):
+    argv = ["sweep", "--model", "xy", "--temp", "0.8", "--axis", "b_anti=-2:2:5"]
+    code, out, err = run_cli(capsys, *argv, "--threads", threads)
+    assert code == 2
+    assert out == ""
+    assert "threads" in err
+
+
+def test_point_and_sweep_print_the_same_row(capsys):
+    # the grid's last point is its stop value, 0.7 exactly
+    _, sweep_out, _ = run_cli(
+        capsys, "sweep", "--model", "xy", "--temp", "0.3", "--axis", "b1=0:0.7:2", "--b2", "-1.1"
+    )
+    row = sweep_out.splitlines()[-1]
+    assert row.startswith("0.3,-1,0.7,-1.1,")
+    _, point_out, _ = run_cli(
+        capsys, "point", "--model", "xy", "--b1", "0.7", "--b2", "-1.1", "--temp", "0.3"
+    )
+    assert point_out.splitlines()[1] == row
+
+
+def test_import_does_not_load_scipy_signal():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import dimercorr, sys; assert 'scipy.signal' not in sys.modules"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,12 +1,14 @@
 """Hamiltonian construction, analytic spectra, and thermal states."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from dimercorr.correlations import concurrence
 from dimercorr.exceptions import DomainError, UnsupportedFamilyError
+from dimercorr.matkernel import gibbs
 from dimercorr.models import (
     LOG_DOMAIN_T,
     ModelParams,
@@ -240,3 +242,42 @@ def test_concurrence_closed_form_cold_limits():
 def test_concurrence_closed_form_vanishes_at_high_temperature():
     for p in (ModelParams(gamma=0.0), ModelParams(gamma=-1.0, b1=1.0, b2=-1.0)):
         assert concurrence_analytic(p, 50.0) == 0.0
+
+
+@pytest.mark.parametrize(
+    "kwargs,name",
+    [
+        ({"gamma": float("nan")}, "gamma"),
+        ({"gamma": 0.0, "b1": float("inf")}, "b1"),
+        ({"gamma": 0.0, "b2": float("nan")}, "b2"),
+        ({"gamma": 0.0, "j": float("inf")}, "j"),
+        ({"gamma": 0.0, "j": float("nan")}, "j"),
+    ],
+)
+def test_params_reject_non_finite_values(kwargs, name):
+    with pytest.raises(DomainError, match=name):
+        ModelParams(**kwargs)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+def test_thermal_states_reject_non_finite_temperature(t):
+    p = ModelParams(gamma=-1.0, b1=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route in (thermal_state, thermal_state_analytic, concurrence_analytic):
+            with pytest.raises(DomainError, match="temperature"):
+                route(p, t)
+        with pytest.raises(DomainError, match="temperature"):
+            gibbs(build_hamiltonian(p), t)
+
+
+def test_concurrence_closed_form_covers_every_family():
+    # fields with gamma != -1 have no written-out thermal state, but the
+    # X-state closed form still matches the dense pipeline
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        p = ModelParams(
+            gamma=float(rng.uniform(-1.0, 1.0)), b1=float(rng.uniform(-3.0, 3.0)), b2=float(rng.uniform(-3.0, 3.0))
+        )
+        for t in (0.5, 1.0, 2.2, 5.0):
+            assert abs(concurrence_analytic(p, t) - concurrence(thermal_state(p, t))) < 1e-9

@@ -190,3 +190,46 @@ def test_detectors_reject_bad_usage():
     table_1d = run_sweep(SweepSpec(base=XY, axis1=Axis("T", 0.5, 1.0, 5)))
     with pytest.raises(ValueError):
         table_1d.column("negativity")
+
+
+def test_non_finite_axis_and_temperature_are_domain_errors():
+    for start, stop in ((-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0)):
+        with pytest.raises(DomainError, match="finite"):
+            Axis("b1", start, stop, 5)
+    for temp in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="temperature"):
+            SweepSpec(base=XY, axis1=Axis("b1", 0.0, 1.0, 5), temp=temp)
+
+
+def test_grid_leaving_the_domain_is_rejected():
+    spec = SweepSpec(base=ModelParams(gamma=0.0), axis1=Axis("gamma", -1.5, 0.5, 5), temp=1.0)
+    with pytest.raises(DomainError, match="gamma"):
+        run_sweep(spec)
+
+
+def test_threads_is_a_validated_no_op():
+    spec = SweepSpec(base=XY, axis1=Axis("b_anti", -2.0, 2.0, 9), temp=0.8)
+    for threads in (0, -4):
+        with pytest.raises(ValueError, match="threads"):
+            run_sweep(spec, threads=threads)
+    reference = run_sweep(spec)
+    for threads in (1, 2, 64):
+        table = run_sweep(spec, threads=threads)
+        for name in ("T", "gamma", "b1", "b2", "total", "quantum", "classical", "concurrence"):
+            assert np.array_equal(table.column(name), reference.column(name))
+
+
+def test_columns_and_rows_agree():
+    spec = SweepSpec(base=XY, axis1=Axis("T", 0.5, 1.0, 3), axis2=Axis("b_anti", -1.0, 1.0, 4))
+    table = run_sweep(spec)
+    rows = table.rows
+    assert len(rows) == 12
+    anti = table.axis2_values.tolist()
+    assert table.column("b1").tolist() == anti * 3
+    assert table.column("b2").tolist() == [-v for v in anti] * 3
+    assert table.column("T").tolist() == [t for t in table.axis1_values.tolist() for _ in range(4)]
+    for name in ("total", "quantum", "classical", "concurrence"):
+        assert [getattr(row.report, name) for row in rows] == table.column(name).tolist()
+    assert [(row.t, row.b1, row.b2) for row in rows] == list(
+        zip(table.column("T").tolist(), table.column("b1").tolist(), table.column("b2").tolist())
+    )

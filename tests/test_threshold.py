@@ -7,7 +7,7 @@ import pytest
 
 from dimercorr.correlations import concurrence
 from dimercorr.exceptions import DomainError
-from dimercorr.models import ModelParams, concurrence_analytic, thermal_state_analytic
+from dimercorr.models import ModelParams, concurrence_analytic, thermal_state, thermal_state_analytic
 from dimercorr.threshold import threshold_curve, tth_anisotropic, tth_numeric
 
 
@@ -106,3 +106,18 @@ def test_numeric_threshold_argument_checks():
         tth_numeric(ModelParams(gamma=0.0), 0.0)
     with pytest.raises(ValueError):
         tth_numeric(ModelParams(gamma=0.0), 5.0, scan_points=1)
+
+
+def test_numeric_threshold_rejects_non_finite_range():
+    for t_max in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="t_max"):
+            tth_numeric(ModelParams(gamma=0.0), t_max)
+
+
+def test_numeric_threshold_with_fields_off_the_xy_point():
+    # no closed-form threshold here: check the sign change against the dense route
+    p = ModelParams(gamma=0.4, b1=0.3, b2=-0.6)
+    t = tth_numeric(p, 5.0)
+    assert t is not None
+    assert concurrence(thermal_state(p, t - 1e-4)) > 1e-9
+    assert concurrence(thermal_state(p, t + 1e-4)) < 1e-9
