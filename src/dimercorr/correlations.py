@@ -7,6 +7,11 @@ are in bits (base-2 logarithms).  Two independent checks live here as
 well: the positive-partial-transpose separability test and a sampler over
 random pure-state decompositions whose ensemble-average entanglement can
 never drop below the entanglement of formation.
+
+Every state function takes one 4x4 state or a (..., 4, 4) stack; a stack
+makes one eigensolver call per stage and returns arrays where a single
+state returns a float or a bool.  Public functions validate their input
+once; the private helpers behind them trust it.
 """
 
 from __future__ import annotations
@@ -16,13 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError, ValidationError
+from .exceptions import DomainError
 from .matkernel import (
-    PSD_TOL,
+    _partial_trace,
+    _partial_transpose,
     check_density_matrix,
     kron,
-    partial_trace,
-    partial_transpose,
     pauli,
 )
 
@@ -47,81 +51,80 @@ __all__ = [
 _SIGMA_YY = kron(pauli("y"), pauli("y")).real  # entries are +-1 on the antidiagonal
 
 MAX_ENSEMBLE = 8
+_BLOCK = 2048  # decompositions drawn per block in sample_decomposition_average
 
 
-def _entropy_bits(eigenvalues: np.ndarray) -> float:
-    lam = eigenvalues[eigenvalues > 0.0]
-    return float(-(lam * np.log2(lam)).sum())
+def _scalar(x):
+    """A 0-d result as a Python float or bool; arrays from stacks pass through."""
+    return x.item() if np.ndim(x) == 0 else x
+
+
+def _entropy_bits(eigenvalues: np.ndarray) -> np.ndarray:
+    """-sum p log2 p over the last axis (0 log 0 = 0, p <= 0 counts as 0), clamped to >= 0."""
+    positive = eigenvalues > 0.0
+    terms = np.where(positive, eigenvalues * np.log2(np.where(positive, eigenvalues, 1.0)), 0.0)
+    return np.maximum(0.0, -terms.sum(axis=-1))
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Entropy -tr(rho log2 rho) of a 2x2 or 4x4 density matrix, in bits.
+    """Entropy -tr(rho log2 rho) of a 2x2 or 4x4 density matrix (or a stack), in bits.
 
-    Eigenvalues in [-1e-10, 0) are clamped to zero (0 log 0 = 0); anything
-    more negative is a validation error.  The result is clamped to >= 0.
+    Eigenvalues in [-1e-10, 0) count as zero (0 log 0 = 0); anything more
+    negative is a validation error.  The result is clamped to >= 0.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape not in ((2, 2), (4, 4)):
-        raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
-        raise ValidationError("entropy input is not Hermitian within tolerance")
-    eigenvalues = np.linalg.eigvalsh(rho)
-    if eigenvalues[0] < -PSD_TOL:
-        raise ValidationError("entropy input has an eigenvalue below -1e-10")
-    if abs(eigenvalues.sum() - 1.0) > 1e-10:
-        raise ValidationError("entropy input does not have unit trace")
-    return max(0.0, _entropy_bits(np.clip(eigenvalues, 0.0, None)))
+    rho = check_density_matrix(rho)
+    return _scalar(_entropy_bits(np.linalg.eigvalsh(rho)))
+
+
+def _mutual_information(rho: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """S(1) + S(2) - S(12) of validated states with eigenvalues ``spectrum``."""
+    marginals = np.stack([_partial_trace(rho, 1), _partial_trace(rho, 2)])
+    s1, s2 = _entropy_bits(np.linalg.eigvalsh(marginals))
+    return s1 + s2 - _entropy_bits(spectrum)
 
 
 def mutual_information(rho: np.ndarray) -> float:
-    """Total correlation S(1) + S(2) - S(12) of a two-qubit state, in bits."""
+    """Total correlation S(1) + S(2) - S(12) of a two-qubit state (or a stack), in bits."""
     rho = check_density_matrix(rho, 4)
-    s1 = von_neumann_entropy(partial_trace(rho, 1))
-    s2 = von_neumann_entropy(partial_trace(rho, 2))
-    return s1 + s2 - von_neumann_entropy(rho)
+    return _scalar(_mutual_information(rho, np.linalg.eigvalsh(rho)))
 
 
-def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
-    eigenvalues, vectors = np.linalg.eigh(rho)
-    if eigenvalues[0] < -PSD_TOL:
-        raise ValidationError("matrix square root input has an eigenvalue below -1e-10")
-    roots = np.sqrt(np.clip(eigenvalues, 0.0, None))
-    return (vectors * roots) @ vectors.conj().T
+def _concurrence(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Wootters concurrence of validated states with eigenpairs (values, vectors).
+
+    With rho = X X^dagger, X = V sqrt(Lambda), the decreasing square roots
+    l_i of the spectrum of rho (sy x sy) rho* (sy x sy) are the singular
+    values of the complex-symmetric tau = X^T (sy x sy) X.  Taking them
+    directly keeps a nearly singular state from losing half its digits to
+    a square root of eigenvalue noise.
+    """
+    x = vectors * np.sqrt(np.clip(values, 0.0, None))[..., None, :]
+    lam = np.linalg.svd(x.swapaxes(-1, -2) @ _SIGMA_YY @ x, compute_uv=False)  # descending
+    return np.clip(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0, 1.0)
 
 
 def concurrence(rho: np.ndarray) -> float:
-    """Concurrence C(rho) = max{0, l1 - l2 - l3 - l4}.
+    """Concurrence C(rho) = max{0, l1 - l2 - l3 - l4} of a state, or an array for a stack.
 
     The l_i are the decreasing square roots of the eigenvalues of
-    rho (sy x sy) rho* (sy x sy).  They are computed as eigenvalues of the
-    Hermitian congruence sqrt(rho) (sy x sy) rho* (sy x sy) sqrt(rho),
-    which has the same spectrum but keeps the eigenproblem Hermitian.
+    rho (sy x sy) rho* (sy x sy), taken as singular values (see _concurrence).
     """
     rho = check_density_matrix(rho, 4)
-    flipped = _SIGMA_YY @ rho.conj() @ _SIGMA_YY
-    root = _psd_sqrt(rho)
-    squared = np.linalg.eigvalsh(root @ flipped @ root)
-    if squared[0] < -1e-12:
-        raise ValidationError("concurrence spectrum has an eigenvalue below -1e-12")
-    lam = np.sqrt(np.clip(squared, 0.0, None))[::-1]
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    return _scalar(_concurrence(*np.linalg.eigh(rho)))
 
 
-def _binary_entropy(x: float) -> float:
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
-
-
-def formation_from_concurrence(c: float) -> float:
-    """Entanglement of formation h((1 + sqrt(1 - C^2)) / 2) for C in [0, 1]."""
-    if not 0.0 <= c <= 1.0:
-        raise DomainError(f"concurrence must lie in [0, 1], got {c}")
-    return _binary_entropy(0.5 * (1.0 + math.sqrt(1.0 - c * c)))
+def formation_from_concurrence(c):
+    """Entanglement of formation h((1 + sqrt(1 - C^2)) / 2) for C in [0, 1] (a float or an array)."""
+    c = np.asarray(c, dtype=float)
+    bad = ~((c >= 0.0) & (c <= 1.0))
+    if bad.any():
+        raise DomainError(f"concurrence must lie in [0, 1], got {c[bad].flat[0]}")
+    x = 0.5 * (1.0 + np.sqrt(1.0 - c * c))
+    return _scalar(_entropy_bits(np.stack([x, 1.0 - x], axis=-1)))
 
 
 def entanglement_of_formation(rho: np.ndarray) -> float:
-    """Entanglement of formation of a two-qubit state, in bits."""
+    """Entanglement of formation of a two-qubit state (or a stack), in bits."""
     return formation_from_concurrence(concurrence(rho))
 
 
@@ -132,7 +135,7 @@ def classical_correlation(rho: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """All four correlation quantities of one state, in bits."""
+    """All four correlation quantities of one state, in bits (arrays for a stack of states)."""
 
     total: float
     quantum: float
@@ -143,42 +146,66 @@ class CorrelationReport:
 def report(rho: np.ndarray) -> CorrelationReport:
     """Bundle total, quantum, and classical correlations plus concurrence.
 
-    The concurrence is evaluated once and reused for the quantum part, and
-    classical = total - quantum holds exactly by construction.
+    The state is validated once and decomposed once; the concurrence is
+    reused for the quantum part, and classical = total - quantum holds
+    exactly by construction.  For a (..., 4, 4) stack every field is an array.
     """
     rho = check_density_matrix(rho, 4)
-    total = mutual_information(rho)
-    c = concurrence(rho)
+    values, vectors = np.linalg.eigh(rho)
+    total = _mutual_information(rho, values)
+    c = _concurrence(values, vectors)
     quantum = formation_from_concurrence(c)
-    return CorrelationReport(total=total, quantum=quantum, classical=total - quantum, concurrence=c)
+    return CorrelationReport(
+        total=_scalar(total), quantum=quantum, classical=_scalar(total - quantum), concurrence=_scalar(c)
+    )
 
 
-def is_separable_ppt(rho: np.ndarray, tol: float = 1e-10) -> bool:
-    """Peres-Horodecki test, exact for two qubits.
+def is_separable_ppt(rho: np.ndarray, tol: float = 1e-10):
+    """Peres-Horodecki test, exact for two qubits; a bool, or a bool array for a stack.
 
     True iff the partial transpose has no eigenvalue below ``-tol``.
     """
     rho = check_density_matrix(rho, 4)
-    return bool(np.linalg.eigvalsh(partial_transpose(rho, 2))[0] >= -tol)
+    return _scalar(np.linalg.eigvalsh(_partial_transpose(rho, 2))[..., 0] >= -tol)
 
 
 # --- random states and pure-state decompositions ---------------------------
 
 
+def _orthonormal_columns(z: np.ndarray, k: int) -> np.ndarray:
+    """First ``k`` columns of the Q factor of z = QR (per matrix of a stack), R with positive diagonal.
+
+    Gram-Schmidt with one reorthogonalisation pass, which keeps the columns
+    orthonormal to roundoff; this Q is unique, so it is the Q of a QR
+    factorisation with its phases fixed.
+    """
+    q = np.empty(z.shape[:-1] + (k,), dtype=complex)
+    for i in range(k):
+        v = z[..., i]
+        for _ in range(2):
+            coeffs = np.einsum("...ji,...j->...i", q[..., :i].conj(), v)
+            v = v - np.einsum("...ji,...i->...j", q[..., :i], coeffs)
+        q[..., i] = v / np.sqrt(np.einsum("...j,...j->...", v, v.conj()).real)[..., None]
+    return q
+
+
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Ginibre matrix."""
+    """Haar-distributed unitary: the phase-fixed Q factor of a complex Ginibre matrix."""
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    q, r = np.linalg.qr(z / math.sqrt(2.0))
-    diag = np.diagonal(r)
-    phases = np.where(np.abs(diag) > 0, diag / np.abs(diag), 1.0)
-    return q * phases
+    return _orthonormal_columns(z / math.sqrt(2.0), dim)
 
 
-def random_density_matrix(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
-    """Full-rank random density matrix G G† / tr(G G†), G complex Gaussian."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+def random_density_matrix(rng: np.random.Generator, dim: int = 4, size: int | None = None) -> np.ndarray:
+    """Full-rank random density matrix G G† / tr(G G†), G complex Gaussian.
+
+    With ``size``, a (size, dim, dim) stack drawn from ``rng`` exactly as
+    ``size`` single calls would draw it.
+    """
+    lead = () if size is None else (size,)
+    z = rng.standard_normal((*lead, 2, dim, dim))
+    g = z[..., 0, :, :] + 1j * z[..., 1, :, :]
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
 @dataclass(frozen=True)
@@ -193,10 +220,22 @@ class Ensemble:
         return weighted.T @ self.states.conj()
 
 
-def _support(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    eigenvalues, vectors = np.linalg.eigh(rho)
-    keep = eigenvalues > 1e-10
-    return eigenvalues[keep], vectors[:, keep]
+def _weighted_eigenrows(rho: np.ndarray, size: int) -> tuple[np.ndarray, int]:
+    """Rows sqrt(mu_i) e_i^T over the support of each validated state, and the largest rank.
+
+    Support eigenpairs (mu_i > 1e-10) come first, in ascending order, and
+    the rest are zero rows, so a stack of states of different rank shares
+    one layout.  Raises DomainError when ``size`` is below a state's rank.
+    """
+    values, vectors = np.linalg.eigh(rho)
+    kept = values > 1e-10
+    rank = int(kept.sum(axis=-1).max())
+    if size < rank:
+        raise DomainError(f"ensemble size {size} is below the state rank {rank}")
+    order = np.argsort(~kept, axis=-1, kind="stable")
+    weights = np.sqrt(np.take_along_axis(np.where(kept, values, 0.0), order, axis=-1))
+    columns = np.take_along_axis(vectors, order[..., None, :], axis=-1) * weights[..., None, :]
+    return columns.swapaxes(-1, -2)[..., :rank, :], rank
 
 
 def random_ensemble(rho: np.ndarray, size: int, rng: np.random.Generator) -> Ensemble:
@@ -209,13 +248,8 @@ def random_ensemble(rho: np.ndarray, size: int, rng: np.random.Generator) -> Ens
     rho = check_density_matrix(rho, 4)
     if not 1 <= size <= MAX_ENSEMBLE:
         raise ValueError(f"ensemble size must lie in 1..{MAX_ENSEMBLE}, got {size}")
-    eigenvalues, vectors = _support(rho)
-    rank = eigenvalues.size
-    if size < rank:
-        raise DomainError(f"ensemble size {size} is below the state rank {rank}")
-    basis = vectors * np.sqrt(eigenvalues)  # columns are sqrt(mu_i) |e_i>
-    isometry = random_unitary(size, rng)[:, :rank]
-    unnormalized = isometry @ basis.T  # row j is the j-th member, unnormalized
+    basis, rank = _weighted_eigenrows(rho, size)
+    unnormalized = random_unitary(size, rng)[:, :rank] @ basis  # row j is the j-th member
     probabilities = np.einsum("ij,ij->i", unnormalized, unnormalized.conj()).real
     norms = np.sqrt(np.where(probabilities > 0, probabilities, 1.0))
     return Ensemble(probabilities=probabilities, states=unnormalized / norms[:, None])
@@ -257,34 +291,30 @@ def sample_decomposition_average(
     ``rho`` and returns the smallest average entanglement found.  Since the
     entanglement of formation is the infimum over all decompositions, the
     result can never fall below it (up to roundoff); the gap shrinks as
-    ``samples`` grows.
+    ``samples`` grows.  For a (..., 4, 4) stack the result is an array, and
+    every state is decomposed with the same Haar draws (the same ``seed``).
     """
     rho = check_density_matrix(rho, 4)
     if not 1 <= ensemble_size <= MAX_ENSEMBLE:
         raise ValueError(f"ensemble size must lie in 1..{MAX_ENSEMBLE}, got {ensemble_size}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    eigenvalues, vectors = _support(rho)
-    rank = eigenvalues.size
-    if ensemble_size < rank:
-        raise DomainError(f"ensemble size {ensemble_size} is below the state rank {rank}")
-    basis = (vectors * np.sqrt(eigenvalues)).T  # shape (rank, 4)
+    basis, rank = _weighted_eigenrows(rho, ensemble_size)
+    rows = basis.reshape(-1, rank, 4)
     rng = np.random.default_rng(seed)
 
-    best = math.inf
-    for start in range(0, samples, 2048):
-        block = min(2048, samples - start)
-        z = rng.standard_normal((block, ensemble_size, ensemble_size)) + 1j * rng.standard_normal(
-            (block, ensemble_size, ensemble_size)
-        )
-        q, r = np.linalg.qr(z)
-        diag = np.diagonal(r, axis1=1, axis2=2)
-        q = q * np.where(np.abs(diag) > 0, diag / np.abs(diag), 1.0)[:, None, :]
-        members = q[:, :, :rank] @ basis  # (block, m, 4)
-        probs = np.einsum("bmj,bmj->bm", members, members.conj()).real
-        norms = np.sqrt(np.where(probs > 0, probs, 1.0))
-        flat = (members / norms[:, :, None]).reshape(-1, 4)
-        entanglements = _pure_entanglement(flat).reshape(block, ensemble_size)
-        averages = np.einsum("bm,bm->b", probs, entanglements)
-        best = min(best, float(averages.min()))
-    return best
+    best = np.full(len(rows), np.inf)
+    for start in range(0, samples, _BLOCK):
+        block = min(_BLOCK, samples - start)
+        shape = (block, ensemble_size, ensemble_size)
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        isometries = _orthonormal_columns(z, rank)
+        for i, state_rows in enumerate(rows):  # one state at a time keeps the block's arrays small
+            members = isometries @ state_rows  # (block, m, 4)
+            probs = np.einsum("bmj,bmj->bm", members, members.conj()).real
+            norms = np.sqrt(np.where(probs > 0, probs, 1.0))
+            flat = (members / norms[:, :, None]).reshape(-1, 4)
+            entanglements = _pure_entanglement(flat).reshape(block, ensemble_size)
+            averages = np.einsum("bm,bm->b", probs, entanglements)
+            best[i] = min(best[i], averages.min())
+    return _scalar(best.reshape(rho.shape[:-2]))

@@ -4,7 +4,8 @@ All operators live in the fixed product basis |uu>, |ud>, |du>, |dd>
 (indices 0 through 3, qubit 1 is the left Kronecker factor).  States and
 operators are plain complex128 numpy arrays; the helpers here validate the
 physical contracts (Hermiticity, unit trace, positivity) rather than
-wrapping arrays in a dedicated class.
+wrapping arrays in a dedicated class.  Every matrix function also takes a
+(..., d, d) stack and handles it with one eigensolver call per stage.
 """
 
 from __future__ import annotations
@@ -69,26 +70,47 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _as_square(m: np.ndarray, dims: tuple[int, ...] = (2, 4)) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in dims:
-        raise ValueError(f"expected a square matrix with dimension in {dims}, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] not in dims:
+        raise ValueError(
+            f"expected a square matrix (or a stack of them) with dimension in {dims}, got shape {m.shape}"
+        )
     return m
 
 
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def _hermitian_mask(m: np.ndarray, tol: float) -> np.ndarray:
+    return np.abs(m - _adjoint(m)).max(axis=(-2, -1)) <= tol  # NaN entries fail
+
+
+def _trace(m: np.ndarray) -> np.ndarray:
+    return np.asarray(np.einsum("...ii->...", m))
+
+
+def _member(bad: np.ndarray) -> str:
+    """Where the first failing matrix of a stack sits; empty for a single matrix."""
+    if bad.ndim == 0:
+        return ""
+    index = tuple(int(i) for i in np.argwhere(bad)[0])
+    return f" (stack member {index[0] if len(index) == 1 else index})"
+
+
 def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    """True when ``m`` equals its conjugate transpose entrywise within ``tol``."""
-    m = np.asarray(m, dtype=complex)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+    """True when ``m`` (one matrix or every matrix of a stack) equals its conjugate transpose within ``tol``."""
+    return bool(np.all(_hermitian_mask(np.asarray(m, dtype=complex), tol)))
 
 
 def is_unit_trace(m: np.ndarray, tol: float = TRACE_TOL) -> bool:
-    """True when trace(m) is 1 within ``tol`` (imaginary part included)."""
-    return bool(abs(np.trace(np.asarray(m, dtype=complex)) - 1.0) <= tol)
+    """True when every trace is 1 within ``tol`` (imaginary part included)."""
+    return bool(np.all(np.abs(_trace(np.asarray(m, dtype=complex)) - 1.0) <= tol))
 
 
 def is_psd(m: np.ndarray, tol: float = PSD_TOL) -> bool:
-    """True when the smallest eigenvalue of Hermitian ``m`` is at least ``-tol``."""
+    """True when every smallest eigenvalue of Hermitian ``m`` is at least ``-tol``."""
     m = np.asarray(m, dtype=complex)
-    return bool(np.linalg.eigvalsh(m)[0] >= -tol)
+    return bool(np.all(np.linalg.eigvalsh(m)[..., 0] >= -tol))
 
 
 def check_density_matrix(
@@ -99,20 +121,27 @@ def check_density_matrix(
     trace_tol: float = TRACE_TOL,
     psd_tol: float = PSD_TOL,
 ) -> np.ndarray:
-    """Validate a density matrix and return it as a complex array.
+    """Validate a density matrix, or a (..., d, d) stack of them, and return it as a complex array.
 
     Checks shape (2x2 or 4x4, or exactly ``dim`` when given), Hermiticity,
     unit trace and positive semidefiniteness, each within its tolerance.
-    Raises ValidationError on the first failed contract.
+    A stack costs one eigensolver call.  Raises ValidationError on the first
+    failed contract, naming the first failing member of a stack.
     """
     dims = (dim,) if dim is not None else (2, 4)
     m = _as_square(m, dims)
-    if not is_hermitian(m, hermitian_tol):
-        raise ValidationError("density matrix is not Hermitian within tolerance")
-    if not is_unit_trace(m, trace_tol):
-        raise ValidationError(f"density matrix trace is {np.trace(m):.6g}, expected 1")
-    if not is_psd(m, psd_tol):
-        raise ValidationError("density matrix has an eigenvalue below -1e-10")
+    bad = ~_hermitian_mask(m, hermitian_tol)
+    if bad.any():
+        raise ValidationError("density matrix is not Hermitian within tolerance" + _member(bad))
+    trace = _trace(m)
+    bad = ~(np.abs(trace - 1.0) <= trace_tol)
+    if bad.any():
+        raise ValidationError(
+            f"density matrix trace is {trace[bad].flat[0]:.6g}, expected 1" + _member(bad)
+        )
+    bad = ~(np.linalg.eigvalsh(m)[..., 0] >= -psd_tol)
+    if bad.any():
+        raise ValidationError(f"density matrix has an eigenvalue below {-psd_tol:g}" + _member(bad))
     return m
 
 
@@ -136,49 +165,62 @@ class EigenSystem(NamedTuple):
 
 
 def hermitian_eig(m: np.ndarray) -> EigenSystem:
-    """Full eigendecomposition of a Hermitian matrix.
+    """Full eigendecomposition of a Hermitian matrix, or of a (..., d, d) stack in one call.
 
     Eigenvalues are real and ascending; eigenvectors form an orthonormal
     set of columns.  The input must be Hermitian within 1e-10.
     """
     m = _as_square(m)
-    if not is_hermitian(m):
-        raise ValidationError("matrix is not Hermitian within 1e-10")
+    bad = ~_hermitian_mask(m, HERMITIAN_TOL)
+    if bad.any():
+        raise ValidationError("matrix is not Hermitian within 1e-10" + _member(bad))
     values, vectors = np.linalg.eigh(m)
     return EigenSystem(values, vectors)
 
 
-def gibbs(h: np.ndarray, temperature: float) -> np.ndarray:
+def gibbs(h: np.ndarray, temperature) -> np.ndarray:
     """Thermal state exp(-h/T) / Z built from the spectral decomposition.
 
-    Boltzmann weights are shifted by the ground energy before
-    exponentiating, so the construction stays finite at any T > 0.
+    ``h`` may be a (..., 4, 4) stack and ``temperature`` an array; they
+    broadcast against each other (one Hamiltonian at many temperatures, or
+    a stack at one), with one eigensolver call for the stack.  Boltzmann
+    weights are shifted by the ground energy before exponentiating, so the
+    construction stays finite at any T > 0.
     """
     check_positive_finite(temperature)
+    t = np.asarray(temperature, dtype=float)[..., None]
     values, vectors = hermitian_eig(h)
-    weights = np.exp(-(values - values[0]) / temperature)
-    weights /= weights.sum()
-    rho = (vectors * weights) @ vectors.conj().T
-    return 0.5 * (rho + rho.conj().T)
+    weights = np.exp(-(values - values[..., :1]) / t)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    rho = (vectors * weights[..., None, :]) @ _adjoint(vectors)
+    return 0.5 * (rho + _adjoint(rho))
+
+
+def _partial_trace(rho: np.ndarray, keep: int) -> np.ndarray:
+    blocks = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2)  # (row q1, row q2, col q1, col q2)
+    return np.einsum("...ikjk->...ij" if keep == 1 else "...kikj->...ij", blocks)
 
 
 def partial_trace(rho: np.ndarray, keep: int) -> np.ndarray:
-    """Reduced 2x2 state of qubit ``keep`` (1 or 2) of a two-qubit density matrix."""
+    """Reduced 2x2 state of qubit ``keep`` (1 or 2) of a two-qubit density matrix (or stack)."""
     if keep not in (1, 2):
         raise ValueError(f"keep must be 1 or 2, got {keep}")
-    rho = check_density_matrix(rho, 4)
-    blocks = rho.reshape(2, 2, 2, 2)  # axes: (row q1, row q2, col q1, col q2)
-    if keep == 1:
-        return np.einsum("ikjk->ij", blocks)
-    return np.einsum("kikj->ij", blocks)
+    return _partial_trace(check_density_matrix(rho, 4), keep)
+
+
+def _partial_transpose(rho: np.ndarray, subsystem: int) -> np.ndarray:
+    blocks = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2)
+    swapped = blocks.swapaxes(-4, -2) if subsystem == 1 else blocks.swapaxes(-3, -1)
+    return swapped.reshape(rho.shape)
 
 
 def partial_transpose(rho: np.ndarray, subsystem: int) -> np.ndarray:
     """Transpose of one qubit's indices, leaving the other untouched.
 
-    Accepts any Hermitian unit-trace 4x4 matrix (not necessarily positive),
-    so applying it twice returns the original input exactly.  The output is
-    Hermitian with the same trace, but positivity is not guaranteed.
+    Accepts any Hermitian unit-trace 4x4 matrix, or a stack of them (not
+    necessarily positive), so applying it twice returns the original input
+    exactly.  The output is Hermitian with the same trace, but positivity
+    is not guaranteed.
     """
     if subsystem not in (1, 2):
         raise ValueError(f"subsystem must be 1 or 2, got {subsystem}")
@@ -187,9 +229,4 @@ def partial_transpose(rho: np.ndarray, subsystem: int) -> np.ndarray:
         raise ValidationError("partial transpose input is not Hermitian within tolerance")
     if not is_unit_trace(rho):
         raise ValidationError("partial transpose input does not have unit trace")
-    blocks = rho.reshape(2, 2, 2, 2)
-    if subsystem == 1:
-        swapped = blocks.transpose(2, 1, 0, 3)
-    else:
-        swapped = blocks.transpose(0, 3, 2, 1)
-    return swapped.reshape(4, 4)
+    return _partial_transpose(rho, subsystem)

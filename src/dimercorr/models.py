@@ -50,6 +50,10 @@ class ModelParams:
     gamma : anisotropy in [-1, 1]; -1 is the XY point, +1 the Ising point.
     b1, b2 : local z fields on qubits 1 and 2, in units of J.
     j : exchange constant, > 0; all energies and temperatures scale with it.
+
+    Each field is a float, or an array when one instance stands for many
+    points; the arrays broadcast against each other, and build_hamiltonian
+    and thermal_state then return (..., 4, 4) stacks.
     """
 
     gamma: float
@@ -58,12 +62,7 @@ class ModelParams:
     j: float = 1.0
 
     def __post_init__(self) -> None:
-        if not -1.0 <= self.gamma <= 1.0:
-            raise DomainError(f"gamma must lie in [-1, 1], got {self.gamma}")
-        for name in ("b1", "b2"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
-        check_positive_finite(self.j, "j")
+        _check_params(self.gamma, self.b1, self.b2, self.j)
 
 
 @dataclass(frozen=True)
@@ -74,14 +73,17 @@ class EigenPair:
     state: np.ndarray
 
 
+_EXCHANGE_XY = kron(pauli("x"), pauli("x")) + kron(pauli("y"), pauli("y"))
+_EXCHANGE_Z = kron(pauli("z"), pauli("z"))
+_FIELD_1 = kron(pauli("z"), np.eye(2))
+_FIELD_2 = kron(np.eye(2), pauli("z"))
+
+
 def build_hamiltonian(p: ModelParams) -> np.ndarray:
-    """Dense 4x4 Hamiltonian matrix in the product basis."""
-    sx, sy, sz = pauli("x"), pauli("y"), pauli("z")
-    ident = np.eye(2, dtype=complex)
-    exchange = 0.5 * (1.0 - p.gamma) * (kron(sx, sx) + kron(sy, sy))
-    exchange += 0.5 * (1.0 + p.gamma) * kron(sz, sz)
-    field = p.b1 * kron(sz, ident) + p.b2 * kron(ident, sz)
-    return p.j * (exchange + field)
+    """Dense 4x4 Hamiltonian matrix in the product basis; (..., 4, 4) for array parameters."""
+    gamma, b1, b2, j = (np.asarray(v, dtype=float)[..., None, None] for v in (p.gamma, p.b1, p.b2, p.j))
+    exchange = 0.5 * (1.0 - gamma) * _EXCHANGE_XY + 0.5 * (1.0 + gamma) * _EXCHANGE_Z
+    return j * (exchange + (b1 * _FIELD_1 + b2 * _FIELD_2))
 
 
 def _zero_field_pairs(p: ModelParams) -> list[EigenPair]:
@@ -197,8 +199,12 @@ def thermal_state_analytic(p: ModelParams, t: float) -> np.ndarray:
     )
 
 
-def thermal_state(p: ModelParams, t: float) -> np.ndarray:
-    """Gibbs state of the dimer at temperature ``t``, any parameters."""
+def thermal_state(p: ModelParams, t) -> np.ndarray:
+    """Gibbs state of the dimer at temperature ``t``, any parameters.
+
+    Array parameters and temperatures broadcast to a (..., 4, 4) stack,
+    built with one eigensolver call.
+    """
     return gibbs(build_hamiltonian(p), t)
 
 
@@ -229,15 +235,17 @@ def _xlog2x(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, x * np.log2(np.where(x > 0.0, x, 1.0)), 0.0)
 
 
-def _check_kernel_inputs(gamma, b1, b2, t, j) -> None:
+def _check_params(gamma, b1, b2, j) -> None:
+    """Raise DomainError unless gamma lies in [-1, 1], b1 and b2 are finite, and j is positive and finite."""
+    gamma = np.asarray(gamma, dtype=float)
     bad = ~((gamma >= -1.0) & (gamma <= 1.0))  # NaN fails both comparisons
     if bad.any():
         raise DomainError(f"gamma must lie in [-1, 1], got {gamma[bad].flat[0]}")
     for name, v in (("b1", b1), ("b2", b2)):
+        v = np.asarray(v, dtype=float)
         bad = ~np.isfinite(v)
         if bad.any():
             raise DomainError(f"{name} must be finite, got {v[bad].flat[0]}")
-    check_positive_finite(t)
     check_positive_finite(j, "j")
 
 
@@ -265,7 +273,8 @@ def closed_form_correlations(gamma, b1, b2, t, j=1.0) -> dict[str, np.ndarray]:
     gamma, b1, b2, t, j = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (gamma, b1, b2, t, j))
     )
-    _check_kernel_inputs(gamma, b1, b2, t, j)
+    _check_params(gamma, b1, b2, j)
+    check_positive_finite(t)
     tau = t / j  # the levels below are in units of J
     sigma = b1 + b2
     delta = b1 - b2

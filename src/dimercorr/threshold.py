@@ -30,6 +30,7 @@ __all__ = [
 _T_SUPPORT = 2.0 / math.log(2.0)  # e^{2/T} - 2 changes sign here
 _RESIDUAL_TOL = 1e-10
 _POSITIVE_C = 1e-12
+_REFINE_POINTS = 64  # temperatures per re-scan of the bracket in tth_numeric
 
 
 @dataclass(frozen=True)
@@ -90,10 +91,11 @@ def tth_numeric(p: ModelParams, t_max: float, *, scan_points: int = 200) -> floa
     """Largest temperature in (0, t_max] where the concurrence turns off.
 
     A coarse scan over ``scan_points`` temperatures locates positive-to-zero
-    transitions of the thermal concurrence; the largest one is refined by
-    bisection to a width of 1e-8.  Returns None when no transition exists in
-    the range.  Multiple transitions trigger a warning and the largest is
-    returned.
+    transitions of the thermal concurrence.  The bracket of the largest one
+    is re-scanned with the array kernel, keeping its largest transition each
+    time, until it is at most 1e-8 wide (or one float apart).  Returns None
+    when no transition exists in the range.  Multiple transitions trigger a
+    warning and the largest is returned.
     """
     check_positive_finite(t_max, "t_max")
     if scan_points < 2:
@@ -114,11 +116,13 @@ def tth_numeric(p: ModelParams, t_max: float, *, scan_points: int = 200) -> floa
             "returning the largest transition temperature",
             stacklevel=2,
         )
-    lo, hi = float(grid[transitions[-1]]), float(grid[transitions[-1] + 1])
+    lo, hi = grid[transitions[-1]], grid[transitions[-1] + 1]
     while hi - lo > 1e-8:
-        mid = 0.5 * (lo + hi)
-        if entangled(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        grid = np.linspace(lo, hi, _REFINE_POINTS)
+        positive = entangled(grid)
+        positive[0], positive[-1] = True, False  # the bracket ends are already known
+        k = np.flatnonzero(positive[:-1] & ~positive[1:])[-1]
+        if (grid[k], grid[k + 1]) == (lo, hi):  # the bracket is down to adjacent floats
+            break
+        lo, hi = grid[k], grid[k + 1]
+    return float(0.5 * (lo + hi))

@@ -18,7 +18,7 @@ from .correlations import (
     random_density_matrix,
     sample_decomposition_average,
 )
-from .models import ModelParams, concurrence_analytic, thermal_state, thermal_state_analytic
+from .models import ModelParams, closed_form_correlations, thermal_state, thermal_state_analytic
 
 __all__ = [
     "CheckResult",
@@ -32,9 +32,6 @@ __all__ = [
 
 GIBBS_TOL = 1e-10
 WOOTTERS_TOL = 1e-10
-# strong fields push the thermal state toward singular, where the matrix
-# square root amplifies eigensolver noise past 1e-10 even at T >= 0.5
-WOOTTERS_FIELD_TOL = 1e-9
 ENSEMBLE_TOL = 1e-9
 
 
@@ -47,26 +44,31 @@ class CheckResult:
     detail: str
 
 
-def _random_supported_params(rng: np.random.Generator, n: int) -> list[tuple[ModelParams, float]]:
-    """Half zero-field points, half XY points with fields, T in [0.05, 5]."""
+def _random_supported_params(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Half zero-field points, half XY points with fields, T in [0.05, 5].
+
+    Returns a (4, n) array of (gamma, b1, b2, T) columns.
+    """
     points = []
     for i in range(n):
         t = float(rng.uniform(0.05, 5.0))
         if i % 2 == 0:
-            points.append((ModelParams(gamma=float(rng.uniform(-1.0, 1.0))), t))
+            points.append((float(rng.uniform(-1.0, 1.0)), 0.0, 0.0, t))
         else:
             b1, b2 = rng.uniform(-3.0, 3.0, 2)
-            points.append((ModelParams(gamma=-1.0, b1=float(b1), b2=float(b2)), t))
-    return points
+            points.append((-1.0, float(b1), float(b2), t))
+    return np.array(points, dtype=float).reshape(n, 4).T
 
 
 def check_gibbs_equivalence(samples: int = 200, seed: int = 7) -> CheckResult:
     """Closed-form thermal states vs the spectral Gibbs construction."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for p, t in _random_supported_params(rng, samples):
-        delta = np.max(np.abs(thermal_state_analytic(p, t) - thermal_state(p, t)))
-        worst = max(worst, float(delta))
+    gamma, b1, b2, t = _random_supported_params(np.random.default_rng(seed), samples)
+    numeric = thermal_state(ModelParams(gamma, b1, b2), t)
+    analytic = [
+        thermal_state_analytic(ModelParams(*point[:3]), point[3])
+        for point in zip(gamma.tolist(), b1.tolist(), b2.tolist(), t.tolist())
+    ]
+    worst = float(np.max(np.abs(np.array(analytic) - numeric), initial=0.0))
     return CheckResult(
         suite="gibbs",
         name="analytic vs numeric thermal state",
@@ -79,54 +81,40 @@ def check_gibbs_equivalence(samples: int = 200, seed: int = 7) -> CheckResult:
 def check_wootters_closed_form() -> list[CheckResult]:
     """Closed-form concurrence (the kernel behind point and sweep) vs the eigenvalue pipeline.
 
-    Temperatures start at 0.5: below that the smallest pipeline eigenvalue
-    underflows and its square root amplifies eigensolver noise above 1e-10,
-    so the comparison would measure float behaviour instead of agreement.
+    Both sample sets, a zero-field (gamma, T) grid and random XY field
+    points, are evaluated as one stack on each route.
     """
-    worst = 0.0
-    for g in np.linspace(-1.0, 1.0, 10):
-        for t in np.linspace(0.5, 5.0, 5):
-            p = ModelParams(gamma=float(g))
-            delta = abs(concurrence_analytic(p, float(t)) - concurrence(thermal_state(p, float(t))))
-            worst = max(worst, delta)
-    results = [
-        CheckResult(
-            suite="wootters",
-            name="zero-field closed form vs pipeline",
-            passed=worst < WOOTTERS_TOL,
-            residual=worst,
-            detail="max deviation over a 10x5 (gamma, T) grid",
-        )
-    ]
-    worst = 0.0
+    g, t = np.meshgrid(np.linspace(-1.0, 1.0, 10), np.linspace(0.5, 5.0, 5), indexing="ij")
     rng = np.random.default_rng(11)
-    for _ in range(50):
-        b1, b2 = rng.uniform(-3.0, 3.0, 2)
-        t = float(rng.uniform(0.5, 5.0))
-        p = ModelParams(gamma=-1.0, b1=float(b1), b2=float(b2))
-        delta = abs(concurrence_analytic(p, t) - concurrence(thermal_state(p, t)))
-        worst = max(worst, delta)
-    results.append(
+    fields = np.array([(*rng.uniform(-3.0, 3.0, 2), rng.uniform(0.5, 5.0)) for _ in range(50)])
+    gamma = np.concatenate([g.ravel(), np.full(50, -1.0)])
+    b1 = np.concatenate([np.zeros(g.size), fields[:, 0]])
+    b2 = np.concatenate([np.zeros(g.size), fields[:, 1]])
+    temp = np.concatenate([t.ravel(), fields[:, 2]])
+    closed = closed_form_correlations(gamma, b1, b2, temp)["concurrence"]
+    delta = np.abs(closed - concurrence(thermal_state(ModelParams(gamma, b1, b2), temp)))
+    checks = (
+        ("zero-field closed form vs pipeline", delta[: g.size], "max deviation over a 10x5 (gamma, T) grid"),
+        ("XY closed form vs pipeline", delta[g.size :], "max deviation over 50 random field points"),
+    )
+    return [
         CheckResult(
             suite="wootters",
-            name="XY closed form vs pipeline",
-            passed=worst < WOOTTERS_FIELD_TOL,
-            residual=worst,
-            detail="max deviation over 50 random field points",
+            name=name,
+            passed=float(part.max()) < WOOTTERS_TOL,
+            residual=float(part.max()),
+            detail=detail,
         )
-    )
-    return results
+        for name, part, detail in checks
+    ]
 
 
 def check_ppt_agreement(samples: int = 1000, seed: int = 7) -> CheckResult:
     """Concurrence positivity must coincide with partial-transpose negativity."""
-    rng = np.random.default_rng(seed)
-    disagreements = 0
-    for _ in range(samples):
-        rho = random_density_matrix(rng)
-        entangled_c = concurrence(rho) > 1e-9
-        entangled_ppt = not is_separable_ppt(rho)
-        disagreements += entangled_c != entangled_ppt
+    rho = random_density_matrix(np.random.default_rng(seed), size=samples)
+    entangled_c = concurrence(rho) > 1e-9
+    entangled_ppt = ~is_separable_ppt(rho)
+    disagreements = int(np.count_nonzero(entangled_c != entangled_ppt))
     return CheckResult(
         suite="ppt",
         name="concurrence vs partial-transpose criterion",
@@ -138,18 +126,14 @@ def check_ppt_agreement(samples: int = 1000, seed: int = 7) -> CheckResult:
 
 def check_ensemble_bound(samples: int = 10000, seed: int = 7, states: int = 5) -> CheckResult:
     """No sampled decomposition average may undercut the entanglement of formation."""
-    rng = np.random.default_rng(seed)
-    worst_gap = np.inf
-    for _ in range(states):
-        rho = random_density_matrix(rng)
-        floor = entanglement_of_formation(rho)
-        best = sample_decomposition_average(rho, ensemble_size=4, samples=samples, seed=seed)
-        worst_gap = min(worst_gap, best - floor)
+    rho = random_density_matrix(np.random.default_rng(seed), size=states)
+    best = sample_decomposition_average(rho, ensemble_size=4, samples=samples, seed=seed)
+    worst_gap = float(np.min(best - entanglement_of_formation(rho), initial=np.inf))
     return CheckResult(
         suite="ensemble",
         name="sampled decomposition average vs formation floor",
         passed=worst_gap >= -ENSEMBLE_TOL,
-        residual=float(worst_gap),
+        residual=worst_gap,
         detail=f"worst (average - E_f) over {states} states x {samples} samples",
     )
 
@@ -162,9 +146,14 @@ def run_suites(
     seed: int = 7,
     samples: int | None = None,
 ) -> list[CheckResult]:
-    """Run one named suite or all of them and collect the results."""
+    """Run one named suite or all of them and collect the results.
+
+    ``samples`` overrides the per-suite sample counts and must be at least 1.
+    """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from all, {', '.join(SUITES)}")
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     wanted = SUITES if suite == "all" else (suite,)
     results: list[CheckResult] = []
     for name in wanted:

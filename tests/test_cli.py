@@ -267,3 +267,11 @@ def test_import_does_not_load_scipy_signal():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_samples_below_one_is_usage_error(capsys, samples):
+    code, out, err = run_cli(capsys, "verify", "--suite", "gibbs", "--samples", samples)
+    assert code == 2
+    assert out == ""
+    assert "samples" in err

@@ -112,6 +112,20 @@ def test_sweep_matches_dense_route(gamma):
                 assert abs(getattr(row.report, name) - getattr(dense, name)) < tol
 
 
+def test_dense_route_matches_closed_form_over_the_box():
+    # the dense route takes the Wootters singular values directly, so
+    # cold, nearly singular states lose no digits to a square root
+    rng = np.random.default_rng(2026)
+    n = 3000
+    gamma = rng.uniform(-1.0, 1.0, n)
+    b1, b2 = rng.uniform(-5.0, 5.0, (2, n))
+    t = rng.uniform(0.02, 5.0, n)
+    closed = closed_form_correlations(gamma, b1, b2, t)
+    dense = report(thermal_state(ModelParams(gamma, b1, b2), t))
+    for name in ("quantum", "concurrence"):
+        assert np.max(np.abs(getattr(dense, name) - closed[name])) < 1e-13
+
+
 # --- invariants over the full parameter box ----------------------------------
 
 

@@ -121,3 +121,10 @@ def test_numeric_threshold_with_fields_off_the_xy_point():
     assert t is not None
     assert concurrence(thermal_state(p, t - 1e-4)) > 1e-9
     assert concurrence(thermal_state(p, t + 1e-4)) < 1e-9
+
+
+def test_numeric_threshold_stops_at_float_resolution():
+    # at J = 1e9 the threshold sits near 1.8e9, where adjacent floats are
+    # more than 1e-8 apart, so the bracket can only shrink to one ulp
+    t = tth_numeric(ModelParams(gamma=0.0, j=1e9), 5e9)
+    assert abs(t / 1e9 - tth_anisotropic(0.0)) < 1e-9

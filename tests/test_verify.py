@@ -1,9 +1,11 @@
 """Cross-check suites used by the verify subcommand."""
 
+import numpy as np
 import pytest
 
 from dimercorr.verify import (
     SUITES,
+    check_ensemble_bound,
     check_gibbs_equivalence,
     check_ppt_agreement,
     check_wootters_closed_form,
@@ -49,3 +51,38 @@ def test_run_suites_single():
 def test_run_suites_rejects_unknown_name():
     with pytest.raises(ValueError):
         run_suites("bogus")
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_run_suites_rejects_samples_below_one(samples):
+    with pytest.raises(ValueError, match="samples"):
+        run_suites("ppt", samples=samples)
+
+
+def test_ensemble_gap_is_kept():
+    # the five states share one stream of Haar draws; Gram-Schmidt and the
+    # phase-fixed QR give the same unitaries, so the gap is unchanged
+    result = check_ensemble_bound()
+    assert result.passed
+    assert abs(result.residual - 0.03783709843670115) < 1e-12
+
+
+LAPACK_BACKED = (
+    "cholesky", "det", "eig", "eigh", "eigvals", "eigvalsh", "inv", "lstsq",
+    "matrix_rank", "pinv", "qr", "slogdet", "solve", "svd",
+)
+
+
+def test_run_suites_makes_few_lapack_calls(monkeypatch):
+    calls = []
+    for name in LAPACK_BACKED:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    results = run_suites("all")
+    assert all(r.passed for r in results)
+    assert len(calls) <= 30, sorted(set(calls))
