@@ -28,10 +28,6 @@ EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
 
 
-def _fmt(x: float) -> str:
-    return format(float(x) + 0.0, ".12g")  # + 0.0 folds -0.0 into 0
-
-
 def _parse_axis(text: str) -> Axis:
     """Parse ``name=start:stop:points`` into an Axis."""
     name, sep, rest = text.partition("=")
@@ -56,6 +52,8 @@ def _parse_range(text: str) -> np.ndarray:
         points = int(parts[2])
     except ValueError:
         raise ValueError(f"could not parse range numbers in {text!r}") from None
+    if not np.isfinite([start, stop]).all():
+        raise DomainError(f"range needs finite endpoints, got {text!r}")
     if points < 1:
         raise ValueError(f"range needs at least 1 point, got {points}")
     if points == 1 and start != stop:
@@ -81,23 +79,50 @@ _MODEL_AXES = {
 }
 
 
-def _records(columns: dict) -> list[tuple[float, ...]]:
-    """Rows of the record columns, each a tuple in RECORD_COLUMNS order."""
+# One record writer serves point, sweep (CSV and JSON) and threshold.  A
+# whole table is formatted by one "%" over a repeated record template, with
+# no Python call per value: "%.12g" is the C routine behind
+# format(x, ".12g"), and every number gets + 0.0 first, which folds -0.0
+# into 0.
+_NUMBER = "%.12g"
+_NUMBERS = ",".join([_NUMBER] * len(RECORD_COLUMNS))  # one record's values
+# One record of json.dumps(payload, indent=2), nested in the "records" list.
+_JSON_RECORD = "    {\n" + ",\n".join(f'      "{name}": %s' for name in RECORD_COLUMNS) + "\n    }"
+
+
+def _numbers(values) -> list[float]:
+    """Values as a flat list of Python floats, with -0.0 folded into 0."""
+    return (np.asarray(values, dtype=float).ravel() + 0.0).tolist()
+
+
+def _record_columns(columns: dict) -> list[list[float]]:
+    """The record columns in RECORD_COLUMNS order, broadcast against each other and flattened."""
     arrays = np.broadcast_arrays(*(np.asarray(columns[name], dtype=float) for name in RECORD_COLUMNS))
-    return list(zip(*(a.ravel().tolist() for a in arrays)))
+    return [_numbers(a) for a in arrays]
+
+
+def _fill(record: str, columns: list[list], sep: str = "") -> str:
+    """``record`` repeated once per row of the equal-length columns, filled in by a single "%"."""
+    width, count = len(columns), len(columns[0])
+    values = [None] * (width * count)
+    for k, column in enumerate(columns):
+        values[k::width] = column  # record order: row 0's values, then row 1's, ...
+    return sep.join([record] * count) % tuple(values)
 
 
 def _to_csv(columns: dict) -> str:
-    lines = [CSV_HEADER] + [",".join(_fmt(v) for v in rec) for rec in _records(columns)]
-    return "\n".join(lines) + "\n"
+    return CSV_HEADER + "\n" + _fill(_NUMBERS + "\n", _record_columns(columns))
 
 
 def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _cmd_point(args: argparse.Namespace) -> int:
@@ -115,21 +140,31 @@ def _table_to_json(table: SweepTable) -> str:
         for a in (spec.axis1, spec.axis2)
         if a is not None
     ]
-    payload = {
-        "spec": {
-            "gamma": spec.base.gamma,
-            "b1": spec.base.b1,
-            "b2": spec.base.b2,
-            "j": spec.base.j,
-            "temp": spec.temp,
-            "axes": axes,
+    text = json.dumps(
+        {
+            "spec": {
+                "gamma": spec.base.gamma,
+                "b1": spec.base.b1,
+                "b2": spec.base.b2,
+                "j": spec.base.j,
+                "temp": spec.temp,
+                "axes": axes,
+            },
+            "records": [],
         },
-        "records": [
-            {name: float(_fmt(v)) for name, v in zip(RECORD_COLUMNS, rec)}
-            for rec in _records(table.columns)
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+        indent=2,
+    )
+    columns = _record_columns(table.columns)
+    if columns[0]:
+        # Each value is its CSV text read back as a float, as json.dumps
+        # would print it: the C encoder shares float.__repr__ and the
+        # NaN/Infinity spellings with the indented one.
+        digits = _fill(_NUMBERS, columns, ",").split(",")
+        tokens = json.dumps(list(map(float, digits)))[1:-1].split(", ")
+        records = ",\n".join([_JSON_RECORD] * len(columns[0])) % tuple(tokens)
+        head, tail = text.rsplit("[]", 1)  # the records list comes last
+        text = head + "[\n" + records + "\n  ]" + tail
+    return text + "\n"
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -159,10 +194,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_threshold(args: argparse.Namespace) -> int:
     gammas = _parse_range(args.gamma)
     points = threshold_curve(gammas)
-    lines = ["gamma,t_th,degenerate"]
-    for pt in points:
-        lines.append(f"{_fmt(pt.gamma)},{_fmt(pt.t_th)},{str(pt.degenerate).lower()}")
-    _write_output("\n".join(lines) + "\n", args.output)
+    columns = [
+        _numbers([pt.gamma for pt in points]),
+        _numbers([pt.t_th for pt in points]),
+        ["true" if pt.degenerate else "false" for pt in points],
+    ]
+    _write_output("gamma,t_th,degenerate\n" + _fill(f"{_NUMBER},{_NUMBER},%s\n", columns), args.output)
     return EXIT_OK
 
 
@@ -240,24 +277,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _join_negative_values(argv: list[str]) -> list[str]:
     """Rewrite ``--flag -1:...`` as ``--flag=-1:...``.
 
     argparse only recognizes bare negative numbers, so a range like
-    -1:0.99:100 after a flag would otherwise be read as an option string.
+    -1:0.99:100, or a value like -inf, after a flag would otherwise be read
+    as an option string.  A token is joined when its first ``:``-field
+    parses as a float.
     """
     merged: list[str] = []
     i = 0
     while i < len(argv):
         tok = argv[i]
         nxt = argv[i + 1] if i + 1 < len(argv) else ""
-        if (
-            tok.startswith("--")
-            and "=" not in tok
-            and len(nxt) > 1
-            and nxt[0] == "-"
-            and (nxt[1].isdigit() or nxt[1] == ".")
-        ):
+        if tok.startswith("--") and "=" not in tok and nxt.startswith("-") and _is_number(nxt.split(":")[0]):
             merged.append(f"{tok}={nxt}")
             i += 2
         else:

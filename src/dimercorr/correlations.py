@@ -165,8 +165,12 @@ def is_separable_ppt(rho: np.ndarray, tol: float = 1e-10):
 
     True iff the partial transpose has no eigenvalue below ``-tol``.
     """
-    rho = check_density_matrix(rho, 4)
-    return _scalar(np.linalg.eigvalsh(_partial_transpose(rho, 2))[..., 0] >= -tol)
+    return _scalar(_separable_ppt(check_density_matrix(rho, 4), tol))
+
+
+def _separable_ppt(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """is_separable_ppt of validated states, as a bool array."""
+    return np.linalg.eigvalsh(_partial_transpose(rho, 2))[..., 0] >= -tol
 
 
 # --- random states and pure-state decompositions ---------------------------

@@ -86,35 +86,38 @@ def build_hamiltonian(p: ModelParams) -> np.ndarray:
     return j * (exchange + (b1 * _FIELD_1 + b2 * _FIELD_2))
 
 
-def _zero_field_pairs(p: ModelParams) -> list[EigenPair]:
-    root2 = math.sqrt(2.0)
-    singlet = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / root2
-    triplet0 = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / root2
-    up_up = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-    down_down = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
-    g = p.gamma
-    return [
-        EigenPair(p.j * (g - 3.0) / 2.0, singlet),
-        EigenPair(p.j * (1.0 - 3.0 * g) / 2.0, triplet0),
-        EigenPair(p.j * (1.0 + g) / 2.0, up_up),
-        EigenPair(p.j * (1.0 + g) / 2.0, down_down),
-    ]
+_ROOT2 = math.sqrt(2.0)
+# Zero-field eigenvectors as columns: singlet, triplet-zero, |uu>, |dd>.
+_ZERO_FIELD_STATES = np.array(
+    [[0.0, 0.0, _ROOT2, 0.0], [1.0, 1.0, 0.0, 0.0], [-1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, _ROOT2]],
+    dtype=complex,
+) / _ROOT2
 
 
-def _xy_pairs(p: ModelParams) -> list[EigenPair]:
-    delta = p.b1 - p.b2
-    root_d = math.sqrt(delta * delta + 4.0)
-    up_up = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-    down_down = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
-    pairs = [
-        EigenPair(p.j * (p.b1 + p.b2), up_up),
-        EigenPair(-p.j * (p.b1 + p.b2), down_down),
-    ]
-    for sign in (+1.0, -1.0):
+def _zero_field_eigensystem(gamma, j) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-field energies (..., 4) and eigenvectors (..., 4, 4), one per column."""
+    gamma, j = np.asarray(gamma, dtype=float), np.asarray(j, dtype=float)
+    energies = np.stack(
+        [j * (gamma - 3.0) / 2.0, j * (1.0 - 3.0 * gamma) / 2.0, j * (1.0 + gamma) / 2.0, j * (1.0 + gamma) / 2.0],
+        axis=-1,
+    )
+    return energies, np.broadcast_to(_ZERO_FIELD_STATES, energies.shape + (4,))
+
+
+def _xy_eigensystem(b1, b2, j) -> tuple[np.ndarray, np.ndarray]:
+    """Energies (..., 4) and eigenvectors (..., 4, 4), one per column, at gamma = -1."""
+    b1, b2, j = (np.asarray(v, dtype=float) for v in (b1, b2, j))
+    delta = b1 - b2
+    root_d = np.sqrt(delta * delta + 4.0)
+    energies = np.stack([j * (b1 + b2), -j * (b1 + b2), j * root_d, -j * root_d], axis=-1)
+    vectors = np.zeros(energies.shape + (4,), dtype=complex)
+    vectors[..., 0, 0] = vectors[..., 3, 1] = 1.0  # |uu>, |dd>
+    for k, sign in ((2, 1.0), (3, -1.0)):  # (delta +- sqrt(D)) / 2 |ud> + |du>, normalised
         amp = (delta + sign * root_d) / 2.0
-        vec = np.array([0.0, amp, 1.0, 0.0], dtype=complex)
-        pairs.append(EigenPair(sign * p.j * root_d, vec / np.linalg.norm(vec)))
-    return pairs
+        norm = np.hypot(amp, 1.0)
+        vectors[..., 1, k] = amp / norm
+        vectors[..., 2, k] = 1.0 / norm
+    return energies, vectors
 
 
 def analytic_eigensystem(p: ModelParams) -> list[EigenPair]:
@@ -128,27 +131,53 @@ def analytic_eigensystem(p: ModelParams) -> list[EigenPair]:
     hermitian_eig(build_hamiltonian(p)) always works.
     """
     if p.b1 == 0.0 and p.b2 == 0.0:
-        return _zero_field_pairs(p)
-    if p.gamma == -1.0:
-        return _xy_pairs(p)
-    raise UnsupportedFamilyError(
-        "no closed-form eigensystem for gamma != -1 with nonzero fields; "
-        "use hermitian_eig(build_hamiltonian(p))"
-    )
+        energies, vectors = _zero_field_eigensystem(p.gamma, p.j)
+    elif p.gamma == -1.0:
+        energies, vectors = _xy_eigensystem(p.b1, p.b2, p.j)
+    else:
+        raise UnsupportedFamilyError(
+            "no closed-form eigensystem for gamma != -1 with nonzero fields; "
+            "use hermitian_eig(build_hamiltonian(p))"
+        )
+    return [EigenPair(float(energies[k]), vectors[:, k].copy()) for k in range(4)]
 
 
-def _boltzmann_mixture(pairs: list[EigenPair], t: float) -> np.ndarray:
+def _boltzmann_mixture(energies: np.ndarray, vectors: np.ndarray, t: np.ndarray) -> np.ndarray:
     # Weights shifted by the ground energy stay in (0, 1] at any T > 0.
-    energies = np.array([pair.energy for pair in pairs])
-    weights = np.exp(-(energies - energies.min()) / t)
-    weights /= weights.sum()
-    rho = np.zeros((4, 4), dtype=complex)
-    for w, pair in zip(weights, pairs):
-        rho += w * np.outer(pair.state, pair.state.conj())
+    weights = np.exp(-(energies - energies.min(axis=-1, keepdims=True)) / t[..., None])
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return (vectors * weights[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
+
+
+def _x_state(d0, d1, d2, d3, off) -> np.ndarray:
+    """(..., 4, 4) states with diagonal (d0, d1, d2, d3) and rho[1, 2] = rho[2, 1] = off."""
+    rho = np.zeros(np.shape(d0) + (4, 4), dtype=complex)
+    for k, d in enumerate((d0, d1, d2, d3)):
+        rho[..., k, k] = d
+    rho[..., 1, 2] = rho[..., 2, 1] = off
     return rho
 
 
-def thermal_state_analytic(p: ModelParams, t: float) -> np.ndarray:
+def _zero_field_state(gamma: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    u = (1.0 - gamma) / tau
+    corner = np.exp(-(1.0 + gamma) / tau)
+    eta = 1.0 / (2.0 * (np.cosh(u) + corner))
+    return _x_state(eta * corner, eta * np.cosh(u), eta * np.cosh(u), eta * corner, -eta * np.sinh(u))
+
+
+def _xy_state(b1: np.ndarray, b2: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    delta = b1 - b2
+    sigma = b1 + b2
+    root_d = np.sqrt(delta * delta + 4.0)
+    z = 2.0 * (np.cosh(sigma / tau) + np.cosh(root_d / tau))
+    b = np.cosh(root_d / tau)
+    c = np.sinh(root_d / tau) * delta / root_d
+    s = 2.0 * np.sinh(root_d / tau) / root_d
+    d = np.exp(-sigma / tau)
+    return _x_state(d / z, (b - c) / z, (b + c) / z, 1.0 / (d * z), -s / z)
+
+
+def thermal_state_analytic(p: ModelParams, t) -> np.ndarray:
     """Closed-form Gibbs state for the supported families.
 
     Zero field: an X-shaped matrix with corners eta e^{-(1+gamma) J/T} and a
@@ -160,43 +189,39 @@ def thermal_state_analytic(p: ModelParams, t: float) -> np.ndarray:
     s = 2 sinh(sqrt(D) J/T)/sqrt(D).
 
     Below T/J = 0.02 both families fall back to log-domain Boltzmann
-    weights over the closed-form eigenpairs, which cannot overflow.
+    weights over the closed-form eigenpairs, which cannot overflow; above
+    it a field so strong that a hyperbolic overflows raises
+    FloatingPointError.  Array parameters and temperatures broadcast to a
+    (..., 4, 4) stack, and every point must lie in one of the two families.
     """
     check_positive_finite(t)
-    tau = t / p.j  # closed forms are written for J = 1
-    if p.b1 == 0.0 and p.b2 == 0.0:
-        if tau < LOG_DOMAIN_T:
-            return _boltzmann_mixture(_zero_field_pairs(p), t)
-        u = (1.0 - p.gamma) / tau
-        corner = math.exp(-(1.0 + p.gamma) / tau)
-        eta = 1.0 / (2.0 * (math.cosh(u) + corner))
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[0, 0] = rho[3, 3] = eta * corner
-        rho[1, 1] = rho[2, 2] = eta * math.cosh(u)
-        rho[1, 2] = rho[2, 1] = -eta * math.sinh(u)
-        return rho
-    if p.gamma == -1.0:
-        if tau < LOG_DOMAIN_T:
-            return _boltzmann_mixture(_xy_pairs(p), t)
-        delta = p.b1 - p.b2
-        sigma = p.b1 + p.b2
-        root_d = math.sqrt(delta * delta + 4.0)
-        z = 2.0 * (math.cosh(sigma / tau) + math.cosh(root_d / tau))
-        b = math.cosh(root_d / tau)
-        c = math.sinh(root_d / tau) * delta / root_d
-        s = 2.0 * math.sinh(root_d / tau) / root_d
-        d = math.exp(-sigma / tau)
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[0, 0] = d / z
-        rho[1, 1] = (b - c) / z
-        rho[2, 2] = (b + c) / z
-        rho[1, 2] = rho[2, 1] = -s / z
-        rho[3, 3] = 1.0 / (d * z)
-        return rho
-    raise UnsupportedFamilyError(
-        "no closed-form thermal state for gamma != -1 with nonzero fields; "
-        "use thermal_state(p, t)"
+    gamma, b1, b2, j, t = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (p.gamma, p.b1, p.b2, p.j, t))
     )
+    zero = (b1 == 0.0) & (b2 == 0.0)
+    xy = ~zero & (gamma == -1.0)
+    if not (zero | xy).all():
+        raise UnsupportedFamilyError(
+            "no closed-form thermal state for gamma != -1 with nonzero fields; "
+            "use thermal_state(p, t)"
+        )
+    tau = t / j  # closed forms are written for J = 1
+    cold = tau < LOG_DOMAIN_T
+    rho = np.zeros(tau.shape + (4, 4), dtype=complex)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        m = zero & ~cold
+        if m.any():
+            rho[m] = _zero_field_state(gamma[m], tau[m])
+        m = xy & ~cold
+        if m.any():
+            rho[m] = _xy_state(b1[m], b2[m], tau[m])
+        m = zero & cold
+        if m.any():
+            rho[m] = _boltzmann_mixture(*_zero_field_eigensystem(gamma[m], j[m]), t[m])
+        m = xy & cold
+        if m.any():
+            rho[m] = _boltzmann_mixture(*_xy_eigensystem(b1[m], b2[m], j[m]), t[m])
+    return rho
 
 
 def thermal_state(p: ModelParams, t) -> np.ndarray:

@@ -12,12 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlations import (
+    _concurrence,
+    _separable_ppt,
     concurrence,
     entanglement_of_formation,
-    is_separable_ppt,
     random_density_matrix,
     sample_decomposition_average,
 )
+from .matkernel import check_density_matrix
 from .models import ModelParams, closed_form_correlations, thermal_state, thermal_state_analytic
 
 __all__ = [
@@ -63,12 +65,8 @@ def _random_supported_params(rng: np.random.Generator, n: int) -> np.ndarray:
 def check_gibbs_equivalence(samples: int = 200, seed: int = 7) -> CheckResult:
     """Closed-form thermal states vs the spectral Gibbs construction."""
     gamma, b1, b2, t = _random_supported_params(np.random.default_rng(seed), samples)
-    numeric = thermal_state(ModelParams(gamma, b1, b2), t)
-    analytic = [
-        thermal_state_analytic(ModelParams(*point[:3]), point[3])
-        for point in zip(gamma.tolist(), b1.tolist(), b2.tolist(), t.tolist())
-    ]
-    worst = float(np.max(np.abs(np.array(analytic) - numeric), initial=0.0))
+    params = ModelParams(gamma, b1, b2)
+    worst = float(np.max(np.abs(thermal_state_analytic(params, t) - thermal_state(params, t)), initial=0.0))
     return CheckResult(
         suite="gibbs",
         name="analytic vs numeric thermal state",
@@ -111,9 +109,11 @@ def check_wootters_closed_form() -> list[CheckResult]:
 
 def check_ppt_agreement(samples: int = 1000, seed: int = 7) -> CheckResult:
     """Concurrence positivity must coincide with partial-transpose negativity."""
-    rho = random_density_matrix(np.random.default_rng(seed), size=samples)
-    entangled_c = concurrence(rho) > 1e-9
-    entangled_ppt = ~is_separable_ppt(rho)
+    # one validation for the stack: the public concurrence and
+    # is_separable_ppt would each repeat it
+    rho = check_density_matrix(random_density_matrix(np.random.default_rng(seed), size=samples), 4)
+    entangled_c = _concurrence(*np.linalg.eigh(rho)) > 1e-9
+    entangled_ppt = ~_separable_ppt(rho)
     disagreements = int(np.count_nonzero(entangled_c != entangled_ppt))
     return CheckResult(
         suite="ppt",

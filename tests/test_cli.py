@@ -1,14 +1,20 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import dataclasses
 import json
 import math
 import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
+from dimercorr import cli
 from dimercorr.cli import CSV_HEADER, main
+from dimercorr.models import ModelParams, closed_form_correlations
+from dimercorr.sweep import RECORD_COLUMNS, Axis, SweepSpec, run_sweep
+from dimercorr.threshold import threshold_curve
 
 
 def run_cli(capsys, *argv):
@@ -275,3 +281,156 @@ def test_verify_samples_below_one_is_usage_error(capsys, samples):
     assert code == 2
     assert out == ""
     assert "samples" in err
+
+
+# The record format the CLI has always printed, one Python call per value,
+# kept here as the oracle for the bytes of the one-pass writer.
+def _g(v):
+    return format(float(v) + 0.0, ".12g")
+
+
+def _oracle_records(columns):
+    arrays = np.broadcast_arrays(*(np.asarray(columns[name], dtype=float) for name in RECORD_COLUMNS))
+    return list(zip(*(a.ravel().tolist() for a in arrays)))
+
+
+def oracle_csv(columns):
+    lines = [CSV_HEADER] + [",".join(_g(v) for v in rec) for rec in _oracle_records(columns)]
+    return "\n".join(lines) + "\n"
+
+
+def oracle_json(table):
+    spec = table.spec
+    axes = [
+        {"name": a.name, "start": a.start, "stop": a.stop, "points": a.points}
+        for a in (spec.axis1, spec.axis2)
+        if a is not None
+    ]
+    payload = {
+        "spec": {
+            "gamma": spec.base.gamma,
+            "b1": spec.base.b1,
+            "b2": spec.base.b2,
+            "j": spec.base.j,
+            "temp": spec.temp,
+            "axes": axes,
+        },
+        "records": [
+            {name: float(_g(v)) for name, v in zip(RECORD_COLUMNS, rec)}
+            for rec in _oracle_records(table.columns)
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def cli_bytes(capsys, tmp_path, *argv):
+    """The command's standard output, checked to equal what --output writes."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    target = tmp_path / "out.txt"
+    code, printed, _ = run_cli(capsys, *argv, "--output", str(target))
+    assert code == 0 and printed == ""
+    assert target.read_bytes() == out.encode("utf-8")
+    return out
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_field_map_bytes_match_the_oracle(capsys, tmp_path, fmt):
+    argv = ["sweep", "--model", "xy", "--temp", "0.3", "--axis", "b1=-3:3:61", "--axis", "b2=-3:3:61"]
+    table = run_sweep(
+        SweepSpec(
+            base=ModelParams(gamma=-1.0),
+            axis1=Axis("b1", -3.0, 3.0, 61),
+            axis2=Axis("b2", -3.0, 3.0, 61),
+            temp=0.3,
+        )
+    )
+    expected = oracle_json(table) if fmt == "json" else oracle_csv(table.columns)
+    assert cli_bytes(capsys, tmp_path, *argv, "--format", fmt) == expected
+
+
+def test_point_bytes_match_the_oracle(capsys, tmp_path):
+    columns = {"T": 0.3, "gamma": -1.0, "b1": -0.0, "b2": 0.5}
+    columns.update(closed_form_correlations(-1.0, -0.0, 0.5, 0.3))
+    out = cli_bytes(capsys, tmp_path, "point", "--model", "xy", "--b1", "-0.0", "--b2", "0.5", "--temp", "0.3")
+    assert out == oracle_csv(columns)
+    assert out.splitlines()[1].startswith("0.3,-1,0,0.5,")
+
+
+@pytest.mark.parametrize("gammas", ["-1:0.99:100", "-1:1:5"])
+def test_threshold_bytes_match_the_oracle(capsys, tmp_path, gammas):
+    start, stop, points = gammas.split(":")
+    lines = ["gamma,t_th,degenerate"] + [
+        f"{_g(pt.gamma)},{_g(pt.t_th)},{str(pt.degenerate).lower()}"
+        for pt in threshold_curve(np.linspace(float(start), float(stop), int(points)))
+    ]
+    assert cli_bytes(capsys, tmp_path, "threshold", "--gamma", gammas) == "\n".join(lines) + "\n"
+
+
+def _awkward_columns():
+    """-0.0, integers, the exponent switch points of %.12g and repr, subnormals, extremes, non-finite."""
+    special = [-0.0, 0.0, 1.0, -3.0, 12.0, 0.1, 1.0 / 3.0, -2.5e-7, 123456789012.0, 999999999999.5]
+    special += [10.0**k for k in range(11, 18)] + [-(10.0**k) for k in range(11, 18)]
+    special += [1e-4, 1e-5, 9.99999999999e-5, 5e-324, -5e-324, 2.2250738585072014e-308, 1.797e308, -1.797e308]
+    special += [math.nan, math.inf, -math.inf]
+    rng = np.random.default_rng(2024)
+    randoms = rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(-300.0, 300.0, 2000)
+    values = np.concatenate([special, randoms])
+    values = np.resize(values, 8 * math.ceil(values.size / 8)).reshape(8, -1)
+    return dict(zip(RECORD_COLUMNS, values))
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        _awkward_columns(),
+        {**_awkward_columns(), "T": -0.0, "gamma": np.array(7.0)},  # scalar columns broadcast
+        {name: np.array([]) for name in RECORD_COLUMNS},
+    ],
+    ids=["awkward", "broadcast", "empty"],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_hand_built_columns_match_the_oracle(capsys, tmp_path, monkeypatch, columns, fmt):
+    tables = []
+
+    def hand_built(spec, threads=None):
+        tables.append(dataclasses.replace(run_sweep(spec), columns=columns))
+        return tables[-1]
+
+    monkeypatch.setattr(cli, "run_sweep", hand_built)
+    out = cli_bytes(capsys, tmp_path, "sweep", "--model", "xy", "--temp", "0.5", "--axis", "b1=0:1:2", "--format", fmt)
+    assert out == (oracle_json(tables[-1]) if fmt == "json" else oracle_csv(columns))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["point", "--model", "xy", "--b1", "-inf", "--temp", "1"],
+        ["point", "--model", "xy", "--temp", "-inf"],
+        ["threshold", "--gamma", "-inf:0:3"],
+        ["threshold", "--gamma=-inf:0:3"],
+    ],
+)
+def test_negative_non_finite_values_are_domain_errors(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would escape main() and fail the test
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["point", "--model", "xy", "--temp", "0.3"],
+        ["sweep", "--model", "xy", "--temp", "0.3", "--axis", "b1=0:1:3", "--format", "json"],
+    ],
+)
+def test_unwritable_output_is_a_clean_error(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, *argv, "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in err

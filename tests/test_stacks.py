@@ -19,7 +19,7 @@ from dimercorr.correlations import (
     sample_decomposition_average,
     von_neumann_entropy,
 )
-from dimercorr.exceptions import DomainError, ValidationError
+from dimercorr.exceptions import DomainError, UnsupportedFamilyError, ValidationError
 from dimercorr.matkernel import (
     check_density_matrix,
     gibbs,
@@ -27,7 +27,7 @@ from dimercorr.matkernel import (
     partial_trace,
     partial_transpose,
 )
-from dimercorr.models import ModelParams, build_hamiltonian, thermal_state
+from dimercorr.models import ModelParams, build_hamiltonian, thermal_state, thermal_state_analytic
 
 STACK_TOL = 1e-14
 
@@ -189,3 +189,43 @@ def test_one_bad_parameter_rejects_the_array():
     h[2, 0, 1] += 1.0
     with pytest.raises(ValidationError, match="stack member 2"):
         gibbs(h, 1.0)
+
+
+def _family_points(n=40, seed=9):
+    """Points of both closed-form families, hyperbolic and log-domain (T < 0.02 J)."""
+    rng = np.random.default_rng(seed)
+    zero = np.arange(n) % 2 == 0
+    gamma = np.where(zero, rng.uniform(-1.0, 1.0, n), -1.0)
+    b1 = np.where(zero, 0.0, rng.uniform(-3.0, 3.0, n))
+    b2 = np.where(zero, 0.0, rng.uniform(-3.0, 3.0, n))
+    j = rng.uniform(0.5, 2.0, n)
+    t = j * np.exp(rng.uniform(np.log(0.005), np.log(5.0), n))
+    return gamma, b1, b2, j, t
+
+
+def test_thermal_state_analytic_on_parameter_arrays_matches_a_loop():
+    gamma, b1, b2, j, t = _family_points()
+    assert (t / j < 0.02).any() and (t / j >= 0.02).any()
+    singles = [
+        thermal_state_analytic(ModelParams(*point[:4]), point[4])
+        for point in zip(gamma.tolist(), b1.tolist(), b2.tolist(), j.tolist(), t.tolist())
+    ]
+    assert all(rho.shape == (4, 4) for rho in singles)
+    stacked = thermal_state_analytic(ModelParams(gamma, b1, b2, j), t)
+    assert np.array_equal(stacked, np.array(singles))
+    grid = thermal_state_analytic(ModelParams(gamma.reshape(5, 8), b1.reshape(5, 8), b2.reshape(5, 8)), 0.7)
+    assert grid.shape == (5, 8, 4, 4)
+
+
+def test_thermal_state_analytic_rejects_a_point_outside_both_families():
+    gamma, b1, b2, j, t = _family_points()
+    gamma[7] = 0.5  # a field point (7 is odd) away from gamma = -1
+    with pytest.raises(UnsupportedFamilyError):
+        thermal_state_analytic(ModelParams(gamma, b1, b2, j), t)
+
+
+def test_thermal_state_analytic_overflow_rejects_the_stack():
+    # at T = 0.02 J, b1 = b2 = 8 puts cosh(800) out of range in the hyperbolic form
+    b = np.array([0.5, 8.0, 1.0])
+    with pytest.raises(ArithmeticError):
+        thermal_state_analytic(ModelParams(-1.0, b, b), 0.02)

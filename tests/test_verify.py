@@ -86,3 +86,19 @@ def test_run_suites_makes_few_lapack_calls(monkeypatch):
     results = run_suites("all")
     assert all(r.passed for r in results)
     assert len(calls) <= 30, sorted(set(calls))
+
+
+def test_ppt_suite_validates_its_stack_once(monkeypatch):
+    calls = []
+    for name in LAPACK_BACKED:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    (result,) = run_suites("ppt")
+    assert result.passed
+    # one check_density_matrix (eigvalsh), the concurrence (eigh + svd), the partial transpose (eigvalsh)
+    assert sorted(calls) == ["eigh", "eigvalsh", "eigvalsh", "svd"]
