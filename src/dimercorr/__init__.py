@@ -24,7 +24,7 @@ from .correlations import (
     sample_decomposition_average,
     von_neumann_entropy,
 )
-from .exceptions import DomainError, UnsupportedFamilyError, ValidationError
+from .exceptions import DomainError, ValidationError
 from .matkernel import (
     EigenSystem,
     check_density_matrix,
@@ -51,7 +51,6 @@ from .models import (
 )
 from .sweep import (
     Axis,
-    SweepRow,
     SweepSpec,
     SweepTable,
     count_peaks,
@@ -73,11 +72,9 @@ __all__ = [
     "EigenSystem",
     "Ensemble",
     "ModelParams",
-    "SweepRow",
     "SweepSpec",
     "SweepTable",
     "ThresholdPoint",
-    "UnsupportedFamilyError",
     "ValidationError",
     "analytic_eigensystem",
     "average_entanglement",

@@ -12,6 +12,3 @@ class ValidationError(ValueError):
 class DomainError(ValueError):
     """A parameter lies outside the supported physical domain."""
 
-
-class UnsupportedFamilyError(DomainError):
-    """No closed form exists for this parameter combination; use the numeric route."""

@@ -8,24 +8,24 @@ The model is
 with anisotropy gamma in [-1, 1], exchange J > 0 (antiferromagnetic) and
 local fields b1, b2 measured in units of J.  Boltzmann's constant is 1, so
 temperatures are energies.  The Hamiltonian conserves total S_z, so every
-thermal state is an X-state and closed_form_correlations evaluates the
-correlations for any (gamma, b1, b2) over whole arrays at once.  Closed-form
-eigensystems and thermal states are written out for two families: zero
-field with any gamma, and gamma = -1 (the XY point) with arbitrary fields.
+thermal state is an X-state.  One closed form for its levels, populations
+and mixing angle (_x_form) gives the eigenpairs, the Gibbs state and the
+correlations for any (gamma, b1, b2) and any T > 0, over whole arrays at
+once; the dense route (thermal_state) is the independent check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DomainError, UnsupportedFamilyError
+from .exceptions import DomainError
 from .matkernel import check_positive_finite, gibbs, hermitian_eig, kron, pauli
 
 __all__ = [
-    "LOG_DOMAIN_T",
     "EigenPair",
     "ModelParams",
     "analytic_eigensystem",
@@ -36,12 +36,6 @@ __all__ = [
     "thermal_state",
     "thermal_state_analytic",
 ]
-
-# Below this scaled temperature the closed forms switch to log-domain
-# Boltzmann weights; the margin is conservative (direct hyperbolics would
-# only overflow near T/J ~ 0.003).
-LOG_DOMAIN_T = 0.02
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -86,141 +80,104 @@ def build_hamiltonian(p: ModelParams) -> np.ndarray:
     return j * (exchange + (b1 * _FIELD_1 + b2 * _FIELD_2))
 
 
-_ROOT2 = math.sqrt(2.0)
-# Zero-field eigenvectors as columns: singlet, triplet-zero, |uu>, |dd>.
-_ZERO_FIELD_STATES = np.array(
-    [[0.0, 0.0, _ROOT2, 0.0], [1.0, 1.0, 0.0, 0.0], [-1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, _ROOT2]],
-    dtype=complex,
-) / _ROOT2
+class _XForm(NamedTuple):
+    """The Gibbs state of the dimer as an X-state, in units of J; each field broadcasts over the points."""
+
+    levels: np.ndarray  # (4, ...) |uu>, |dd>, upper and lower mixed level, above the lower mixed level
+    populations: np.ndarray  # (4, ...) Boltzmann populations of those levels
+    one_minus_cos: np.ndarray  # 1 - |cos(theta)| of the |ud>, |du> mixing angle
+    rho22: np.ndarray  # <ud|rho|ud>
+    rho33: np.ndarray  # <du|rho|du>
+    coherence: np.ndarray  # |rho23| = -rho23; rho14 = 0
+    corners: np.ndarray  # sqrt(rho11 rho44), formed without underflow
 
 
-def _zero_field_eigensystem(gamma, j) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-field energies (..., 4) and eigenvectors (..., 4, 4), one per column."""
-    gamma, j = np.asarray(gamma, dtype=float), np.asarray(j, dtype=float)
-    energies = np.stack(
-        [j * (gamma - 3.0) / 2.0, j * (1.0 - 3.0 * gamma) / 2.0, j * (1.0 + gamma) / 2.0, j * (1.0 + gamma) / 2.0],
-        axis=-1,
-    )
-    return energies, np.broadcast_to(_ZERO_FIELD_STATES, energies.shape + (4,))
+def _x_form(gamma, b1, b2, tau) -> _XForm:
+    """Levels, populations and mixing angle of the Gibbs state at tau = T/J.
 
-
-def _xy_eigensystem(b1, b2, j) -> tuple[np.ndarray, np.ndarray]:
-    """Energies (..., 4) and eigenvectors (..., 4, 4), one per column, at gamma = -1."""
-    b1, b2, j = (np.asarray(v, dtype=float) for v in (b1, b2, j))
+    H conserves total S_z: |uu> and |dd> are eigenstates at
+    J[(1+gamma)/2 +- (b1+b2)], and |ud>, |du> mix into levels at
+    J[-(1+gamma)/2 +- r] with r = sqrt((b1-b2)^2 + (1-gamma)^2),
+    cos(theta) = (b1-b2)/r and sin(theta) = (1-gamma)/r.  The upper mixed
+    level leans toward |ud> when b1 >= b2.  Every Boltzmann exponent is
+    nonpositive, and one that overflows saturates to -inf, so nothing
+    overflows or warns at any T > 0.
+    """
+    sigma = b1 + b2
     delta = b1 - b2
-    root_d = np.sqrt(delta * delta + 4.0)
-    energies = np.stack([j * (b1 + b2), -j * (b1 + b2), j * root_d, -j * root_d], axis=-1)
-    vectors = np.zeros(energies.shape + (4,), dtype=complex)
-    vectors[..., 0, 0] = vectors[..., 3, 1] = 1.0  # |uu>, |dd>
-    for k, sign in ((2, 1.0), (3, -1.0)):  # (delta +- sqrt(D)) / 2 |ud> + |du>, normalised
-        amp = (delta + sign * root_d) / 2.0
-        norm = np.hypot(amp, 1.0)
-        vectors[..., 1, k] = amp / norm
-        vectors[..., 2, k] = 1.0 / norm
-    return energies, vectors
+    gap = 1.0 - gamma  # coupling inside the |ud>, |du> block
+    r = np.hypot(delta, gap)
+    r_safe = np.where(r > 0.0, r, 1.0)  # r = 0 only at gamma = 1, b1 = b2
+    # |uu> and |dd> sit (1+gamma) + r +- sigma above the lower mixed level;
+    # writing (1+gamma) + r as 2 + (r - (1-gamma)) = 2 + delta^2 / (r + 1 - gamma)
+    # keeps level crossings such as b1 = b2 = 1 exact, where 1/T would
+    # amplify any rounding.
+    lift = 2.0 + np.where(r > 0.0, delta * delta / (r_safe + gap), 0.0)
+    levels = np.stack([lift + sigma, lift - sigma, 2.0 * r, np.zeros_like(r)])
+    with np.errstate(over="ignore"):  # exp and expm1 map +inf to the right limits
+        x = (levels - levels.min(axis=0)) / tau
+        split = 2.0 * r / tau
+    weights = np.exp(-x)
+    z = weights.sum(axis=0)
+    populations = weights / z
+    _, _, p_hi, p_lo = populations
+
+    one_minus_cos = np.where(r > 0.0, gap * gap / (r_safe * (r_safe + np.abs(delta))), 1.0)
+    # diagonal weight of the basis state the upper level leans toward, and of the other
+    upper_side = 0.5 * (p_hi * (2.0 - one_minus_cos) + p_lo * one_minus_cos)
+    lower_side = 0.5 * (p_hi * one_minus_cos + p_lo * (2.0 - one_minus_cos))
+    return _XForm(
+        levels=levels,
+        populations=populations,
+        one_minus_cos=one_minus_cos,
+        rho22=np.where(delta >= 0.0, upper_side, lower_side),
+        rho33=np.where(delta >= 0.0, lower_side, upper_side),
+        # (p_lo - p_hi) sin(theta) / 2 with p_lo - p_hi = p_lo (1 - e^{-2r/tau}),
+        # kept exact for small r / tau
+        coherence=-p_lo * np.expm1(-split) * gap / (2.0 * r_safe),
+        corners=np.exp(-0.5 * (x[0] + x[1])) / z,
+    )
 
 
 def analytic_eigensystem(p: ModelParams) -> list[EigenPair]:
-    """Closed-form eigenpairs for the two supported families.
+    """Closed-form eigenpairs of one dimer (scalar parameters), any (gamma, b1, b2).
 
-    Zero field (any gamma): singlet at J(gamma-3)/2, triplet-zero at
-    J(1-3 gamma)/2, and the two polarized states degenerate at
-    J(1+gamma)/2.  XY point (gamma = -1, any fields): polarized states at
-    +-J(b1+b2) and an entangled pair at +-J sqrt((b1-b2)^2 + 4).
-    Raises UnsupportedFamilyError elsewhere; the numeric route via
-    hermitian_eig(build_hamiltonian(p)) always works.
+    |uu> and |dd> at J[(1+gamma)/2 +- (b1+b2)], then the upper and lower
+    mixed levels at J[-(1+gamma)/2 +- r]: the upper one is
+    cos(phi)|ud> + sin(phi)|du> and the lower one -sin(phi)|ud> + cos(phi)|du>,
+    with 2 phi = theta.  The half-angle components come from 1 - |cos(theta)|
+    without cancellation.
     """
-    if p.b1 == 0.0 and p.b2 == 0.0:
-        energies, vectors = _zero_field_eigensystem(p.gamma, p.j)
-    elif p.gamma == -1.0:
-        energies, vectors = _xy_eigensystem(p.b1, p.b2, p.j)
-    else:
-        raise UnsupportedFamilyError(
-            "no closed-form eigensystem for gamma != -1 with nonzero fields; "
-            "use hermitian_eig(build_hamiltonian(p))"
-        )
+    form = _x_form(p.gamma, p.b1, p.b2, 1.0)  # the populations are not used
+    # the lower mixed level sits at -(1+gamma)/2 - r, and levels[2] = 2r
+    energies = p.j * (form.levels - (0.5 * (1.0 + p.gamma) + 0.5 * form.levels[2]))
+    small = math.sqrt(0.5 * float(form.one_minus_cos))
+    big = math.sqrt(1.0 - 0.5 * float(form.one_minus_cos))
+    cos_phi, sin_phi = (big, small) if p.b1 >= p.b2 else (small, big)
+    vectors = np.zeros((4, 4), dtype=complex)  # one eigenvector per column
+    vectors[0, 0] = vectors[3, 1] = 1.0
+    vectors[1:3, 2] = cos_phi, sin_phi
+    vectors[1:3, 3] = -sin_phi, cos_phi
     return [EigenPair(float(energies[k]), vectors[:, k].copy()) for k in range(4)]
 
 
-def _boltzmann_mixture(energies: np.ndarray, vectors: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # Weights shifted by the ground energy stay in (0, 1] at any T > 0.
-    weights = np.exp(-(energies - energies.min(axis=-1, keepdims=True)) / t[..., None])
-    weights /= weights.sum(axis=-1, keepdims=True)
-    return (vectors * weights[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
-
-
-def _x_state(d0, d1, d2, d3, off) -> np.ndarray:
-    """(..., 4, 4) states with diagonal (d0, d1, d2, d3) and rho[1, 2] = rho[2, 1] = off."""
-    rho = np.zeros(np.shape(d0) + (4, 4), dtype=complex)
-    for k, d in enumerate((d0, d1, d2, d3)):
-        rho[..., k, k] = d
-    rho[..., 1, 2] = rho[..., 2, 1] = off
-    return rho
-
-
-def _zero_field_state(gamma: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    u = (1.0 - gamma) / tau
-    corner = np.exp(-(1.0 + gamma) / tau)
-    eta = 1.0 / (2.0 * (np.cosh(u) + corner))
-    return _x_state(eta * corner, eta * np.cosh(u), eta * np.cosh(u), eta * corner, -eta * np.sinh(u))
-
-
-def _xy_state(b1: np.ndarray, b2: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    delta = b1 - b2
-    sigma = b1 + b2
-    root_d = np.sqrt(delta * delta + 4.0)
-    z = 2.0 * (np.cosh(sigma / tau) + np.cosh(root_d / tau))
-    b = np.cosh(root_d / tau)
-    c = np.sinh(root_d / tau) * delta / root_d
-    s = 2.0 * np.sinh(root_d / tau) / root_d
-    d = np.exp(-sigma / tau)
-    return _x_state(d / z, (b - c) / z, (b + c) / z, 1.0 / (d * z), -s / z)
-
-
 def thermal_state_analytic(p: ModelParams, t) -> np.ndarray:
-    """Closed-form Gibbs state for the supported families.
+    """Closed-form Gibbs state, any (gamma, b1, b2) and any T > 0.
 
-    Zero field: an X-shaped matrix with corners eta e^{-(1+gamma) J/T} and a
-    central block eta [[cosh u, -sinh u], [-sinh u, cosh u]] where
-    u = (1-gamma) J/T and eta normalizes the trace.  XY point: corners
-    e^{-+(b1+b2) J/T} and central block [[b-c, -s], [-s, b+c]], all over
-    Z = 2 [cosh((b1+b2) J/T) + cosh(sqrt(D) J/T)] with D = (b1-b2)^2 + 4,
-    b = cosh(sqrt(D) J/T), c = sinh(sqrt(D) J/T)(b1-b2)/sqrt(D) and
-    s = 2 sinh(sqrt(D) J/T)/sqrt(D).
-
-    Below T/J = 0.02 both families fall back to log-domain Boltzmann
-    weights over the closed-form eigenpairs, which cannot overflow; above
-    it a field so strong that a hyperbolic overflows raises
-    FloatingPointError.  Array parameters and temperatures broadcast to a
-    (..., 4, 4) stack, and every point must lie in one of the two families.
+    An X-state: the populations of |uu> and |dd> in the corners, and the
+    |ud>, |du> block split by the mixing angle with rho23 = rho32 =
+    -(p_lo - p_hi) sin(theta) / 2 (see _x_form).  Array parameters and
+    temperatures broadcast to a (..., 4, 4) stack.
     """
     check_positive_finite(t)
     gamma, b1, b2, j, t = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (p.gamma, p.b1, p.b2, p.j, t))
     )
-    zero = (b1 == 0.0) & (b2 == 0.0)
-    xy = ~zero & (gamma == -1.0)
-    if not (zero | xy).all():
-        raise UnsupportedFamilyError(
-            "no closed-form thermal state for gamma != -1 with nonzero fields; "
-            "use thermal_state(p, t)"
-        )
-    tau = t / j  # closed forms are written for J = 1
-    cold = tau < LOG_DOMAIN_T
-    rho = np.zeros(tau.shape + (4, 4), dtype=complex)
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
-        m = zero & ~cold
-        if m.any():
-            rho[m] = _zero_field_state(gamma[m], tau[m])
-        m = xy & ~cold
-        if m.any():
-            rho[m] = _xy_state(b1[m], b2[m], tau[m])
-        m = zero & cold
-        if m.any():
-            rho[m] = _boltzmann_mixture(*_zero_field_eigensystem(gamma[m], j[m]), t[m])
-        m = xy & cold
-        if m.any():
-            rho[m] = _boltzmann_mixture(*_xy_eigensystem(b1[m], b2[m], j[m]), t[m])
+    form = _x_form(gamma, b1, b2, t / j)
+    rho = np.zeros(t.shape + (4, 4), dtype=complex)
+    rho[..., 0, 0], rho[..., 3, 3] = form.populations[0], form.populations[1]
+    rho[..., 1, 1], rho[..., 2, 2] = form.rho22, form.rho33
+    rho[..., 1, 2] = rho[..., 2, 1] = -form.coherence
     return rho
 
 
@@ -278,11 +235,8 @@ def closed_form_correlations(gamma, b1, b2, t, j=1.0) -> dict[str, np.ndarray]:
     """Total, quantum and classical correlation (bits) and concurrence of the Gibbs state.
 
     Arguments broadcast against each other and every result has the
-    broadcast shape.  H conserves total S_z, so the thermal state is an
-    X-state: |uu> and |dd> are eigenstates at J[(1+gamma)/2 +- (b1+b2)], and
-    |ud>, |du> mix into levels at J[-(1+gamma)/2 +- r] with
-    r = sqrt((b1-b2)^2 + (1-gamma)^2) and mixing angle cos(theta) = (b1-b2)/r.
-    From the ground-shifted Boltzmann populations of these four levels:
+    broadcast shape.  From the X-state of _x_form, built on the
+    ground-shifted Boltzmann populations of the four levels:
 
     - S12 is the entropy of the populations, and both marginals are diagonal;
     - rho22 and rho33 split the mixed pair by the mixing angle, with
@@ -292,7 +246,7 @@ def closed_form_correlations(gamma, b1, b2, t, j=1.0) -> dict[str, np.ndarray]:
       concurrence is C = 2 max(0, |rho23| - sqrt(rho11 rho44))
       (Yu and Eberly, QIC 7, 459 (2007); Wootters, PRL 80, 2245 (1998)).
 
-    Every exponent is nonpositive, so nothing overflows at any T > 0.
+    Nothing overflows at any T > 0, and no result is -0.0.
     Non-finite inputs, gamma outside [-1, 1] and T or j <= 0 raise DomainError.
     """
     gamma, b1, b2, t, j = np.broadcast_arrays(
@@ -300,42 +254,18 @@ def closed_form_correlations(gamma, b1, b2, t, j=1.0) -> dict[str, np.ndarray]:
     )
     _check_params(gamma, b1, b2, j)
     check_positive_finite(t)
-    tau = t / j  # the levels below are in units of J
-    sigma = b1 + b2
-    delta = b1 - b2
-    gap = 1.0 - gamma  # coupling inside the |ud>, |du> block
-    r = np.hypot(delta, gap)
-    r_safe = np.where(r > 0.0, r, 1.0)  # r = 0 only at gamma = 1, b1 = b2
-    # Levels measured from the lower mixed level, in units of J.  |uu> and |dd>
-    # sit (1+gamma) + r +- sigma above it; writing (1+gamma) + r as
-    # 2 + (r - (1-gamma)) = 2 + delta^2 / (r + 1 - gamma) keeps level crossings
-    # such as b1 = b2 = 1 exact, where 1/T would amplify any rounding.
-    lift = 2.0 + np.where(r > 0.0, delta * delta / (r_safe + gap), 0.0)
-    levels = np.stack([lift + sigma, lift - sigma, 2.0 * r, np.zeros_like(r)])
-    x = (levels - levels.min(axis=0)) / tau  # Boltzmann exponents, all >= 0
-    weights = np.exp(-x)
-    z = weights.sum(axis=0)
-    p_uu, p_dd, p_hi, p_lo = weights / z
-
-    one_minus_cos = np.where(r > 0.0, gap * gap / (r_safe * (r_safe + np.abs(delta))), 1.0)
-    # diagonal weight of the basis state the upper level leans toward, and of the other
-    upper_side = 0.5 * (p_hi * (2.0 - one_minus_cos) + p_lo * one_minus_cos)
-    lower_side = 0.5 * (p_hi * one_minus_cos + p_lo * (2.0 - one_minus_cos))
-    rho22 = np.where(delta >= 0.0, upper_side, lower_side)  # |ud>
-    rho33 = np.where(delta >= 0.0, lower_side, upper_side)  # |du>
-
-    # p_lo - p_hi = p_lo (1 - e^{-2r/tau}), kept exact for small r / tau
-    rho23 = -p_lo * np.expm1(-2.0 * r / tau) * gap / (2.0 * r_safe)
-    corners = np.exp(-0.5 * (x[0] + x[1])) / z  # sqrt(rho11 rho44) without underflow
-    c = np.clip(2.0 * (rho23 - corners), 0.0, 1.0)
+    form = _x_form(gamma, b1, b2, t / j)
+    p_uu, p_dd, p_hi, p_lo = form.populations
+    c = np.clip(2.0 * (form.coherence - form.corners), 0.0, 1.0)
 
     s12 = -(_xlog2x(p_uu) + _xlog2x(p_dd) + _xlog2x(p_hi) + _xlog2x(p_lo))
-    s1 = -(_xlog2x(p_uu + rho22) + _xlog2x(rho33 + p_dd))
-    s2 = -(_xlog2x(p_uu + rho33) + _xlog2x(rho22 + p_dd))
+    s1 = -(_xlog2x(p_uu + form.rho22) + _xlog2x(form.rho33 + p_dd))
+    s2 = -(_xlog2x(p_uu + form.rho33) + _xlog2x(form.rho22 + p_dd))
     total = np.maximum(s1 + s2 - s12, 0.0)  # >= 0 by subadditivity; clamp the rounding
 
     # E_f = h(x) at x = (1 - sqrt(1 - C^2)) / 2, formed without cancellation
     root = np.sqrt((1.0 - c) * (1.0 + c))
     small = c * c / (2.0 * (1.0 + root))
-    quantum = -(_xlog2x(small) + (1.0 - small) * np.log1p(-small) / math.log(2.0))
+    # written as -a - b, since -(a + b) is -0.0 where C = 0
+    quantum = -_xlog2x(small) - (1.0 - small) * np.log1p(-small) / math.log(2.0)
     return {"total": total, "quantum": quantum, "classical": total - quantum, "concurrence": c}

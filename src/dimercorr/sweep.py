@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import CorrelationReport
 from .exceptions import DomainError
 from .matkernel import check_positive_finite
 from .models import ModelParams, closed_form_correlations
@@ -22,7 +21,6 @@ __all__ = [
     "AXIS_NAMES",
     "RECORD_COLUMNS",
     "Axis",
-    "SweepRow",
     "SweepSpec",
     "SweepTable",
     "count_peaks",
@@ -106,17 +104,6 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    """One resolved grid point and its correlation report."""
-
-    t: float
-    gamma: float
-    b1: float
-    b2: float
-    report: CorrelationReport
-
-
-@dataclass(frozen=True)
 class SweepTable:
     """Sweep output: one array per record column, in row-major grid order.
 
@@ -132,15 +119,6 @@ class SweepTable:
     @property
     def is_1d(self) -> bool:
         return self.axis2_values is None
-
-    @property
-    def rows(self) -> list[SweepRow]:
-        """The grid points as SweepRow objects, built from the columns."""
-        values = [self.columns[name].tolist() for name in RECORD_COLUMNS]
-        return [
-            SweepRow(t=t, gamma=gamma, b1=b1, b2=b2, report=CorrelationReport(*outputs))
-            for t, gamma, b1, b2, *outputs in zip(*values)
-        ]
 
     def column(self, name: str) -> np.ndarray:
         if name not in RECORD_COLUMNS:

@@ -1,7 +1,8 @@
 """Self-check suites pairing closed forms with independent numeric routes.
 
 Each suite returns CheckResult records; a residual below its bound means
-the two routes agree.  The suites are what the ``verify`` CLI subcommand
+the two routes agree.  The gibbs and wootters suites draw from the full
+parameter box: gamma in [-1, 1], |b1|, |b2| <= 5 and T in [0.02, 5].  The suites are what the ``verify`` CLI subcommand
 runs, and the test suite reuses them.
 """
 
@@ -46,25 +47,14 @@ class CheckResult:
     detail: str
 
 
-def _random_supported_params(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Half zero-field points, half XY points with fields, T in [0.05, 5].
-
-    Returns a (4, n) array of (gamma, b1, b2, T) columns.
-    """
-    points = []
-    for i in range(n):
-        t = float(rng.uniform(0.05, 5.0))
-        if i % 2 == 0:
-            points.append((float(rng.uniform(-1.0, 1.0)), 0.0, 0.0, t))
-        else:
-            b1, b2 = rng.uniform(-3.0, 3.0, 2)
-            points.append((-1.0, float(b1), float(b2), t))
-    return np.array(points, dtype=float).reshape(n, 4).T
+def _box(rng: np.random.Generator, n: int) -> tuple[np.ndarray, ...]:
+    """n random (gamma, b1, b2, T) over the full box: gamma in [-1, 1], |b| <= 5, T in [0.02, 5]."""
+    return rng.uniform(-1.0, 1.0, n), *rng.uniform(-5.0, 5.0, (2, n)), rng.uniform(0.02, 5.0, n)
 
 
 def check_gibbs_equivalence(samples: int = 200, seed: int = 7) -> CheckResult:
     """Closed-form thermal states vs the spectral Gibbs construction."""
-    gamma, b1, b2, t = _random_supported_params(np.random.default_rng(seed), samples)
+    gamma, b1, b2, t = _box(np.random.default_rng(seed), samples)
     params = ModelParams(gamma, b1, b2)
     worst = float(np.max(np.abs(thermal_state_analytic(params, t) - thermal_state(params, t)), initial=0.0))
     return CheckResult(
@@ -72,28 +62,24 @@ def check_gibbs_equivalence(samples: int = 200, seed: int = 7) -> CheckResult:
         name="analytic vs numeric thermal state",
         passed=worst < GIBBS_TOL,
         residual=worst,
-        detail=f"max entrywise deviation over {samples} random supported points",
+        detail=f"max entrywise deviation over {samples} random box points",
     )
 
 
 def check_wootters_closed_form() -> list[CheckResult]:
     """Closed-form concurrence (the kernel behind point and sweep) vs the eigenvalue pipeline.
 
-    Both sample sets, a zero-field (gamma, T) grid and random XY field
-    points, are evaluated as one stack on each route.
+    Both sample sets, a zero-field (gamma, T) grid and random points of the
+    full box, are evaluated as one stack on each route.
     """
-    g, t = np.meshgrid(np.linspace(-1.0, 1.0, 10), np.linspace(0.5, 5.0, 5), indexing="ij")
-    rng = np.random.default_rng(11)
-    fields = np.array([(*rng.uniform(-3.0, 3.0, 2), rng.uniform(0.5, 5.0)) for _ in range(50)])
-    gamma = np.concatenate([g.ravel(), np.full(50, -1.0)])
-    b1 = np.concatenate([np.zeros(g.size), fields[:, 0]])
-    b2 = np.concatenate([np.zeros(g.size), fields[:, 1]])
-    temp = np.concatenate([t.ravel(), fields[:, 2]])
+    g, t = np.meshgrid(np.linspace(-1.0, 1.0, 10), np.linspace(0.02, 5.0, 5), indexing="ij")
+    grid = (g.ravel(), np.zeros(g.size), np.zeros(g.size), t.ravel())
+    gamma, b1, b2, temp = (np.concatenate(pair) for pair in zip(grid, _box(np.random.default_rng(11), 50)))
     closed = closed_form_correlations(gamma, b1, b2, temp)["concurrence"]
     delta = np.abs(closed - concurrence(thermal_state(ModelParams(gamma, b1, b2), temp)))
     checks = (
         ("zero-field closed form vs pipeline", delta[: g.size], "max deviation over a 10x5 (gamma, T) grid"),
-        ("XY closed form vs pipeline", delta[g.size :], "max deviation over 50 random field points"),
+        ("box closed form vs pipeline", delta[g.size :], "max deviation over 50 random box points"),
     )
     return [
         CheckResult(

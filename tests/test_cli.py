@@ -212,6 +212,18 @@ def test_console_script_entry_point():
     assert proc.stdout.startswith(CSV_HEADER)
 
 
+def test_extreme_field_to_temperature_ratio_runs_without_warnings():
+    proc = subprocess.run(
+        [sys.executable, "-m", "dimercorr", "sweep", "--model", "xy"]
+        + ["--temp", "1e-300", "--axis", "b1=1e13:1.5e15:50"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert len(proc.stdout.splitlines()) == 51
+
+
 @pytest.mark.parametrize(
     "flag,value,name",
     [("--b1", "inf", "b1"), ("--b1", "nan", "b1"), ("--temp", "nan", "temp"), ("--temp", "inf", "temp")],

@@ -14,7 +14,7 @@ import pytest
 
 from dimercorr.correlations import report
 from dimercorr.exceptions import DomainError
-from dimercorr.models import ModelParams, closed_form_correlations, thermal_state
+from dimercorr.models import ModelParams, closed_form_correlations, thermal_state, thermal_state_analytic
 from dimercorr.sweep import Axis, SweepSpec, run_sweep
 
 OUTPUTS = ("total", "quantum", "classical", "concurrence")
@@ -71,6 +71,20 @@ def mp_reference(gamma, b1, b2, t, j=1.0):
         return {"total": total, "quantum": quantum, "classical": total - quantum, "concurrence": c}
 
 
+def assert_gibbs_matches_dense_and_reference(gamma, b1, b2, t, j=1.0):
+    """thermal_state_analytic against the dense route (1e-10) and, through report, mp_reference (1e-13)."""
+    gamma, b1, b2, t, j = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, float)) for v in (gamma, b1, b2, t, j)))
+    params = ModelParams(gamma, b1, b2, j)
+    stack = thermal_state_analytic(params, t)
+    assert np.max(np.abs(stack - thermal_state(params, t))) < 1e-10
+    got = report(stack)
+    for k, point in enumerate(zip(gamma, b1, b2, t, j)):
+        want = mp_reference(*point)
+        for name in OUTPUTS:
+            assert abs(getattr(got, name)[k] - float(want[name])) < 1e-13, (point, name)
+    return stack
+
+
 # the (1, 1) pair sits on the |dd> / mixed-level crossing for every gamma
 FIELDS = ((0.0, 0.0), (0.7, -1.1), (1.0, 1.0), (5.0, 5.0), (-5.0, 2.5), (3.0, -5.0))
 TEMPS = (1e-3, 0.02, 0.1, 0.3, 1.0, 5.0)
@@ -98,7 +112,6 @@ def test_reference_with_coupling_scale():
 
 @pytest.mark.parametrize("gamma", GAMMAS)
 def test_sweep_matches_dense_route(gamma):
-    tols = {"total": 1e-12, "quantum": 1e-8, "concurrence": 1e-8}
     for t in (0.5, 1.0, 2.0):
         spec = SweepSpec(
             base=ModelParams(gamma=gamma),
@@ -106,10 +119,11 @@ def test_sweep_matches_dense_route(gamma):
             axis2=Axis("b2", -3.0, 3.0, 9),
             temp=t,
         )
-        for row in run_sweep(spec).rows:
-            dense = report(thermal_state(ModelParams(gamma=row.gamma, b1=row.b1, b2=row.b2), row.t))
-            for name, tol in tols.items():
-                assert abs(getattr(row.report, name) - getattr(dense, name)) < tol
+        table = run_sweep(spec)
+        g, b1, b2, temp = (table.column(name) for name in ("gamma", "b1", "b2", "T"))
+        dense = report(thermal_state(ModelParams(gamma=g, b1=b1, b2=b2), temp))
+        for name in ("total", "quantum", "concurrence"):
+            assert np.max(np.abs(table.column(name) - getattr(dense, name))) < 1e-12
 
 
 def test_dense_route_matches_closed_form_over_the_box():
@@ -166,6 +180,12 @@ def test_bounds_and_exact_split():
     assert np.all(out["classical"] == out["total"] - out["quantum"])
     assert np.all(out["total"] >= 0.0) and np.all(out["total"] <= 2.0 + 1e-15)
     assert np.all(out["quantum"] >= -1e-15) and np.all(out["quantum"] <= 1.0 + 1e-15)
+
+
+def test_no_output_is_negative_zero():
+    for out in (closed_form_correlations(*_box()), closed_form_correlations(GAMMAS, 1e200, 1e200, 1.0)):
+        for name in OUTPUTS:
+            assert not np.signbit(out[name]).any(), name
 
 
 def test_results_broadcast():

@@ -6,19 +6,20 @@ import warnings
 import numpy as np
 import pytest
 
-from dimercorr.correlations import concurrence
-from dimercorr.exceptions import DomainError, UnsupportedFamilyError
-from dimercorr.matkernel import gibbs
+from dimercorr.correlations import concurrence, report
+from dimercorr.exceptions import DomainError
+from dimercorr.matkernel import check_density_matrix, gibbs, hermitian_eig
 from dimercorr.models import (
-    LOG_DOMAIN_T,
     ModelParams,
     analytic_eigensystem,
     build_hamiltonian,
+    closed_form_correlations,
     concurrence_analytic,
     ground_state_limit,
     thermal_state,
     thermal_state_analytic,
 )
+from test_kernel import OUTPUTS, assert_gibbs_matches_dense_and_reference
 
 SINGLET_RHO = np.diag([0.0, 0.5, 0.5, 0.0]).astype(complex)
 SINGLET_RHO[1, 2] = SINGLET_RHO[2, 1] = -0.5
@@ -107,6 +108,15 @@ def test_analytic_pairs_solve_the_hamiltonian():
             rng.uniform(-3.0, 3.0, 25), rng.uniform(-3.0, 3.0, 25), rng.uniform(0.5, 2.0, 25)
         )
     ]
+    params += [
+        ModelParams(gamma=float(g), b1=float(b1), b2=float(b2), j=float(j))
+        for g, b1, b2, j in zip(
+            rng.uniform(-1.0, 1.0, 25),
+            rng.uniform(-3.0, 3.0, 25),
+            rng.uniform(-3.0, 3.0, 25),
+            rng.uniform(0.5, 2.0, 25),
+        )
+    ]
     for p in params:
         h = build_hamiltonian(p)
         for pair in analytic_eigensystem(p):
@@ -114,11 +124,12 @@ def test_analytic_pairs_solve_the_hamiltonian():
             assert np.max(np.abs(h @ pair.state - pair.energy * pair.state)) < 1e-10
 
 
-def test_unsupported_family_raises():
-    with pytest.raises(UnsupportedFamilyError):
-        analytic_eigensystem(ModelParams(gamma=0.5, b1=0.1))
-    with pytest.raises(UnsupportedFamilyError):
-        thermal_state_analytic(ModelParams(gamma=0.0, b1=0.0, b2=0.2), 1.0)
+def test_fields_away_from_the_xy_point_match_dense_and_reference():
+    p = ModelParams(gamma=0.5, b1=0.1)
+    energies = sorted(pair.energy for pair in analytic_eigensystem(p))
+    assert np.max(np.abs(np.array(energies) - hermitian_eig(build_hamiltonian(p))[0])) < 1e-10
+    assert_gibbs_matches_dense_and_reference(0.5, 0.1, 0.0, 1.0)
+    assert_gibbs_matches_dense_and_reference(0.0, 0.0, 0.2, 1.0)
 
 
 def test_thermal_state_closed_form_entries():
@@ -150,15 +161,17 @@ def test_thermal_state_routes_agree():
         ModelParams(gamma=-1.0, b1=float(b1), b2=float(b2))
         for b1, b2 in zip(rng.uniform(-3.0, 3.0, 40), rng.uniform(-3.0, 3.0, 40))
     ]
+    cases += [
+        ModelParams(gamma=float(g), b1=float(b1), b2=float(b2))
+        for g, b1, b2 in zip(rng.uniform(-1.0, 1.0, 40), rng.uniform(-3.0, 3.0, 40), rng.uniform(-3.0, 3.0, 40))
+    ]
     for p in cases:
         for t in (0.05, 0.7, 3.0):
             gap = np.max(np.abs(thermal_state_analytic(p, t) - thermal_state(p, t)))
             assert gap < 1e-10
 
 
-def test_thermal_state_log_domain_branch():
-    # below LOG_DOMAIN_T the closed forms switch to shifted Boltzmann weights
-    assert LOG_DOMAIN_T == 0.02
+def test_cold_thermal_state_matches_dense_and_reference():
     for p in (
         ModelParams(gamma=0.0),
         ModelParams(gamma=0.9),
@@ -166,9 +179,32 @@ def test_thermal_state_log_domain_branch():
     ):
         for t in (0.005, 0.01, 0.019):
             rho = thermal_state_analytic(p, t)
-            assert np.max(np.abs(rho - thermal_state(p, t))) < 1e-10
             assert abs(np.trace(rho).real - 1.0) < 1e-12
             assert np.isfinite(rho).all()
+            assert_gibbs_matches_dense_and_reference(p.gamma, p.b1, p.b2, t)
+
+
+def test_eigenpairs_gibbs_state_and_correlations_agree_over_the_box():
+    rng = np.random.default_rng(21)
+    n = 400
+    gamma, b1, b2 = rng.uniform(-1.0, 1.0, n), *rng.uniform(-5.0, 5.0, (2, n))
+    t = rng.uniform(0.02, 5.0, n)
+    gamma[:3] = -1.0, 1.0, 1.0  # both endpoints, and the r = 0 point gamma = 1, b1 = b2
+    b2[2] = b1[2]
+    rho = thermal_state_analytic(ModelParams(gamma, b1, b2), t)
+    for k in range(n):
+        pairs = analytic_eigensystem(ModelParams(float(gamma[k]), float(b1[k]), float(b2[k])))
+        energies = np.array([pair.energy for pair in pairs])
+        weights = np.exp(-(energies - energies.min()) / t[k])
+        weights /= weights.sum()
+        mixture = sum(w * np.outer(pair.state, pair.state.conj()) for w, pair in zip(weights, pairs))
+        assert np.max(np.abs(mixture - rho[k])) < 1e-14, k
+    check_density_matrix(rho)
+    x_pattern = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
+    assert np.all(rho[:, ~x_pattern] == 0.0)
+    got, closed = report(rho), closed_form_correlations(gamma, b1, b2, t)
+    for name in OUTPUTS:
+        assert np.max(np.abs(getattr(got, name) - closed[name])) < 1e-13, name
 
 
 def test_thermal_state_rejects_nonpositive_temperature():
@@ -215,20 +251,17 @@ def test_concurrence_closed_form_isotropic_point():
 
 
 def test_concurrence_closed_form_matches_pipeline():
-    # field cases sit closer to a singular state, where the square root
-    # inside the pipeline amplifies solver noise; their bound is looser
     rng = np.random.default_rng(3)
     zero_field = [ModelParams(gamma=float(g)) for g in rng.uniform(-1.0, 1.0, 20)]
     with_fields = [
         ModelParams(gamma=-1.0, b1=float(b1), b2=float(b2))
         for b1, b2 in zip(rng.uniform(-3.0, 3.0, 20), rng.uniform(-3.0, 3.0, 20))
     ]
-    for cases, tol in ((zero_field, 1e-10), (with_fields, 1e-9)):
-        for p in cases:
-            for t in (0.5, 1.0, 2.2, 5.0):
-                direct = concurrence_analytic(p, t)
-                via_state = concurrence(thermal_state_analytic(p, t))
-                assert abs(direct - via_state) < tol
+    for p in zero_field + with_fields:
+        for t in (0.5, 1.0, 2.2, 5.0):
+            direct = concurrence_analytic(p, t)
+            via_state = concurrence(thermal_state_analytic(p, t))
+            assert abs(direct - via_state) < 1e-12
 
 
 def test_concurrence_closed_form_cold_limits():
@@ -272,12 +305,10 @@ def test_thermal_states_reject_non_finite_temperature(t):
 
 
 def test_concurrence_closed_form_covers_every_family():
-    # fields with gamma != -1 have no written-out thermal state, but the
-    # X-state closed form still matches the dense pipeline
     rng = np.random.default_rng(17)
     for _ in range(40):
         p = ModelParams(
             gamma=float(rng.uniform(-1.0, 1.0)), b1=float(rng.uniform(-3.0, 3.0)), b2=float(rng.uniform(-3.0, 3.0))
         )
         for t in (0.5, 1.0, 2.2, 5.0):
-            assert abs(concurrence_analytic(p, t) - concurrence(thermal_state(p, t))) < 1e-9
+            assert abs(concurrence_analytic(p, t) - concurrence(thermal_state(p, t))) < 1e-12

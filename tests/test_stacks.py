@@ -19,7 +19,7 @@ from dimercorr.correlations import (
     sample_decomposition_average,
     von_neumann_entropy,
 )
-from dimercorr.exceptions import DomainError, UnsupportedFamilyError, ValidationError
+from dimercorr.exceptions import DomainError, ValidationError
 from dimercorr.matkernel import (
     check_density_matrix,
     gibbs,
@@ -28,6 +28,7 @@ from dimercorr.matkernel import (
     partial_transpose,
 )
 from dimercorr.models import ModelParams, build_hamiltonian, thermal_state, thermal_state_analytic
+from test_kernel import assert_gibbs_matches_dense_and_reference
 
 STACK_TOL = 1e-14
 
@@ -192,7 +193,7 @@ def test_one_bad_parameter_rejects_the_array():
 
 
 def _family_points(n=40, seed=9):
-    """Points of both closed-form families, hyperbolic and log-domain (T < 0.02 J)."""
+    """Zero-field points and XY field points, from T = 0.005 J to 5 J."""
     rng = np.random.default_rng(seed)
     zero = np.arange(n) % 2 == 0
     gamma = np.where(zero, rng.uniform(-1.0, 1.0, n), -1.0)
@@ -217,15 +218,15 @@ def test_thermal_state_analytic_on_parameter_arrays_matches_a_loop():
     assert grid.shape == (5, 8, 4, 4)
 
 
-def test_thermal_state_analytic_rejects_a_point_outside_both_families():
+def test_thermal_state_analytic_stack_with_a_general_point_matches_dense_and_reference():
     gamma, b1, b2, j, t = _family_points()
     gamma[7] = 0.5  # a field point (7 is odd) away from gamma = -1
-    with pytest.raises(UnsupportedFamilyError):
-        thermal_state_analytic(ModelParams(gamma, b1, b2, j), t)
+    assert_gibbs_matches_dense_and_reference(gamma, b1, b2, t, j)
 
 
-def test_thermal_state_analytic_overflow_rejects_the_stack():
-    # at T = 0.02 J, b1 = b2 = 8 puts cosh(800) out of range in the hyperbolic form
+def test_thermal_state_analytic_strong_cold_field_is_polarized():
+    # b = 8 at T = 0.02 J: Boltzmann factors such as e^800 lie beyond the float range
     b = np.array([0.5, 8.0, 1.0])
-    with pytest.raises(ArithmeticError):
-        thermal_state_analytic(ModelParams(-1.0, b, b), 0.02)
+    stack = assert_gibbs_matches_dense_and_reference(-1.0, b, b, 0.02)
+    assert np.isfinite(stack).all()
+    assert stack[1, 3, 3].real > 1.0 - 1e-12  # all in |dd>

@@ -5,8 +5,9 @@ import pytest
 from scipy.signal import find_peaks
 
 from dimercorr.exceptions import DomainError
-from dimercorr.models import ModelParams
+from dimercorr.models import ModelParams, closed_form_correlations
 from dimercorr.sweep import (
+    RECORD_COLUMNS,
     Axis,
     SweepSpec,
     count_peaks,
@@ -53,35 +54,34 @@ def test_rows_follow_axis_values_row_major():
     )
     table = run_sweep(spec)
     assert not table.is_1d
-    assert len(table.rows) == 12
+    assert len(table.column("b1")) == 12
+    rows = list(zip(*(table.column(name).tolist() for name in ("b1", "b2", "T", "gamma"))))
     for i, b1 in enumerate(table.axis1_values):
         for j, b2 in enumerate(table.axis2_values):
-            row = table.rows[i * 4 + j]
-            assert (row.b1, row.b2, row.t, row.gamma) == (b1, b2, 0.8, -1.0)
+            assert rows[i * 4 + j] == (b1, b2, 0.8, -1.0)
 
 
 def test_temperature_axis_overrides_fixed_temp():
     spec = SweepSpec(base=ModelParams(gamma=0.2), axis1=Axis("T", 0.5, 2.0, 4))
     table = run_sweep(spec)
     assert table.is_1d
-    assert [row.t for row in table.rows] == list(table.axis1_values)
+    assert table.column("T").tolist() == list(table.axis1_values)
 
 
 def test_thread_count_does_not_change_results():
     spec = SweepSpec(base=ModelParams(gamma=-0.3), axis1=Axis("T", 0.05, 3.0, 40))
     serial = run_sweep(spec, threads=1)
     threaded = run_sweep(spec, threads=4)
-    for a, b in zip(serial.rows, threaded.rows):
-        assert a.report == b.report
+    for name in ("total", "quantum", "classical", "concurrence"):
+        assert serial.column(name).tolist() == threaded.column(name).tolist()
 
 
 def test_cold_isotropic_endpoint_reaches_two_bits():
     spec = SweepSpec(base=ModelParams(gamma=0.0), axis1=Axis("T", 0.05, 4.0, 100))
     table = run_sweep(spec)
-    first = table.rows[0].report
-    assert abs(first.total - 2.0) < 0.01
-    assert abs(first.quantum - 1.0) < 0.01
-    assert abs(first.classical - 1.0) < 0.01
+    assert abs(table.column("total")[0] - 2.0) < 0.01
+    assert abs(table.column("quantum")[0] - 1.0) < 0.01
+    assert abs(table.column("classical")[0] - 1.0) < 0.01
 
 
 def test_ising_slice_has_no_quantum_correlation():
@@ -101,8 +101,7 @@ def test_opposite_field_sweep_is_even_in_the_field():
 def test_high_temperature_tail_decays():
     spec = SweepSpec(base=ModelParams(gamma=0.5), axis1=Axis("T", 1.0, 100.0, 12))
     table = run_sweep(spec)
-    last = table.rows[-1].report
-    assert max(last.total, last.quantum, last.classical, last.concurrence) <= 1e-3
+    assert max(table.column(name)[-1] for name in ("total", "quantum", "classical", "concurrence")) <= 1e-3
 
 
 def test_quantum_exceeds_classical_in_a_window():
@@ -222,14 +221,12 @@ def test_threads_is_a_validated_no_op():
 def test_columns_and_rows_agree():
     spec = SweepSpec(base=XY, axis1=Axis("T", 0.5, 1.0, 3), axis2=Axis("b_anti", -1.0, 1.0, 4))
     table = run_sweep(spec)
-    rows = table.rows
-    assert len(rows) == 12
+    assert all(len(table.column(name)) == 12 for name in RECORD_COLUMNS)
     anti = table.axis2_values.tolist()
     assert table.column("b1").tolist() == anti * 3
     assert table.column("b2").tolist() == [-v for v in anti] * 3
     assert table.column("T").tolist() == [t for t in table.axis1_values.tolist() for _ in range(4)]
+    # each record's outputs belong to that record's own grid point
+    points = closed_form_correlations(*(table.column(name) for name in ("gamma", "b1", "b2", "T")))
     for name in ("total", "quantum", "classical", "concurrence"):
-        assert [getattr(row.report, name) for row in rows] == table.column(name).tolist()
-    assert [(row.t, row.b1, row.b2) for row in rows] == list(
-        zip(table.column("T").tolist(), table.column("b1").tolist(), table.column("b2").tolist())
-    )
+        assert points[name].tolist() == table.column(name).tolist()
