@@ -59,11 +59,27 @@ def _scalar(x):
     return x.item() if np.ndim(x) == 0 else x
 
 
+def _xlog2x(x: np.ndarray) -> np.ndarray:
+    """x log2 x elementwise, with 0 log 0 = 0 (and x <= 0 counting as 0)."""
+    return np.where(x > 0.0, x * np.log2(np.where(x > 0.0, x, 1.0)), 0.0)
+
+
+def _formation(c: np.ndarray) -> np.ndarray:
+    """Entanglement of formation h((1 + sqrt(1 - C^2)) / 2) of C in [0, 1], elementwise.
+
+    h is taken at its smaller argument (1 - sqrt(1 - C^2)) / 2, written as
+    C^2 / (2 (1 + sqrt((1 - C)(1 + C)))), and through log1p, so that a small
+    C (a state near its threshold) loses no digits to cancellation.
+    """
+    root = np.sqrt((1.0 - c) * (1.0 + c))
+    small = c * c / (2.0 * (1.0 + root))
+    # written as -a - b, since -(a + b) is -0.0 where C = 0
+    return -_xlog2x(small) - (1.0 - small) * np.log1p(-small) / math.log(2.0)
+
+
 def _entropy_bits(eigenvalues: np.ndarray) -> np.ndarray:
     """-sum p log2 p over the last axis (0 log 0 = 0, p <= 0 counts as 0), clamped to >= 0."""
-    positive = eigenvalues > 0.0
-    terms = np.where(positive, eigenvalues * np.log2(np.where(positive, eigenvalues, 1.0)), 0.0)
-    return np.maximum(0.0, -terms.sum(axis=-1))
+    return np.maximum(0.0, -_xlog2x(eigenvalues).sum(axis=-1))
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
@@ -119,13 +135,12 @@ def formation_from_concurrence(c):
     bad = ~((c >= 0.0) & (c <= 1.0))
     if bad.any():
         raise DomainError(f"concurrence must lie in [0, 1], got {c[bad].flat[0]}")
-    x = 0.5 * (1.0 + np.sqrt(1.0 - c * c))
-    return _scalar(_entropy_bits(np.stack([x, 1.0 - x], axis=-1)))
+    return _scalar(_formation(c))
 
 
 def entanglement_of_formation(rho: np.ndarray) -> float:
     """Entanglement of formation of a two-qubit state (or a stack), in bits."""
-    return formation_from_concurrence(concurrence(rho))
+    return _scalar(_formation(concurrence(rho)))
 
 
 def classical_correlation(rho: np.ndarray) -> float:
@@ -154,23 +169,21 @@ def report(rho: np.ndarray) -> CorrelationReport:
     values, vectors = np.linalg.eigh(rho)
     total = _mutual_information(rho, values)
     c = _concurrence(values, vectors)
-    quantum = formation_from_concurrence(c)
-    return CorrelationReport(
-        total=_scalar(total), quantum=quantum, classical=_scalar(total - quantum), concurrence=_scalar(c)
-    )
+    quantum = _formation(c)
+    return CorrelationReport(*(_scalar(v) for v in (total, quantum, total - quantum, c)))
 
 
-def is_separable_ppt(rho: np.ndarray, tol: float = 1e-10):
+def is_separable_ppt(rho: np.ndarray):
     """Peres-Horodecki test, exact for two qubits; a bool, or a bool array for a stack.
 
-    True iff the partial transpose has no eigenvalue below ``-tol``.
+    True iff the partial transpose has no eigenvalue below -1e-10.
     """
-    return _scalar(_separable_ppt(check_density_matrix(rho, 4), tol))
+    return _scalar(_separable_ppt(check_density_matrix(rho, 4)))
 
 
-def _separable_ppt(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _separable_ppt(rho: np.ndarray) -> np.ndarray:
     """is_separable_ppt of validated states, as a bool array."""
-    return np.linalg.eigvalsh(_partial_transpose(rho, 2))[..., 0] >= -tol
+    return np.linalg.eigvalsh(_partial_transpose(rho, 2))[..., 0] >= -1e-10
 
 
 # --- random states and pure-state decompositions ---------------------------
@@ -229,8 +242,11 @@ def _weighted_eigenrows(rho: np.ndarray, size: int) -> tuple[np.ndarray, int]:
 
     Support eigenpairs (mu_i > 1e-10) come first, in ascending order, and
     the rest are zero rows, so a stack of states of different rank shares
-    one layout.  Raises DomainError when ``size`` is below a state's rank.
+    one layout.  Raises ValueError unless 1 <= ``size`` <= MAX_ENSEMBLE, and
+    DomainError when ``size`` is below a state's rank.
     """
+    if not 1 <= size <= MAX_ENSEMBLE:
+        raise ValueError(f"ensemble size must lie in 1..{MAX_ENSEMBLE}, got {size}")
     values, vectors = np.linalg.eigh(rho)
     kept = values > 1e-10
     rank = int(kept.sum(axis=-1).max())
@@ -250,8 +266,6 @@ def random_ensemble(rho: np.ndarray, size: int, rng: np.random.Generator) -> Ens
     decomposition of the given size.  ``size`` must be at least rank(rho).
     """
     rho = check_density_matrix(rho, 4)
-    if not 1 <= size <= MAX_ENSEMBLE:
-        raise ValueError(f"ensemble size must lie in 1..{MAX_ENSEMBLE}, got {size}")
     basis, rank = _weighted_eigenrows(rho, size)
     unnormalized = random_unitary(size, rng)[:, :rank] @ basis  # row j is the j-th member
     probabilities = np.einsum("ij,ij->i", unnormalized, unnormalized.conj()).real
@@ -262,20 +276,13 @@ def random_ensemble(rho: np.ndarray, size: int, rng: np.random.Generator) -> Ens
 def _pure_entanglement(states: np.ndarray) -> np.ndarray:
     """Entropy of the qubit-1 marginal for each row of normalized pure states.
 
-    For a pure two-qubit state with amplitude matrix A (reshaped 2x2), the
-    marginal A A† has unit trace and determinant |det A|^2, so its spectrum
-    is (1 +- sqrt(1 - 4 |det A|^2)) / 2.
+    A pure two-qubit state with amplitude matrix A (reshaped 2x2) has
+    concurrence 2 |det A|, and its marginal entropy is the entanglement of
+    formation of that concurrence.
     """
     amps = states.reshape(-1, 2, 2)
     dets = np.abs(amps[:, 0, 0] * amps[:, 1, 1] - amps[:, 0, 1] * amps[:, 1, 0])
-    spread = np.sqrt(np.clip(1.0 - 4.0 * dets**2, 0.0, None))
-    upper = np.clip(0.5 * (1.0 + spread), 0.0, 1.0)
-    lower = 1.0 - upper
-    out = np.zeros(states.shape[0])
-    for w in (upper, lower):
-        mask = w > 0.0
-        out[mask] -= w[mask] * np.log2(w[mask])
-    return out
+    return _formation(np.minimum(2.0 * dets, 1.0))
 
 
 def average_entanglement(ensemble: Ensemble) -> float:
@@ -299,8 +306,6 @@ def sample_decomposition_average(
     every state is decomposed with the same Haar draws (the same ``seed``).
     """
     rho = check_density_matrix(rho, 4)
-    if not 1 <= ensemble_size <= MAX_ENSEMBLE:
-        raise ValueError(f"ensemble size must lie in 1..{MAX_ENSEMBLE}, got {ensemble_size}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     basis, rank = _weighted_eigenrows(rho, ensemble_size)

@@ -97,51 +97,45 @@ def _member(bad: np.ndarray) -> str:
     return f" (stack member {index[0] if len(index) == 1 else index})"
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    """True when ``m`` (one matrix or every matrix of a stack) equals its conjugate transpose within ``tol``."""
-    return bool(np.all(_hermitian_mask(np.asarray(m, dtype=complex), tol)))
+def is_hermitian(m: np.ndarray) -> bool:
+    """True when ``m`` (one matrix or every matrix of a stack) equals its adjoint within HERMITIAN_TOL."""
+    return bool(np.all(_hermitian_mask(np.asarray(m, dtype=complex), HERMITIAN_TOL)))
 
 
-def is_unit_trace(m: np.ndarray, tol: float = TRACE_TOL) -> bool:
-    """True when every trace is 1 within ``tol`` (imaginary part included)."""
-    return bool(np.all(np.abs(_trace(np.asarray(m, dtype=complex)) - 1.0) <= tol))
+def is_unit_trace(m: np.ndarray) -> bool:
+    """True when every trace is 1 within TRACE_TOL (imaginary part included)."""
+    return bool(np.all(np.abs(_trace(np.asarray(m, dtype=complex)) - 1.0) <= TRACE_TOL))
 
 
-def is_psd(m: np.ndarray, tol: float = PSD_TOL) -> bool:
-    """True when every smallest eigenvalue of Hermitian ``m`` is at least ``-tol``."""
+def is_psd(m: np.ndarray) -> bool:
+    """True when every smallest eigenvalue of Hermitian ``m`` is at least -PSD_TOL."""
     m = np.asarray(m, dtype=complex)
-    return bool(np.all(np.linalg.eigvalsh(m)[..., 0] >= -tol))
+    return bool(np.all(np.linalg.eigvalsh(m)[..., 0] >= -PSD_TOL))
 
 
-def check_density_matrix(
-    m: np.ndarray,
-    dim: int | None = None,
-    *,
-    hermitian_tol: float = HERMITIAN_TOL,
-    trace_tol: float = TRACE_TOL,
-    psd_tol: float = PSD_TOL,
-) -> np.ndarray:
+def check_density_matrix(m: np.ndarray, dim: int | None = None) -> np.ndarray:
     """Validate a density matrix, or a (..., d, d) stack of them, and return it as a complex array.
 
     Checks shape (2x2 or 4x4, or exactly ``dim`` when given), Hermiticity,
-    unit trace and positive semidefiniteness, each within its tolerance.
+    unit trace and positive semidefiniteness, each within its tolerance
+    (HERMITIAN_TOL, TRACE_TOL and PSD_TOL, all 1e-10).
     A stack costs one eigensolver call.  Raises ValidationError on the first
     failed contract, naming the first failing member of a stack.
     """
     dims = (dim,) if dim is not None else (2, 4)
     m = _as_square(m, dims)
-    bad = ~_hermitian_mask(m, hermitian_tol)
+    bad = ~_hermitian_mask(m, HERMITIAN_TOL)
     if bad.any():
         raise ValidationError("density matrix is not Hermitian within tolerance" + _member(bad))
     trace = _trace(m)
-    bad = ~(np.abs(trace - 1.0) <= trace_tol)
+    bad = ~(np.abs(trace - 1.0) <= TRACE_TOL)
     if bad.any():
         raise ValidationError(
             f"density matrix trace is {trace[bad].flat[0]:.6g}, expected 1" + _member(bad)
         )
-    bad = ~(np.linalg.eigvalsh(m)[..., 0] >= -psd_tol)
+    bad = ~(np.linalg.eigvalsh(m)[..., 0] >= -PSD_TOL)
     if bad.any():
-        raise ValidationError(f"density matrix has an eigenvalue below {-psd_tol:g}" + _member(bad))
+        raise ValidationError(f"density matrix has an eigenvalue below {-PSD_TOL:g}" + _member(bad))
     return m
 
 

@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .correlations import _formation, _xlog2x
 from .exceptions import DomainError
 from .matkernel import check_positive_finite, gibbs, hermitian_eig, kron, pauli
 
@@ -92,6 +93,7 @@ class _XForm(NamedTuple):
     corners: np.ndarray  # sqrt(rho11 rho44), formed without underflow
 
 
+@np.errstate(over="ignore")  # a level or product that overflows saturates to +inf
 def _x_form(gamma, b1, b2, tau) -> _XForm:
     """Levels, populations and mixing angle of the Gibbs state at tau = T/J.
 
@@ -101,28 +103,30 @@ def _x_form(gamma, b1, b2, tau) -> _XForm:
     cos(theta) = (b1-b2)/r and sin(theta) = (1-gamma)/r.  The upper mixed
     level leans toward |ud> when b1 >= b2.  Every Boltzmann exponent is
     nonpositive, and one that overflows saturates to -inf, so nothing
-    overflows or warns at any T > 0.
+    overflows or warns at any T > 0 and any fields with finite b1 +- b2.
     """
     sigma = b1 + b2
     delta = b1 - b2
+    size = np.abs(delta)
     gap = 1.0 - gamma  # coupling inside the |ud>, |du> block
     r = np.hypot(delta, gap)
     r_safe = np.where(r > 0.0, r, 1.0)  # r = 0 only at gamma = 1, b1 = b2
     # |uu> and |dd> sit (1+gamma) + r +- sigma above the lower mixed level;
     # writing (1+gamma) + r as 2 + (r - (1-gamma)) = 2 + delta^2 / (r + 1 - gamma)
     # keeps level crossings such as b1 = b2 = 1 exact, where 1/T would
-    # amplify any rounding.
-    lift = 2.0 + np.where(r > 0.0, delta * delta / (r_safe + gap), 0.0)
+    # amplify any rounding.  Past |delta| ~ 1.3e154, where delta^2
+    # overflows, the ratio is formed one factor at a time.
+    square = delta * delta
+    lift = 2.0 + np.where(np.isfinite(square), square / (r_safe + gap), size * (size / (r_safe + gap)))
     levels = np.stack([lift + sigma, lift - sigma, 2.0 * r, np.zeros_like(r)])
-    with np.errstate(over="ignore"):  # exp and expm1 map +inf to the right limits
-        x = (levels - levels.min(axis=0)) / tau
-        split = 2.0 * r / tau
+    x = (levels - levels.min(axis=0)) / tau  # exp and expm1 map +inf to the right limits
+    split = 2.0 * r / tau
     weights = np.exp(-x)
     z = weights.sum(axis=0)
     populations = weights / z
     _, _, p_hi, p_lo = populations
 
-    one_minus_cos = np.where(r > 0.0, gap * gap / (r_safe * (r_safe + np.abs(delta))), 1.0)
+    one_minus_cos = np.where(r > 0.0, gap * gap / (r_safe * (r_safe + size)), 1.0)
     # diagonal weight of the basis state the upper level leans toward, and of the other
     upper_side = 0.5 * (p_hi * (2.0 - one_minus_cos) + p_lo * one_minus_cos)
     lower_side = 0.5 * (p_hi * one_minus_cos + p_lo * (2.0 - one_minus_cos))
@@ -212,19 +216,16 @@ def concurrence_analytic(p: ModelParams, t: float) -> float:
     return float(closed_form_correlations(p.gamma, p.b1, p.b2, t, p.j)["concurrence"])
 
 
-def _xlog2x(x: np.ndarray) -> np.ndarray:
-    """x log2 x elementwise, with 0 log 0 = 0."""
-    return np.where(x > 0.0, x * np.log2(np.where(x > 0.0, x, 1.0)), 0.0)
-
-
 def _check_params(gamma, b1, b2, j) -> None:
-    """Raise DomainError unless gamma lies in [-1, 1], b1 and b2 are finite, and j is positive and finite."""
+    """Raise DomainError unless gamma lies in [-1, 1], b1, b2 and b1 +- b2 are finite, and j is positive and finite."""
     gamma = np.asarray(gamma, dtype=float)
     bad = ~((gamma >= -1.0) & (gamma <= 1.0))  # NaN fails both comparisons
     if bad.any():
         raise DomainError(f"gamma must lie in [-1, 1], got {gamma[bad].flat[0]}")
-    for name, v in (("b1", b1), ("b2", b2)):
-        v = np.asarray(v, dtype=float)
+    b1, b2 = np.asarray(b1, dtype=float), np.asarray(b2, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked right below
+        fields = (("b1", b1), ("b2", b2), ("b1 + b2", b1 + b2), ("b1 - b2", b1 - b2))
+    for name, v in fields:
         bad = ~np.isfinite(v)
         if bad.any():
             raise DomainError(f"{name} must be finite, got {v[bad].flat[0]}")
@@ -244,7 +245,9 @@ def closed_form_correlations(gamma, b1, b2, t, j=1.0) -> dict[str, np.ndarray]:
       strong fields lose no digits to cancellation;
     - |rho23| = (p_low - p_high) sin(theta) / 2 and rho14 = 0, so the
       concurrence is C = 2 max(0, |rho23| - sqrt(rho11 rho44))
-      (Yu and Eberly, QIC 7, 459 (2007); Wootters, PRL 80, 2245 (1998)).
+      (Yu and Eberly, QIC 7, 459 (2007); Wootters, PRL 80, 2245 (1998));
+    - quantum is the entanglement of formation of C, from the same
+      cancellation-free E_f(C) that the dense route uses.
 
     Nothing overflows at any T > 0, and no result is -0.0.
     Non-finite inputs, gamma outside [-1, 1] and T or j <= 0 raise DomainError.
@@ -262,10 +265,5 @@ def closed_form_correlations(gamma, b1, b2, t, j=1.0) -> dict[str, np.ndarray]:
     s1 = -(_xlog2x(p_uu + form.rho22) + _xlog2x(form.rho33 + p_dd))
     s2 = -(_xlog2x(p_uu + form.rho33) + _xlog2x(form.rho22 + p_dd))
     total = np.maximum(s1 + s2 - s12, 0.0)  # >= 0 by subadditivity; clamp the rounding
-
-    # E_f = h(x) at x = (1 - sqrt(1 - C^2)) / 2, formed without cancellation
-    root = np.sqrt((1.0 - c) * (1.0 + c))
-    small = c * c / (2.0 * (1.0 + root))
-    # written as -a - b, since -(a + b) is -0.0 where C = 0
-    quantum = -_xlog2x(small) - (1.0 - small) * np.log1p(-small) / math.log(2.0)
+    quantum = _formation(c)
     return {"total": total, "quantum": quantum, "classical": total - quantum, "concurrence": c}

@@ -182,12 +182,12 @@ def detect_quantum_exceeds_classical(table: SweepTable) -> list[tuple[float, flo
     return _runs_to_intervals(table.axis1_values, mask)
 
 
-def count_peaks(table: SweepTable, column: str, min_prominence: float = 0.01) -> int:
-    """Number of interior local maxima of ``column`` with the given prominence."""
+def count_peaks(table: SweepTable, column: str) -> int:
+    """Number of interior local maxima of ``column`` with a prominence of at least 0.01."""
     _require_1d(table)
     from scipy.signal import find_peaks  # imported here: it dominates the package's import time
 
-    peaks, _ = find_peaks(table.column(column), prominence=min_prominence)
+    peaks, _ = find_peaks(table.column(column), prominence=0.01)
     return int(peaks.size)
 
 

@@ -30,6 +30,7 @@ __all__ = [
 _T_SUPPORT = 2.0 / math.log(2.0)  # e^{2/T} - 2 changes sign here
 _RESIDUAL_TOL = 1e-10
 _POSITIVE_C = 1e-12
+_SCAN_POINTS = 200  # temperatures of the coarse scan in tth_numeric
 _REFINE_POINTS = 64  # temperatures per re-scan of the bracket in tth_numeric
 
 
@@ -87,10 +88,10 @@ def threshold_curve(gammas: Sequence[float]) -> list[ThresholdPoint]:
     return points
 
 
-def tth_numeric(p: ModelParams, t_max: float, *, scan_points: int = 200) -> float | None:
+def tth_numeric(p: ModelParams, t_max: float) -> float | None:
     """Largest temperature in (0, t_max] where the concurrence turns off.
 
-    A coarse scan over ``scan_points`` temperatures locates positive-to-zero
+    A coarse scan over 200 temperatures locates positive-to-zero
     transitions of the thermal concurrence.  The bracket of the largest one
     is re-scanned with the array kernel, keeping its largest transition each
     time, until it is at most 1e-8 wide (or one float apart).  Returns None
@@ -98,14 +99,12 @@ def tth_numeric(p: ModelParams, t_max: float, *, scan_points: int = 200) -> floa
     warning and the largest is returned.
     """
     check_positive_finite(t_max, "t_max")
-    if scan_points < 2:
-        raise ValueError(f"scan_points must be at least 2, got {scan_points}")
 
     def entangled(t):
         c = closed_form_correlations(p.gamma, p.b1, p.b2, t, p.j)["concurrence"]
         return c > _POSITIVE_C
 
-    grid = np.linspace(t_max / scan_points, t_max, scan_points)
+    grid = np.linspace(t_max / _SCAN_POINTS, t_max, _SCAN_POINTS)
     positive = entangled(grid)
     transitions = np.flatnonzero(positive[:-1] & ~positive[1:])
     if transitions.size == 0:

@@ -110,9 +110,9 @@ def check_ppt_agreement(samples: int = 1000, seed: int = 7) -> CheckResult:
     )
 
 
-def check_ensemble_bound(samples: int = 10000, seed: int = 7, states: int = 5) -> CheckResult:
-    """No sampled decomposition average may undercut the entanglement of formation."""
-    rho = random_density_matrix(np.random.default_rng(seed), size=states)
+def check_ensemble_bound(samples: int = 10000, seed: int = 7) -> CheckResult:
+    """No sampled decomposition average may undercut the entanglement of formation (5 random states)."""
+    rho = random_density_matrix(np.random.default_rng(seed), size=5)
     best = sample_decomposition_average(rho, ensemble_size=4, samples=samples, seed=seed)
     worst_gap = float(np.min(best - entanglement_of_formation(rho), initial=np.inf))
     return CheckResult(
@@ -120,7 +120,7 @@ def check_ensemble_bound(samples: int = 10000, seed: int = 7, states: int = 5) -
         name="sampled decomposition average vs formation floor",
         passed=worst_gap >= -ENSEMBLE_TOL,
         residual=worst_gap,
-        detail=f"worst (average - E_f) over {states} states x {samples} samples",
+        detail=f"worst (average - E_f) over 5 states x {samples} samples",
     )
 
 

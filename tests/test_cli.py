@@ -212,16 +212,27 @@ def test_console_script_entry_point():
     assert proc.stdout.startswith(CSV_HEADER)
 
 
-def test_extreme_field_to_temperature_ratio_runs_without_warnings():
+@pytest.mark.parametrize(
+    "argv,rows,concurrence",
+    [
+        pytest.param(["sweep", "--temp", "1e-300", "--axis", "b1=1e13:1.5e15:50"], 50, None, id="sweep"),
+        # (b1 - b2)^2 overflows; the |dd> level stays degenerate with the
+        # lower mixed level, and C = sin(theta) / 2 = 1e-160 (700-digit mpmath)
+        pytest.param(["point", "--b1", "1e160", "--b2", "0", "--temp", "1"], 1, 1e-160, id="point"),
+    ],
+)
+def test_extreme_field_to_temperature_ratio_runs_without_warnings(argv, rows, concurrence):
     proc = subprocess.run(
-        [sys.executable, "-m", "dimercorr", "sweep", "--model", "xy"]
-        + ["--temp", "1e-300", "--axis", "b1=1e13:1.5e15:50"],
+        [sys.executable, "-m", "dimercorr", argv[0], "--model", "xy", *argv[1:]],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0
     assert proc.stderr == ""
-    assert len(proc.stdout.splitlines()) == 51
+    assert len(proc.stdout.splitlines()) == rows + 1
+    if concurrence is not None:
+        got = float(proc.stdout.splitlines()[1].split(",")[-1])
+        assert abs(got - concurrence) < 1e-12 * concurrence
 
 
 @pytest.mark.parametrize(
@@ -421,6 +432,7 @@ def test_hand_built_columns_match_the_oracle(capsys, tmp_path, monkeypatch, colu
         ["point", "--model", "xy", "--temp", "-inf"],
         ["threshold", "--gamma", "-inf:0:3"],
         ["threshold", "--gamma=-inf:0:3"],
+        ["point", "--model", "xy", "--b1", "1e308", "--b2", "1e308", "--temp", "1"],  # b1 + b2 overflows
     ],
 )
 def test_negative_non_finite_values_are_domain_errors(capsys, argv):

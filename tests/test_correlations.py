@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -35,6 +36,13 @@ def binary_entropy(x):
     if x in (0.0, 1.0):
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+
+
+def mp_formation(c):
+    """h((1 + sqrt(1 - C^2)) / 2) at 50 digits, where the cancellation in 1 - C^2 costs nothing."""
+    with mp.workdps(50):
+        x = (1 - mp.sqrt(1 - mp.mpf(c) ** 2)) / 2
+        return float(-(x * mp.log(x, 2) + (1 - x) * mp.log(1 - x, 2)))
 
 
 def test_entropy_reference_points():
@@ -112,6 +120,10 @@ def test_formation_from_concurrence():
     c = 0.6
     expected = binary_entropy((1.0 + math.sqrt(1.0 - c * c)) / 2.0)
     assert abs(formation_from_concurrence(c) - expected) < 1e-14
+    # near the threshold, where h((1 + sqrt(1 - C^2)) / 2) formed naively cancels
+    for c in (1e-4, 1e-6, 1e-8):
+        want = mp_formation(c)
+        assert abs(formation_from_concurrence(c) - want) < 1e-12 * want, c
     with pytest.raises(DomainError):
         formation_from_concurrence(-0.1)
     with pytest.raises(DomainError):
@@ -242,6 +254,16 @@ def test_average_entanglement_of_pure_decompositions():
     rho = np.outer(lopsided, lopsided.conj())
     value = sample_decomposition_average(rho, 3, 50, seed=5)
     assert abs(value - binary_entropy(0.8)) < 1e-12
+
+    # a near-product state, 2 |det A| = 1e-8: its entanglement is 1.4e-15,
+    # which a marginal spectrum (1 +- sqrt(1 - C^2)) / 2 rounds to 0
+    theta = 0.5 * math.asin(1e-8)
+    near_product = np.array([math.cos(theta), 0.0, 0.0, math.sin(theta)], dtype=complex)
+    want = mp_formation(2.0 * math.cos(theta) * math.sin(theta))
+    single = Ensemble(probabilities=np.array([1.0]), states=near_product[None, :])
+    assert abs(average_entanglement(single) - want) < 1e-12 * want
+    value = sample_decomposition_average(np.outer(near_product, near_product.conj()), 3, 50, seed=5)
+    assert abs(value - want) < 1e-12 * want
 
 
 def test_eigendecomposition_of_classical_mixture_is_unentangled():

@@ -12,10 +12,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from dimercorr.correlations import report
+from dimercorr.correlations import formation_from_concurrence, report
 from dimercorr.exceptions import DomainError
 from dimercorr.models import ModelParams, closed_form_correlations, thermal_state, thermal_state_analytic
 from dimercorr.sweep import Axis, SweepSpec, run_sweep
+from dimercorr.threshold import tth_anisotropic
 
 OUTPUTS = ("total", "quantum", "classical", "concurrence")
 GAMMAS = (-1.0, -0.3, 0.4, 0.9)
@@ -140,6 +141,16 @@ def test_dense_route_matches_closed_form_over_the_box():
         assert np.max(np.abs(getattr(dense, name) - closed[name])) < 1e-13
 
 
+@pytest.mark.parametrize("k", [3, 5, 7, 9])
+def test_dense_quantum_keeps_its_digits_below_the_threshold(k):
+    # C falls to 5.5e-10 at k = 9, where h((1 + sqrt(1 - C^2)) / 2) formed
+    # naively rounds to 0; the remaining error is the dense concurrence's own
+    t = tth_anisotropic(0.0) * (1.0 - 10.0**-k)
+    got = report(thermal_state(ModelParams(gamma=0.0), t)).quantum
+    want = float(mp_reference(0.0, 0.0, 0.0, t)["quantum"])
+    assert abs(got - want) < 1e-7 * want
+
+
 # --- invariants over the full parameter box ----------------------------------
 
 
@@ -182,6 +193,11 @@ def test_bounds_and_exact_split():
     assert np.all(out["quantum"] >= -1e-15) and np.all(out["quantum"] <= 1.0 + 1e-15)
 
 
+def test_quantum_is_the_formation_of_its_own_concurrence():
+    out = closed_form_correlations(*_box())
+    assert np.array_equal(out["quantum"], formation_from_concurrence(out["concurrence"]))
+
+
 def test_no_output_is_negative_zero():
     for out in (closed_form_correlations(*_box()), closed_form_correlations(GAMMAS, 1e200, 1e200, 1.0)):
         for name in OUTPUTS:
@@ -211,6 +227,8 @@ def test_results_broadcast():
         ((0.0, 0.0, 0.0, [1.0, 0.0]), "temperature"),
         ((0.0, 0.0, 0.0, 1.0, np.inf), "j"),
         ((0.0, 0.0, 0.0, 1.0, -1.0), "j"),
+        ((0.0, 1e308, 1e308, 1.0), r"b1 \+ b2"),
+        ((0.0, [0.0, 1e308], -1e308, 1.0), "b1 - b2"),
     ],
 )
 def test_rejects_inputs_outside_the_domain(args, name):

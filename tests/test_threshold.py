@@ -104,8 +104,6 @@ def test_numeric_threshold_none_when_never_entangled():
 def test_numeric_threshold_argument_checks():
     with pytest.raises(DomainError):
         tth_numeric(ModelParams(gamma=0.0), 0.0)
-    with pytest.raises(ValueError):
-        tth_numeric(ModelParams(gamma=0.0), 5.0, scan_points=1)
 
 
 def test_numeric_threshold_rejects_non_finite_range():
