@@ -208,7 +208,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        print(f"[{r.suite:8s}] {r.name:<{width}s}  residual {r.residual:.3e}  {status}  ({r.detail})")
+        print(
+            f"[{r.suite:8s}] {r.name:<{width}s}  residual {r.residual:.3e}  bound {r.bound:.1e}"
+            f"  {status}  ({r.detail})"
+        )
     failed = [r for r in results if not r.passed]
     if failed:
         worst = max(failed, key=lambda r: abs(r.residual))

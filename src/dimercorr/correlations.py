@@ -52,6 +52,7 @@ _SIGMA_YY = kron(pauli("y"), pauli("y")).real  # entries are +-1 on the antidiag
 
 MAX_ENSEMBLE = 8
 _BLOCK = 2048  # decompositions drawn per block in sample_decomposition_average
+_SUB_BATCH = 256  # decompositions orthonormalised and evaluated at once
 
 
 def _scalar(x):
@@ -105,6 +106,11 @@ def mutual_information(rho: np.ndarray) -> float:
     return _scalar(_mutual_information(rho, np.linalg.eigvalsh(rho)))
 
 
+def _sigma_yy_form(rows: np.ndarray) -> np.ndarray:
+    """The complex-symmetric tau = R (sy x sy) R^T of a (..., k, 4) stack of rows R."""
+    return rows @ _SIGMA_YY @ rows.swapaxes(-1, -2)
+
+
 def _concurrence(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Wootters concurrence of validated states with eigenpairs (values, vectors).
 
@@ -115,7 +121,7 @@ def _concurrence(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     a square root of eigenvalue noise.
     """
     x = vectors * np.sqrt(np.clip(values, 0.0, None))[..., None, :]
-    lam = np.linalg.svd(x.swapaxes(-1, -2) @ _SIGMA_YY @ x, compute_uv=False)  # descending
+    lam = np.linalg.svd(_sigma_yy_form(x.swapaxes(-1, -2)), compute_uv=False)  # descending
     return np.clip(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0, 1.0)
 
 
@@ -190,26 +196,30 @@ def _separable_ppt(rho: np.ndarray) -> np.ndarray:
 
 
 def _orthonormal_columns(z: np.ndarray, k: int) -> np.ndarray:
-    """First ``k`` columns of the Q factor of z = QR (per matrix of a stack), R with positive diagonal.
+    """First ``k`` columns of the Q factor of z = QR, R with positive diagonal.
 
-    Gram-Schmidt with one reorthogonalisation pass, which keeps the columns
+    ``z`` holds its columns on the leading axis: z[i] is column i, of shape
+    (n, ...) for n x n matrices stacked along the trailing axes.  Q comes
+    back the same way, so every dot product is an elementwise product of
+    such arrays summed over their first axis.
+    Gram-Schmidt with one reorthogonalisation pass keeps the columns
     orthonormal to roundoff; this Q is unique, so it is the Q of a QR
     factorisation with its phases fixed.
     """
-    q = np.empty(z.shape[:-1] + (k,), dtype=complex)
+    q = np.empty((k,) + z.shape[1:], dtype=complex)
     for i in range(k):
-        v = z[..., i]
-        for _ in range(2):
-            coeffs = np.einsum("...ji,...j->...i", q[..., :i].conj(), v)
-            v = v - np.einsum("...ji,...i->...j", q[..., :i], coeffs)
-        q[..., i] = v / np.sqrt(np.einsum("...j,...j->...", v, v.conj()).real)[..., None]
+        v = z[i]
+        for _ in range(2 if i else 0):
+            coeffs = (q[:i].conj() * v).sum(axis=1)
+            v = v - (q[:i] * coeffs[:, None]).sum(axis=0)
+        q[i] = v / np.sqrt((v.real * v.real + v.imag * v.imag).sum(axis=0))
     return q
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary: the phase-fixed Q factor of a complex Ginibre matrix."""
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    return _orthonormal_columns(z / math.sqrt(2.0), dim)
+    return _orthonormal_columns(z.T / math.sqrt(2.0), dim).T
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int = 4, size: int | None = None) -> np.ndarray:
@@ -220,9 +230,12 @@ def random_density_matrix(rng: np.random.Generator, dim: int = 4, size: int | No
     """
     lead = () if size is None else (size,)
     z = rng.standard_normal((*lead, 2, dim, dim))
-    g = z[..., 0, :, :] + 1j * z[..., 1, :, :]
+    g = np.empty((*lead, dim, dim), dtype=complex)
+    g.real, g.imag = z[..., 0, :, :], z[..., 1, :, :]
+    del z  # freed before the product, which needs g, its conjugate and rho
     rho = g @ g.conj().swapaxes(-1, -2)
-    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+    return rho
 
 
 @dataclass(frozen=True)
@@ -290,6 +303,39 @@ def average_entanglement(ensemble: Ensemble) -> float:
     return float(ensemble.probabilities @ _pure_entanglement(ensemble.states))
 
 
+def _ginibre_blocks(rng: np.random.Generator, samples: int, size: int):
+    """Real and imaginary parts of ``samples`` complex Ginibre ``size`` x ``size`` matrices.
+
+    Yields (2, block, size, size) arrays of up to _BLOCK matrices each, all
+    views of one reused buffer, drawn from ``rng`` exactly as the two calls
+    ``rng.standard_normal((block, size, size))`` per block would draw them.
+    """
+    buffer = np.empty(2 * min(samples, _BLOCK) * size * size)
+    for start in range(0, samples, _BLOCK):
+        block = min(_BLOCK, samples - start)
+        draws = buffer[: 2 * block * size * size].reshape(2, block, size, size)
+        rng.standard_normal(out=draws)
+        yield draws
+
+
+def _least_averages(u, norms, coeffs, first, second) -> np.ndarray:
+    """Smallest average entanglement of each state over one batch of decompositions.
+
+    u[k, j, b] is member j's amplitude on eigenrow k in draw b, ``norms``
+    (states, rank) holds |R_k|^2 and ``coeffs`` (states, pairs) the
+    coefficients of u^T tau u on the pair products u_k u_l, k <= l, with k
+    and l listed by the index arrays ``first`` and ``second``.
+    """
+    probs = norms @ (u.real * u.real + u.imag * u.imag).reshape(len(u), -1)  # (states, members x draws)
+    products = np.empty((len(first),) + u.shape[1:], dtype=complex)
+    for row, (i, j) in enumerate(zip(first, second)):
+        np.multiply(u[i], u[j], out=products[row])
+    quad = np.abs(coeffs @ products.reshape(len(first), -1))
+    c = np.minimum(quad / np.where(probs > 0.0, probs, 1.0), 1.0)
+    averages = (probs * _formation(c)).reshape(len(norms), u.shape[1], -1).sum(axis=1)
+    return averages.min(axis=1)
+
+
 def sample_decomposition_average(
     rho: np.ndarray,
     ensemble_size: int,
@@ -304,26 +350,30 @@ def sample_decomposition_average(
     result can never fall below it (up to roundoff); the gap shrinks as
     ``samples`` grows.  For a (..., 4, 4) stack the result is an array, and
     every state is decomposed with the same Haar draws (the same ``seed``).
+
+    A member is psi = u R, with R the weighted eigenrows and u a row of a
+    Haar isometry, so no member is ever built: its weight is
+    p = sum_k |u_k|^2 |R_k|^2 (the rows are orthogonal) and its concurrence
+    2 |det A| = |psi^T (sy x sy) psi| / p = |u^T tau u| / p, with the tau of
+    _concurrence.  u^T tau u is one product of tau's coefficients, for
+    every state at once, against the pair products u_k u_l (k <= l).
     """
     rho = check_density_matrix(rho, 4)
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     basis, rank = _weighted_eigenrows(rho, ensemble_size)
     rows = basis.reshape(-1, rank, 4)
-    rng = np.random.default_rng(seed)
+    norms = (rows.real * rows.real + rows.imag * rows.imag).sum(axis=-1)  # (states, rank)
+    first, second = np.triu_indices(rank)
+    coeffs = _sigma_yy_form(rows)[:, first, second] * np.where(first == second, 1.0, 2.0)  # (states, pairs)
 
     best = np.full(len(rows), np.inf)
-    for start in range(0, samples, _BLOCK):
-        block = min(_BLOCK, samples - start)
-        shape = (block, ensemble_size, ensemble_size)
-        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        isometries = _orthonormal_columns(z, rank)
-        for i, state_rows in enumerate(rows):  # one state at a time keeps the block's arrays small
-            members = isometries @ state_rows  # (block, m, 4)
-            probs = np.einsum("bmj,bmj->bm", members, members.conj()).real
-            norms = np.sqrt(np.where(probs > 0, probs, 1.0))
-            flat = (members / norms[:, :, None]).reshape(-1, 4)
-            entanglements = _pure_entanglement(flat).reshape(block, ensemble_size)
-            averages = np.einsum("bm,bm->b", probs, entanglements)
-            best[i] = min(best[i], averages.min())
+    columns = np.empty((ensemble_size, ensemble_size, _SUB_BATCH), dtype=complex)
+    for draws in _ginibre_blocks(np.random.default_rng(seed), samples, ensemble_size):
+        for start in range(0, draws.shape[1], _SUB_BATCH):
+            part = draws[:, start : start + _SUB_BATCH].transpose(0, 3, 2, 1)  # column, row, draw
+            z = columns[..., : part.shape[-1]]
+            z.real, z.imag = part
+            least = _least_averages(_orthonormal_columns(z, rank), norms, coeffs, first, second)
+            np.minimum(best, least, out=best)
     return _scalar(best.reshape(rho.shape[:-2]))

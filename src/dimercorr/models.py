@@ -130,15 +130,20 @@ def _x_form(gamma, b1, b2, tau) -> _XForm:
     # diagonal weight of the basis state the upper level leans toward, and of the other
     upper_side = 0.5 * (p_hi * (2.0 - one_minus_cos) + p_lo * one_minus_cos)
     lower_side = 0.5 * (p_hi * one_minus_cos + p_lo * (2.0 - one_minus_cos))
+    # (p_lo - p_hi) sin(theta) / 2 = (p_lo - p_hi) gap / 2r with p_lo - p_hi =
+    # p_lo (1 - e^{-2r/tau}), kept exact for small r / tau; where 2r overflows
+    # (|b1 - b2| past ~9e307) the numerator is divided by r and then halved,
+    # which only there rounds a subnormal result twice
+    numerator = -p_lo * np.expm1(-split) * gap
+    twice_r = 2.0 * r_safe
+    coherence = np.where(np.isfinite(twice_r), numerator / twice_r, numerator / r_safe * 0.5)
     return _XForm(
         levels=levels,
         populations=populations,
         one_minus_cos=one_minus_cos,
         rho22=np.where(delta >= 0.0, upper_side, lower_side),
         rho33=np.where(delta >= 0.0, lower_side, upper_side),
-        # (p_lo - p_hi) sin(theta) / 2 with p_lo - p_hi = p_lo (1 - e^{-2r/tau}),
-        # kept exact for small r / tau
-        coherence=-p_lo * np.expm1(-split) * gap / (2.0 * r_safe),
+        coherence=coherence,
         corners=np.exp(-0.5 * (x[0] + x[1])) / z,
     )
 

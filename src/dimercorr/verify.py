@@ -1,9 +1,11 @@
 """Self-check suites pairing closed forms with independent numeric routes.
 
-Each suite returns CheckResult records; a residual below its bound means
-the two routes agree.  The gibbs and wootters suites draw from the full
-parameter box: gamma in [-1, 1], |b1|, |b2| <= 5 and T in [0.02, 5].  The suites are what the ``verify`` CLI subcommand
-runs, and the test suite reuses them.
+Each suite returns CheckResult records, each with its residual and the
+bound it is held to: the routes agree when the residual stays below the
+bound (the ppt count at it, the ensemble gap at or above it).  The gibbs
+and wootters suites draw from the full parameter box: gamma in [-1, 1],
+|b1|, |b2| <= 5 and T in [0.02, 5].  The suites are what the ``verify``
+CLI subcommand runs, and the test suite reuses them.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ class CheckResult:
     name: str
     passed: bool
     residual: float
+    bound: float
     detail: str
 
 
@@ -62,6 +65,7 @@ def check_gibbs_equivalence(samples: int = 200, seed: int = 7) -> CheckResult:
         name="analytic vs numeric thermal state",
         passed=worst < GIBBS_TOL,
         residual=worst,
+        bound=GIBBS_TOL,
         detail=f"max entrywise deviation over {samples} random box points",
     )
 
@@ -87,6 +91,7 @@ def check_wootters_closed_form() -> list[CheckResult]:
             name=name,
             passed=float(part.max()) < WOOTTERS_TOL,
             residual=float(part.max()),
+            bound=WOOTTERS_TOL,
             detail=detail,
         )
         for name, part, detail in checks
@@ -106,6 +111,7 @@ def check_ppt_agreement(samples: int = 1000, seed: int = 7) -> CheckResult:
         name="concurrence vs partial-transpose criterion",
         passed=disagreements == 0,
         residual=float(disagreements),
+        bound=0.0,
         detail=f"disagreements over {samples} random density matrices",
     )
 
@@ -120,7 +126,8 @@ def check_ensemble_bound(samples: int = 10000, seed: int = 7) -> CheckResult:
         name="sampled decomposition average vs formation floor",
         passed=worst_gap >= -ENSEMBLE_TOL,
         residual=worst_gap,
-        detail=f"worst (average - E_f) over 5 states x {samples} samples",
+        bound=-ENSEMBLE_TOL,
+        detail=f"worst (average - E_f) over 5 states x {samples} samples; must not fall below the bound",
     )
 
 

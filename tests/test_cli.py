@@ -189,7 +189,8 @@ def test_verify_runs_clean(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "gibbs", "--samples", "20")
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
-    assert "all" in out and "passed" in out
+    assert "  bound 1.0e-10  PASS  " in out  # each line shows the bound beside the residual
+    assert out.splitlines()[-1] == "all 1 checks passed"
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):
@@ -219,6 +220,9 @@ def test_console_script_entry_point():
         # (b1 - b2)^2 overflows; the |dd> level stays degenerate with the
         # lower mixed level, and C = sin(theta) / 2 = 1e-160 (700-digit mpmath)
         pytest.param(["point", "--b1", "1e160", "--b2", "0", "--temp", "1"], 1, 1e-160, id="point"),
+        # 2r overflows; C = sin(theta) / 2 = 1e-308 all the same
+        pytest.param(["point", "--b1", "1e308", "--b2", "0", "--temp", "1"], 1, 1e-308, id="point-2r-overflows"),
+        pytest.param(["point", "--b1", "-1e308", "--b2", "0", "--temp", "1"], 1, 1e-308, id="point-2r-overflows-neg"),
     ],
 )
 def test_extreme_field_to_temperature_ratio_runs_without_warnings(argv, rows, concurrence):

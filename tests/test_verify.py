@@ -1,5 +1,7 @@
 """Cross-check suites used by the verify subcommand."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ def test_suite_names():
 def test_gibbs_check_passes():
     result = check_gibbs_equivalence(samples=50, seed=3)
     assert result.passed
-    assert result.residual < 1e-10
+    assert result.residual < result.bound == 1e-10
     assert result.suite == "gibbs"
 
 
@@ -60,11 +62,26 @@ def test_run_suites_rejects_samples_below_one(samples):
 
 
 def test_ensemble_gap_is_kept():
-    # the five states share one stream of Haar draws; Gram-Schmidt and the
-    # phase-fixed QR give the same unitaries, so the gap is unchanged
+    # the five states share one stream of Haar draws; the Gram-Schmidt
+    # isometries and the members' weights and concurrences depend on the
+    # order of their sums only at roundoff, so the gap stays at its pin
     result = check_ensemble_bound()
     assert result.passed
     assert abs(result.residual - 0.03783709843670115) < 1e-12
+    assert result.bound == -1e-9
+
+
+def test_ensemble_check_has_a_small_fixed_working_set():
+    # 10,000 draws pass through one 2,048-draw buffer (0.5 MB) and 256-draw
+    # batches, so the peak does not grow with the sample count
+    check_ensemble_bound(samples=1)  # one-time allocations of the first call
+    tracemalloc.start()
+    try:
+        check_ensemble_bound()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
 
 
 LAPACK_BACKED = (
