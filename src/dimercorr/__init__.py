@@ -7,111 +7,77 @@ threshold temperatures where the thermal entanglement vanishes, grid
 sweeps with qualitative shape detectors, and independent cross-checks.
 """
 
-from .correlations import (
-    CorrelationReport,
-    Ensemble,
-    average_entanglement,
-    classical_correlation,
-    concurrence,
-    entanglement_of_formation,
-    formation_from_concurrence,
-    is_separable_ppt,
-    mutual_information,
-    random_density_matrix,
-    random_ensemble,
-    random_unitary,
-    report,
-    sample_decomposition_average,
-    von_neumann_entropy,
-)
-from .exceptions import DomainError, ValidationError
-from .matkernel import (
-    EigenSystem,
-    check_density_matrix,
-    gibbs,
-    hermitian_eig,
-    is_hermitian,
-    is_psd,
-    is_unit_trace,
-    kron,
-    partial_trace,
-    partial_transpose,
-    pauli,
-)
-from .models import (
-    EigenPair,
-    ModelParams,
-    analytic_eigensystem,
-    build_hamiltonian,
-    closed_form_correlations,
-    concurrence_analytic,
-    ground_state_limit,
-    thermal_state,
-    thermal_state_analytic,
-)
-from .sweep import (
-    Axis,
-    SweepSpec,
-    SweepTable,
-    count_peaks,
-    detect_quantum_exceeds_classical,
-    detect_zero_plateau,
-    run_sweep,
-)
-from .threshold import ThresholdPoint, threshold_curve, tth_anisotropic, tth_numeric
-from .verify import CheckResult, run_suites
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Axis",
-    "CheckResult",
-    "CorrelationReport",
-    "DomainError",
-    "EigenPair",
-    "EigenSystem",
-    "Ensemble",
-    "ModelParams",
-    "SweepSpec",
-    "SweepTable",
-    "ThresholdPoint",
-    "ValidationError",
-    "analytic_eigensystem",
-    "average_entanglement",
-    "build_hamiltonian",
-    "check_density_matrix",
-    "classical_correlation",
-    "closed_form_correlations",
-    "concurrence",
-    "concurrence_analytic",
-    "count_peaks",
-    "detect_quantum_exceeds_classical",
-    "detect_zero_plateau",
-    "entanglement_of_formation",
-    "formation_from_concurrence",
-    "gibbs",
-    "ground_state_limit",
-    "hermitian_eig",
-    "is_hermitian",
-    "is_psd",
-    "is_separable_ppt",
-    "is_unit_trace",
-    "kron",
-    "mutual_information",
-    "partial_trace",
-    "partial_transpose",
-    "pauli",
-    "random_density_matrix",
-    "random_ensemble",
-    "random_unitary",
-    "report",
-    "run_suites",
-    "run_sweep",
-    "sample_decomposition_average",
-    "thermal_state",
-    "thermal_state_analytic",
-    "threshold_curve",
-    "tth_anisotropic",
-    "tth_numeric",
-    "von_neumann_entropy",
-]
+# Each public name -> the submodule that defines it.  ``import dimercorr``
+# loads none of these submodules (and so no numpy): a name's submodule is
+# imported on its first access, through __getattr__ below (PEP 562).
+_SUBMODULE = {
+    "CorrelationReport": "correlations",
+    "Ensemble": "correlations",
+    "average_entanglement": "correlations",
+    "classical_correlation": "correlations",
+    "concurrence": "correlations",
+    "entanglement_of_formation": "correlations",
+    "formation_from_concurrence": "correlations",
+    "is_separable_ppt": "correlations",
+    "mutual_information": "correlations",
+    "random_density_matrix": "correlations",
+    "random_ensemble": "correlations",
+    "random_unitary": "correlations",
+    "report": "correlations",
+    "sample_decomposition_average": "correlations",
+    "von_neumann_entropy": "correlations",
+    "DomainError": "exceptions",
+    "ValidationError": "exceptions",
+    "EigenSystem": "matkernel",
+    "check_density_matrix": "matkernel",
+    "gibbs": "matkernel",
+    "hermitian_eig": "matkernel",
+    "is_hermitian": "matkernel",
+    "is_psd": "matkernel",
+    "is_unit_trace": "matkernel",
+    "kron": "matkernel",
+    "partial_trace": "matkernel",
+    "partial_transpose": "matkernel",
+    "pauli": "matkernel",
+    "EigenPair": "models",
+    "ModelParams": "models",
+    "analytic_eigensystem": "models",
+    "build_hamiltonian": "models",
+    "closed_form_correlations": "models",
+    "concurrence_analytic": "models",
+    "ground_state_limit": "models",
+    "thermal_state": "models",
+    "thermal_state_analytic": "models",
+    "Axis": "sweep",
+    "SweepSpec": "sweep",
+    "SweepTable": "sweep",
+    "count_peaks": "sweep",
+    "detect_quantum_exceeds_classical": "sweep",
+    "detect_zero_plateau": "sweep",
+    "run_sweep": "sweep",
+    "ThresholdPoint": "threshold",
+    "threshold_curve": "threshold",
+    "tth_anisotropic": "threshold",
+    "tth_numeric": "threshold",
+    "CheckResult": "verify",
+    "run_suites": "verify",
+}
+
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    module = _SUBMODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip __getattr__
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

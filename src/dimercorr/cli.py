@@ -1,22 +1,27 @@
 """Command-line interface: point, sweep, threshold, verify.
 
-Exit codes: 0 on success, 2 for usage errors, 3 for domain or validation
-errors, 4 when a verification suite fails.
+Exit codes: 0 on success, 2 for usage errors (an oversized grid that does
+not fit in memory included), 3 for domain or validation errors, 4 when a
+verification suite fails.
+
+The module loads per subcommand: at import it needs only the parser's name
+tables, and each subcommand imports the modules it runs when it runs.  So
+``threshold``, a pure-``math`` bisection, never loads numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .exceptions import DomainError, ValidationError
-from .models import ModelParams, closed_form_correlations
-from .sweep import AXIS_NAMES, RECORD_COLUMNS, Axis, SweepSpec, SweepTable, run_sweep
-from .threshold import threshold_curve
-from .verify import SUITES, run_suites
+from .names import AXIS_NAMES, RECORD_COLUMNS, SUITES
+
+if TYPE_CHECKING:
+    from .models import ModelParams
+    from .sweep import Axis, SweepTable
 
 __all__ = ["build_parser", "entry", "main"]
 
@@ -39,11 +44,16 @@ def _parse_axis(text: str) -> Axis:
         points = int(parts[2])
     except ValueError:
         raise ValueError(f"could not parse axis numbers in {text!r}") from None
+    from .sweep import Axis
+
     return Axis(name=name, start=start, stop=stop, points=points)
 
 
-def _parse_range(text: str) -> np.ndarray:
-    """Parse ``start:stop:points``; a single value needs start == stop, points 1."""
+def _parse_range(text: str) -> list[float]:
+    """Parse ``start:stop:points`` into the grid np.linspace would give, bit for bit.
+
+    A single value needs start == stop and points 1.
+    """
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"range must look like start:stop:points, got {text!r}")
@@ -52,7 +62,7 @@ def _parse_range(text: str) -> np.ndarray:
         points = int(parts[2])
     except ValueError:
         raise ValueError(f"could not parse range numbers in {text!r}") from None
-    if not np.isfinite([start, stop]).all():
+    if not (math.isfinite(start) and math.isfinite(stop)):
         raise DomainError(f"range needs finite endpoints, got {text!r}")
     if points < 1:
         raise ValueError(f"range needs at least 1 point, got {points}")
@@ -60,10 +70,22 @@ def _parse_range(text: str) -> np.ndarray:
         raise ValueError("a single-point range needs start == stop")
     if points > 1 and not start < stop:
         raise ValueError(f"range needs start < stop, got {text!r}")
-    return np.linspace(start, stop, points)
+    delta = stop - start
+    if not math.isfinite(delta):
+        raise DomainError(f"range needs a finite span stop - start, got {text!r}")
+    if points == 1:
+        return [start + 0.0]  # np.linspace adds start to 0 * delta
+    grid = [stop] * points  # allocated whole, as np.linspace does: a size too large fails at once
+    div = points - 1
+    step = delta / div
+    for i in range(div):  # where the step underflows to 0, np.linspace scales by delta last
+        grid[i] = (i * step if step else i / div * delta) + start
+    return grid
 
 
 def _base_params(model: str, gamma: float | None, b1: float, b2: float) -> ModelParams:
+    from .models import ModelParams
+
     if model == "heisenberg":
         if b1 != 0.0 or b2 != 0.0:
             raise DomainError("model 'heisenberg' requires b1 = b2 = 0")
@@ -90,15 +112,12 @@ _NUMBERS = ",".join([_NUMBER] * len(RECORD_COLUMNS))  # one record's values
 _JSON_RECORD = "    {\n" + ",\n".join(f'      "{name}": %s' for name in RECORD_COLUMNS) + "\n    }"
 
 
-def _numbers(values) -> list[float]:
-    """Values as a flat list of Python floats, with -0.0 folded into 0."""
-    return (np.asarray(values, dtype=float).ravel() + 0.0).tolist()
-
-
 def _record_columns(columns: dict) -> list[list[float]]:
-    """The record columns in RECORD_COLUMNS order, broadcast against each other and flattened."""
+    """The record columns in RECORD_COLUMNS order, broadcast, flattened, -0.0 folded into 0."""
+    import numpy as np
+
     arrays = np.broadcast_arrays(*(np.asarray(columns[name], dtype=float) for name in RECORD_COLUMNS))
-    return [_numbers(a) for a in arrays]
+    return [(a.ravel() + 0.0).tolist() for a in arrays]
 
 
 def _fill(record: str, columns: list[list], sep: str = "") -> str:
@@ -126,6 +145,8 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _cmd_point(args: argparse.Namespace) -> int:
+    from .models import closed_form_correlations
+
     params = _base_params(args.model, args.gamma, args.b1, args.b2)
     columns = {"T": args.temp, "gamma": params.gamma, "b1": params.b1, "b2": params.b2}
     columns.update(closed_form_correlations(params.gamma, params.b1, params.b2, args.temp, params.j))
@@ -134,6 +155,8 @@ def _cmd_point(args: argparse.Namespace) -> int:
 
 
 def _table_to_json(table: SweepTable) -> str:
+    import json
+
     spec = table.spec
     axes = [
         {"name": a.name, "start": a.start, "stop": a.stop, "points": a.points}
@@ -168,6 +191,8 @@ def _table_to_json(table: SweepTable) -> str:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .sweep import SweepSpec, run_sweep
+
     params = _base_params(args.model, args.gamma, args.b1, args.b2)
     axes = [_parse_axis(text) for text in args.axis]
     if not 1 <= len(axes) <= 2:
@@ -192,11 +217,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
-    gammas = _parse_range(args.gamma)
-    points = threshold_curve(gammas)
+    from .threshold import threshold_curve
+
+    points = threshold_curve(_parse_range(args.gamma))
     columns = [
-        _numbers([pt.gamma for pt in points]),
-        _numbers([pt.t_th for pt in points]),
+        [pt.gamma + 0.0 for pt in points],
+        [pt.t_th + 0.0 for pt in points],
         ["true" if pt.degenerate else "false" for pt in points],
     ]
     _write_output("gamma,t_th,degenerate\n" + _fill(f"{_NUMBER},{_NUMBER},%s\n", columns), args.output)
@@ -204,6 +230,8 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_suites
+
     results = run_suites(args.suite, seed=args.seed, samples=args.samples)
     width = max(len(r.name) for r in results)
     for r in results:
@@ -325,6 +353,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DOMAIN
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a grid or sample count too large to allocate
+        print(f"error: not enough memory: {str(exc) or 'the request is too large'}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -16,6 +16,7 @@ import numpy as np
 from .exceptions import DomainError
 from .matkernel import check_positive_finite
 from .models import ModelParams, closed_form_correlations
+from .names import AXIS_NAMES, AXIS_WRITES, RECORD_COLUMNS
 
 __all__ = [
     "AXIS_NAMES",
@@ -29,22 +30,8 @@ __all__ = [
     "run_sweep",
 ]
 
-# (column, sign) pairs each axis writes; two axes must not share a column.
-_AXIS_WRITES = {
-    "T": (("T", 1.0),),
-    "gamma": (("gamma", 1.0),),
-    "b1": (("b1", 1.0),),
-    "b2": (("b2", 1.0),),
-    "b_uniform": (("b1", 1.0), ("b2", 1.0)),
-    "b_anti": (("b1", 1.0), ("b2", -1.0)),
-}
-AXIS_NAMES = tuple(_AXIS_WRITES)
-
-RECORD_COLUMNS = ("T", "gamma", "b1", "b2", "total", "quantum", "classical", "concurrence")
-
-
 def _targets(axis: Axis) -> set[str]:
-    return {column for column, _ in _AXIS_WRITES[axis.name]}
+    return {column for column, _ in AXIS_WRITES[axis.name]}
 
 
 @dataclass(frozen=True)
@@ -57,7 +44,7 @@ class Axis:
     points: int
 
     def __post_init__(self) -> None:
-        if self.name not in _AXIS_WRITES:
+        if self.name not in AXIS_WRITES:
             raise ValueError(f"unknown axis {self.name!r}; choose from {', '.join(AXIS_NAMES)}")
         for end in (self.start, self.stop):
             if not math.isfinite(end):
@@ -66,6 +53,8 @@ class Axis:
             raise ValueError(f"axis {self.name!r} needs at least 2 points, got {self.points}")
         if not self.start < self.stop:
             raise ValueError(f"axis {self.name!r} needs start < stop, got {self.start}:{self.stop}")
+        if not math.isfinite(self.stop - self.start):
+            raise DomainError(f"axis {self.name!r} needs a finite span, got {self.start}:{self.stop}")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.points)
@@ -143,7 +132,7 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepTable:
     fixed = {"T": base_t, "gamma": base.gamma, "b1": base.b1, "b2": base.b2}
     columns = {name: np.full(mesh[0].size, value, dtype=float) for name, value in fixed.items()}
     for axis, values in zip(axes, mesh):
-        for name, sign in _AXIS_WRITES[axis.name]:
+        for name, sign in AXIS_WRITES[axis.name]:
             columns[name] = sign * values.ravel()
     columns.update(
         closed_form_correlations(columns["gamma"], columns["b1"], columns["b2"], columns["T"], base.j)

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .exceptions import DomainError
-from .matkernel import check_positive_finite
-from .models import ModelParams, closed_form_correlations
+
+if TYPE_CHECKING:
+    from .models import ModelParams
 
 __all__ = [
     "ThresholdPoint",
@@ -98,6 +98,12 @@ def tth_numeric(p: ModelParams, t_max: float) -> float | None:
     when no transition exists in the range.  Multiple transitions trigger a
     warning and the largest is returned.
     """
+    # imported here: the zero-field threshold needs neither numpy nor the kernel
+    import numpy as np
+
+    from .matkernel import check_positive_finite
+    from .models import closed_form_correlations
+
     check_positive_finite(t_max, "t_max")
 
     def entangled(t):

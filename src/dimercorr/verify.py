@@ -24,6 +24,7 @@ from .correlations import (
 )
 from .matkernel import check_density_matrix
 from .models import ModelParams, closed_form_correlations, thermal_state, thermal_state_analytic
+from .names import SUITES
 
 __all__ = [
     "CheckResult",
@@ -129,9 +130,6 @@ def check_ensemble_bound(samples: int = 10000, seed: int = 7) -> CheckResult:
         bound=-ENSEMBLE_TOL,
         detail=f"worst (average - E_f) over 5 states x {samples} samples; must not fall below the bound",
     )
-
-
-SUITES = ("gibbs", "wootters", "ppt", "ensemble")
 
 
 def run_suites(

@@ -10,7 +10,6 @@ import warnings
 import numpy as np
 import pytest
 
-from dimercorr import cli
 from dimercorr.cli import CSV_HEADER, main
 from dimercorr.models import ModelParams, closed_form_correlations
 from dimercorr.sweep import RECORD_COLUMNS, Axis, SweepSpec, run_sweep
@@ -294,12 +293,35 @@ def test_point_and_sweep_print_the_same_row(capsys):
 
 
 def test_import_does_not_load_scipy_signal():
-    proc = subprocess.run(
-        [sys.executable, "-c", "import dimercorr, sys; assert 'scipy.signal' not in sys.modules"],
-        capture_output=True,
-        text=True,
-    )
+    code = "import dimercorr, sys; assert 'scipy.signal' not in sys.modules; assert 'numpy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_threshold_does_not_load_numpy():
+    code = (
+        "import sys; from dimercorr import cli; "
+        "assert cli.main(['threshold', '--gamma', '-1:0.99:100']) == 0; "
+        "assert 'numpy' not in sys.modules"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_lazy_namespace_resolves_every_public_name():
+    import importlib
+
+    import dimercorr
+
+    for name in dimercorr.__all__:
+        module = importlib.import_module(f"dimercorr.{dimercorr._SUBMODULE[name]}")
+        assert getattr(dimercorr, name) is getattr(module, name), name
+    assert set(dimercorr.__all__) <= set(dir(dimercorr))
+    star: dict = {}
+    exec("from dimercorr import *", star)
+    assert all(star[name] is getattr(dimercorr, name) for name in dimercorr.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        dimercorr.no_such_name
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])
@@ -384,7 +406,11 @@ def test_point_bytes_match_the_oracle(capsys, tmp_path):
     assert out.splitlines()[1].startswith("0.3,-1,0,0.5,")
 
 
-@pytest.mark.parametrize("gammas", ["-1:0.99:100", "-1:1:5"])
+@pytest.mark.parametrize(
+    "gammas",
+    # a single point, a step that underflows to 0, tiny steps across zero, a fine grid
+    ["-1:0.99:100", "-1:1:5", "0.3:0.3:1", "0:5e-324:3", "-1e-300:1e-300:7", "-1:1:1001"],
+)
 def test_threshold_bytes_match_the_oracle(capsys, tmp_path, gammas):
     start, stop, points = gammas.split(":")
     lines = ["gamma,t_th,degenerate"] + [
@@ -424,7 +450,7 @@ def test_hand_built_columns_match_the_oracle(capsys, tmp_path, monkeypatch, colu
         tables.append(dataclasses.replace(run_sweep(spec), columns=columns))
         return tables[-1]
 
-    monkeypatch.setattr(cli, "run_sweep", hand_built)
+    monkeypatch.setattr("dimercorr.sweep.run_sweep", hand_built)
     out = cli_bytes(capsys, tmp_path, "sweep", "--model", "xy", "--temp", "0.5", "--axis", "b1=0:1:2", "--format", fmt)
     assert out == (oracle_json(tables[-1]) if fmt == "json" else oracle_csv(columns))
 
@@ -437,6 +463,8 @@ def test_hand_built_columns_match_the_oracle(capsys, tmp_path, monkeypatch, colu
         ["threshold", "--gamma", "-inf:0:3"],
         ["threshold", "--gamma=-inf:0:3"],
         ["point", "--model", "xy", "--b1", "1e308", "--b2", "1e308", "--temp", "1"],  # b1 + b2 overflows
+        ["threshold", "--gamma", "-1e308:1e308:3"],  # stop - start overflows
+        ["sweep", "--model", "xy", "--temp", "1", "--axis", "b1=-1e308:1e308:3"],
     ],
 )
 def test_negative_non_finite_values_are_domain_errors(capsys, argv):
@@ -446,6 +474,24 @@ def test_negative_non_finite_values_are_domain_errors(capsys, argv):
     assert code == 3
     assert out == ""
     assert "finite" in err
+
+
+@pytest.mark.parametrize(
+    ("target", "argv"),
+    [
+        ("dimercorr.sweep.run_sweep", ["sweep", "--model", "xy", "--temp", "0.3", "--axis", "b1=0:1:100000000000"]),
+        ("dimercorr.verify.run_suites", ["verify", "--suite", "ppt", "--samples", "100000000000"]),
+    ],
+)
+def test_an_impossible_allocation_is_a_usage_error(capsys, monkeypatch, target, argv):
+    def too_large(*args, **kwargs):  # stands in for the allocation; nothing large is attempted
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(target, too_large)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: not enough memory: Unable to allocate 745. GiB for an array\n"
 
 
 @pytest.mark.parametrize(
