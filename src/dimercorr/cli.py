@@ -6,7 +6,8 @@ verification suite fails.
 
 The module loads per subcommand: at import it needs only the parser's name
 tables, and each subcommand imports the modules it runs when it runs.  So
-``threshold``, a pure-``math`` bisection, never loads numpy.
+``point`` and ``sweep`` (the pure-``math`` closed-form kernel) and
+``threshold`` (a pure-``math`` bisection) never load numpy; ``verify`` does.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 import sys
 from typing import TYPE_CHECKING
 
+from .domain import linspace
 from .exceptions import DomainError, ValidationError
 from .names import AXIS_NAMES, RECORD_COLUMNS, SUITES
 
@@ -70,17 +72,9 @@ def _parse_range(text: str) -> list[float]:
         raise ValueError("a single-point range needs start == stop")
     if points > 1 and not start < stop:
         raise ValueError(f"range needs start < stop, got {text!r}")
-    delta = stop - start
-    if not math.isfinite(delta):
+    if not math.isfinite(stop - start):
         raise DomainError(f"range needs a finite span stop - start, got {text!r}")
-    if points == 1:
-        return [start + 0.0]  # np.linspace adds start to 0 * delta
-    grid = [stop] * points  # allocated whole, as np.linspace does: a size too large fails at once
-    div = points - 1
-    step = delta / div
-    for i in range(div):  # where the step underflows to 0, np.linspace scales by delta last
-        grid[i] = (i * step if step else i / div * delta) + start
-    return grid
+    return linspace(start, stop, points)
 
 
 def _base_params(model: str, gamma: float | None, b1: float, b2: float) -> ModelParams:
@@ -113,11 +107,21 @@ _JSON_RECORD = "    {\n" + ",\n".join(f'      "{name}": %s' for name in RECORD_C
 
 
 def _record_columns(columns: dict) -> list[list[float]]:
-    """The record columns in RECORD_COLUMNS order, broadcast, flattened, -0.0 folded into 0."""
-    import numpy as np
+    """The record columns in RECORD_COLUMNS order as float lists, -0.0 folded into 0.
 
-    arrays = np.broadcast_arrays(*(np.asarray(columns[name], dtype=float) for name in RECORD_COLUMNS))
-    return [(a.ravel() + 0.0).tolist() for a in arrays]
+    A column is a number or a 0-d array, repeated on every row, or a
+    one-dimensional sequence; sequences of length 1 stretch to the others.
+    """
+    values = []
+    for name in RECORD_COLUMNS:
+        try:
+            values.append([float(v) + 0.0 for v in columns[name]])
+        except TypeError:  # a number or a 0-d array: one value for every row
+            values.append([float(columns[name]) + 0.0])
+    rows = max(map(len, values)) if all(values) else 0
+    if any(len(column) not in (1, rows) for column in values):
+        raise ValueError("record columns have different lengths")
+    return [column * rows if len(column) == 1 else column for column in values]
 
 
 def _fill(record: str, columns: list[list], sep: str = "") -> str:

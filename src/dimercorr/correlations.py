@@ -22,13 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError
-from .matkernel import (
-    _partial_trace,
-    _partial_transpose,
-    check_density_matrix,
-    kron,
-    pauli,
-)
+from .matkernel import _partial_trace, _partial_transpose, check_density_matrix
+from .models import _formation as _point_formation
 
 __all__ = [
     "CorrelationReport",
@@ -48,7 +43,9 @@ __all__ = [
     "von_neumann_entropy",
 ]
 
-_SIGMA_YY = kron(pauli("y"), pauli("y")).real  # entries are +-1 on the antidiagonal
+# sy x sy is the antidiagonal matrix with entries -1, 1, 1, -1: as a right
+# factor it reverses a row's entries and flips the sign of the outer two
+_SIGMA_YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
 
 MAX_ENSEMBLE = 8
 _BLOCK = 2048  # decompositions drawn per block in sample_decomposition_average
@@ -107,8 +104,8 @@ def mutual_information(rho: np.ndarray) -> float:
 
 
 def _sigma_yy_form(rows: np.ndarray) -> np.ndarray:
-    """The complex-symmetric tau = R (sy x sy) R^T of a (..., k, 4) stack of rows R."""
-    return rows @ _SIGMA_YY @ rows.swapaxes(-1, -2)
+    """The complex-symmetric tau = R (sy x sy) R^T of a (..., k, 4) stack of rows R, as one matrix product."""
+    return (rows[..., ::-1] * _SIGMA_YY_SIGNS) @ rows.swapaxes(-1, -2)
 
 
 def _concurrence(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -118,9 +115,11 @@ def _concurrence(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     l_i of the spectrum of rho (sy x sy) rho* (sy x sy) are the singular
     values of the complex-symmetric tau = X^T (sy x sy) X.  Taking them
     directly keeps a nearly singular state from losing half its digits to
-    a square root of eigenvalue noise.
+    a square root of eigenvalue noise.  X is built in place in ``vectors``,
+    which the caller must not use afterwards.
     """
-    x = vectors * np.sqrt(np.clip(values, 0.0, None))[..., None, :]
+    x = vectors
+    x *= np.sqrt(np.clip(values, 0.0, None))[..., None, :]
     lam = np.linalg.svd(_sigma_yy_form(x.swapaxes(-1, -2)), compute_uv=False)  # descending
     return np.clip(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0, 1.0)
 
@@ -136,12 +135,16 @@ def concurrence(rho: np.ndarray) -> float:
 
 
 def formation_from_concurrence(c):
-    """Entanglement of formation h((1 + sqrt(1 - C^2)) / 2) for C in [0, 1] (a float or an array)."""
+    """Entanglement of formation h((1 + sqrt(1 - C^2)) / 2) for C in [0, 1] (a float or an array).
+
+    The closed form's own E_f, mapped over an array, so the closed form's
+    quantum is this function of its concurrence, bit for bit.
+    """
     c = np.asarray(c, dtype=float)
     bad = ~((c >= 0.0) & (c <= 1.0))
     if bad.any():
         raise DomainError(f"concurrence must lie in [0, 1], got {c[bad].flat[0]}")
-    return _scalar(_formation(c))
+    return _scalar(np.asarray(np.frompyfunc(_point_formation, 1, 1)(c), dtype=float))
 
 
 def entanglement_of_formation(rho: np.ndarray) -> float:

@@ -14,7 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DomainError, ValidationError
+from .domain import check_positive_finite
+from .exceptions import ValidationError
 
 __all__ = [
     "HERMITIAN_TOL",
@@ -139,18 +140,6 @@ def check_density_matrix(m: np.ndarray, dim: int | None = None) -> np.ndarray:
     return m
 
 
-def check_positive_finite(value, name: str = "temperature") -> None:
-    """Raise DomainError unless every entry of ``value`` is finite and positive.
-
-    Works on scalars and arrays alike; NaN and +-inf are rejected, so they
-    never reach an exponent or an eigensolver.
-    """
-    v = np.asarray(value, dtype=float)
-    bad = ~(np.isfinite(v) & (v > 0.0))
-    if bad.any():
-        raise DomainError(f"{name} must be positive and finite, got {v[bad].flat[0]}")
-
-
 class EigenSystem(NamedTuple):
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
 
@@ -181,8 +170,9 @@ def gibbs(h: np.ndarray, temperature) -> np.ndarray:
     weights are shifted by the ground energy before exponentiating, so the
     construction stays finite at any T > 0.
     """
-    check_positive_finite(temperature)
-    t = np.asarray(temperature, dtype=float)[..., None]
+    t = np.asarray(temperature, dtype=float)
+    check_positive_finite(t)
+    t = t[..., None]
     values, vectors = hermitian_eig(h)
     weights = np.exp(-(values - values[..., :1]) / t)
     weights /= weights.sum(axis=-1, keepdims=True)

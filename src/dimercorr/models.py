@@ -10,21 +10,26 @@ local fields b1, b2 measured in units of J.  Boltzmann's constant is 1, so
 temperatures are energies.  The Hamiltonian conserves total S_z, so every
 thermal state is an X-state.  One closed form for its levels, populations
 and mixing angle (_x_form) gives the eigenpairs, the Gibbs state and the
-correlations for any (gamma, b1, b2) and any T > 0, over whole arrays at
-once; the dense route (thermal_state) is the independent check.
+correlations for any (gamma, b1, b2) and any T > 0; the dense route
+(thermal_state) is the independent check.
+
+The closed form is a scalar kernel in plain ``math``, so ``point`` and
+``sweep`` never load numpy: numpy is imported only by the functions that
+take or return arrays, which map the kernel over their points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from operator import add, sub
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
-from .correlations import _formation, _xlog2x
+from .domain import as_floats, check_positive_finite
 from .exceptions import DomainError
-from .matkernel import check_positive_finite, gibbs, hermitian_eig, kron, pauli
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "EigenPair",
@@ -37,6 +42,10 @@ __all__ = [
     "thermal_state",
     "thermal_state_analytic",
 ]
+
+OUTPUTS = ("total", "quantum", "classical", "concurrence")
+_LN2 = math.log(2.0)
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -57,7 +66,10 @@ class ModelParams:
     j: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_params(self.gamma, self.b1, self.b2, self.j)
+        b1, b2 = self.b1, self.b2
+        if not (isinstance(b1, (int, float)) and isinstance(b2, (int, float))):
+            b1, b2 = _broadcast(b1, b2)
+        _check_params(as_floats(self.gamma), as_floats(b1), as_floats(b2), as_floats(self.j))
 
 
 @dataclass(frozen=True)
@@ -68,33 +80,33 @@ class EigenPair:
     state: np.ndarray
 
 
-_EXCHANGE_XY = kron(pauli("x"), pauli("x")) + kron(pauli("y"), pauli("y"))
-_EXCHANGE_Z = kron(pauli("z"), pauli("z"))
-_FIELD_1 = kron(pauli("z"), np.eye(2))
-_FIELD_2 = kron(np.eye(2), pauli("z"))
-
-
 def build_hamiltonian(p: ModelParams) -> np.ndarray:
     """Dense 4x4 Hamiltonian matrix in the product basis; (..., 4, 4) for array parameters."""
+    import numpy as np
+
+    from .matkernel import kron, pauli
+
+    exchange_xy = kron(pauli("x"), pauli("x")) + kron(pauli("y"), pauli("y"))
+    exchange_z = kron(pauli("z"), pauli("z"))
+    field_1, field_2 = kron(pauli("z"), np.eye(2)), kron(np.eye(2), pauli("z"))
     gamma, b1, b2, j = (np.asarray(v, dtype=float)[..., None, None] for v in (p.gamma, p.b1, p.b2, p.j))
-    exchange = 0.5 * (1.0 - gamma) * _EXCHANGE_XY + 0.5 * (1.0 + gamma) * _EXCHANGE_Z
-    return j * (exchange + (b1 * _FIELD_1 + b2 * _FIELD_2))
+    exchange = 0.5 * (1.0 - gamma) * exchange_xy + 0.5 * (1.0 + gamma) * exchange_z
+    return j * (exchange + (b1 * field_1 + b2 * field_2))
 
 
 class _XForm(NamedTuple):
-    """The Gibbs state of the dimer as an X-state, in units of J; each field broadcasts over the points."""
+    """The Gibbs state of the dimer at one point as an X-state, in units of J."""
 
-    levels: np.ndarray  # (4, ...) |uu>, |dd>, upper and lower mixed level, above the lower mixed level
-    populations: np.ndarray  # (4, ...) Boltzmann populations of those levels
-    one_minus_cos: np.ndarray  # 1 - |cos(theta)| of the |ud>, |du> mixing angle
-    rho22: np.ndarray  # <ud|rho|ud>
-    rho33: np.ndarray  # <du|rho|du>
-    coherence: np.ndarray  # |rho23| = -rho23; rho14 = 0
-    corners: np.ndarray  # sqrt(rho11 rho44), formed without underflow
+    levels: tuple  # |uu>, |dd>, upper and lower mixed level, above the lower mixed level
+    populations: tuple  # Boltzmann populations of those levels
+    one_minus_cos: float  # 1 - |cos(theta)| of the |ud>, |du> mixing angle
+    rho22: float  # <ud|rho|ud>
+    rho33: float  # <du|rho|du>
+    coherence: float  # |rho23| = -rho23; rho14 = 0
+    corners: float  # sqrt(rho11 rho44), formed without underflow
 
 
-@np.errstate(over="ignore")  # a level or product that overflows saturates to +inf
-def _x_form(gamma, b1, b2, tau) -> _XForm:
+def _x_form(gamma: float, b1: float, b2: float, tau: float) -> _XForm:
     """Levels, populations and mixing angle of the Gibbs state at tau = T/J.
 
     H conserves total S_z: |uu> and |dd> are eigenstates at
@@ -102,31 +114,40 @@ def _x_form(gamma, b1, b2, tau) -> _XForm:
     J[-(1+gamma)/2 +- r] with r = sqrt((b1-b2)^2 + (1-gamma)^2),
     cos(theta) = (b1-b2)/r and sin(theta) = (1-gamma)/r.  The upper mixed
     level leans toward |ud> when b1 >= b2.  Every Boltzmann exponent is
-    nonpositive, and one that overflows saturates to -inf, so nothing
-    overflows or warns at any T > 0 and any fields with finite b1 +- b2.
+    nonpositive, and one that overflows saturates to -inf (float * and /
+    saturate to +-inf without raising), so nothing overflows or raises at
+    any T > 0 and any fields with finite b1 +- b2.  A tau that underflows
+    to 0 (T and J each valid, T/J below the smallest float) is a DomainError.
     """
+    if tau == 0.0:
+        raise DomainError("T / j underflows to 0")
     sigma = b1 + b2
     delta = b1 - b2
-    size = np.abs(delta)
+    size = abs(delta)
     gap = 1.0 - gamma  # coupling inside the |ud>, |du> block
-    r = np.hypot(delta, gap)
-    r_safe = np.where(r > 0.0, r, 1.0)  # r = 0 only at gamma = 1, b1 = b2
+    r = abs(complex(delta, gap))  # libm's hypot, as np.hypot
+    r_safe = r if r > 0.0 else 1.0  # r = 0 only at gamma = 1, b1 = b2
     # |uu> and |dd> sit (1+gamma) + r +- sigma above the lower mixed level;
     # writing (1+gamma) + r as 2 + (r - (1-gamma)) = 2 + delta^2 / (r + 1 - gamma)
     # keeps level crossings such as b1 = b2 = 1 exact, where 1/T would
     # amplify any rounding.  Past |delta| ~ 1.3e154, where delta^2
     # overflows, the ratio is formed one factor at a time.
     square = delta * delta
-    lift = 2.0 + np.where(np.isfinite(square), square / (r_safe + gap), size * (size / (r_safe + gap)))
-    levels = np.stack([lift + sigma, lift - sigma, 2.0 * r, np.zeros_like(r)])
-    x = (levels - levels.min(axis=0)) / tau  # exp and expm1 map +inf to the right limits
+    lift = 2.0 + (square / (r_safe + gap) if math.isfinite(square) else size * (size / (r_safe + gap)))
+    levels = (lift + sigma, lift - sigma, 2.0 * r, 0.0)
+    low = min(levels)
+    x = [(level - low) / tau for level in levels]  # exp and expm1 map +inf to the right limits
     split = 2.0 * r / tau
-    weights = np.exp(-x)
-    z = weights.sum(axis=0)
-    populations = weights / z
-    _, _, p_hi, p_lo = populations
+    weights = [math.exp(-v) for v in x]
+    z = weights[0] + weights[1] + weights[2] + weights[3]
+    populations = tuple(w / z for w in weights)
+    p_hi, p_lo = populations[2], populations[3]
 
-    one_minus_cos = np.where(r > 0.0, gap * gap / (r_safe * (r_safe + size)), 1.0)
+    # 1 - |cos(theta)|; at gamma = 1 there is no mixing (and at r = 0 no angle)
+    if gap > 0.0:
+        one_minus_cos = gap * gap / (r * (r + size))
+    else:
+        one_minus_cos = 0.0 if r > 0.0 else 1.0
     # diagonal weight of the basis state the upper level leans toward, and of the other
     upper_side = 0.5 * (p_hi * (2.0 - one_minus_cos) + p_lo * one_minus_cos)
     lower_side = 0.5 * (p_hi * one_minus_cos + p_lo * (2.0 - one_minus_cos))
@@ -134,18 +155,82 @@ def _x_form(gamma, b1, b2, tau) -> _XForm:
     # p_lo (1 - e^{-2r/tau}), kept exact for small r / tau; where 2r overflows
     # (|b1 - b2| past ~9e307) the numerator is divided by r and then halved,
     # which only there rounds a subnormal result twice
-    numerator = -p_lo * np.expm1(-split) * gap
+    numerator = -p_lo * math.expm1(-split) * gap
     twice_r = 2.0 * r_safe
-    coherence = np.where(np.isfinite(twice_r), numerator / twice_r, numerator / r_safe * 0.5)
+    coherence = numerator / twice_r if math.isfinite(twice_r) else numerator / r_safe * 0.5
     return _XForm(
         levels=levels,
         populations=populations,
         one_minus_cos=one_minus_cos,
-        rho22=np.where(delta >= 0.0, upper_side, lower_side),
-        rho33=np.where(delta >= 0.0, lower_side, upper_side),
+        rho22=upper_side if delta >= 0.0 else lower_side,
+        rho33=lower_side if delta >= 0.0 else upper_side,
         coherence=coherence,
-        corners=np.exp(-0.5 * (x[0] + x[1])) / z,
+        corners=math.exp(-0.5 * (x[0] + x[1])) / z,
     )
+
+
+def _xlog2x(x: float) -> float:
+    """x log2 x, with 0 log 0 = 0 (and x <= 0 counting as 0)."""
+    return x * math.log2(x) if x > 0.0 else 0.0
+
+
+def _formation(c: float) -> float:
+    """Entanglement of formation h((1 + sqrt(1 - C^2)) / 2) of one C in [0, 1].
+
+    h is taken at its smaller argument (1 - sqrt(1 - C^2)) / 2, written as
+    C^2 / (2 (1 + sqrt((1 - C)(1 + C)))), and through log1p, so that a small
+    C (a state near its threshold) loses no digits to cancellation.
+    """
+    root = math.sqrt((1.0 - c) * (1.0 + c))
+    small = c * c / (2.0 * (1.0 + root))
+    # written as -a - b, since -(a + b) is -0.0 where C = 0
+    return -_xlog2x(small) - (1.0 - small) * math.log1p(-small) / _LN2
+
+
+def _correlations(gamma: float, b1: float, b2: float, tau: float) -> tuple[float, float, float, float]:
+    """Total, quantum and classical correlation and concurrence at one point (see closed_form_correlations)."""
+    form = _x_form(gamma, b1, b2, tau)
+    p_uu, p_dd, p_hi, p_lo = form.populations
+    rho22, rho33 = form.rho22, form.rho33
+    c = min(max(2.0 * (form.coherence - form.corners), 0.0), 1.0)
+
+    s12 = -(_xlog2x(p_uu) + _xlog2x(p_dd) + _xlog2x(p_hi) + _xlog2x(p_lo))
+    s1 = -(_xlog2x(p_uu + rho22) + _xlog2x(rho33 + p_dd))
+    s2 = -(_xlog2x(p_uu + rho33) + _xlog2x(rho22 + p_dd))
+    total = max(s1 + s2 - s12, 0.0)  # >= 0 by subadditivity; clamp the rounding
+    quantum = _formation(c)
+    return total, quantum, total - quantum, c
+
+
+def _check_params(gamma: list, b1: list, b2: list, j: list) -> None:
+    """Raise DomainError unless gamma lies in [-1, 1], b1, b2 and b1 +- b2 are finite, and j is positive and finite.
+
+    Each argument is a list of floats, b1 and b2 of one length; each rule
+    is checked over every point before the next.
+    """
+    for g in gamma:
+        if not -1.0 <= g <= 1.0:  # NaN fails both comparisons
+            raise DomainError(f"gamma must lie in [-1, 1], got {g}")
+    for name, values in (("b1", b1), ("b2", b2), ("b1 + b2", map(add, b1, b2)), ("b1 - b2", map(sub, b1, b2))):
+        for v in values:
+            if not math.isfinite(v):
+                raise DomainError(f"{name} must be finite, got {v}")
+    check_positive_finite(j, "j")
+
+
+def _correlation_columns(gamma: list, b1: list, b2: list, t: list, j: list) -> list[list[float]]:
+    """closed_form_correlations over equal-length lists of floats: one list per name of OUTPUTS."""
+    _check_params(gamma, b1, b2, j)
+    check_positive_finite(t)
+    rows = list(map(_correlations, gamma, b1, b2, [tk / jk for tk, jk in zip(t, j)]))
+    return [list(column) for column in zip(*rows)] if rows else [[] for _ in OUTPUTS]
+
+
+def _broadcast(*values) -> list[np.ndarray]:
+    """The arguments as float arrays of their common broadcast shape."""
+    import numpy as np
+
+    return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
 
 
 def analytic_eigensystem(p: ModelParams) -> list[EigenPair]:
@@ -157,17 +242,25 @@ def analytic_eigensystem(p: ModelParams) -> list[EigenPair]:
     with 2 phi = theta.  The half-angle components come from 1 - |cos(theta)|
     without cancellation.
     """
-    form = _x_form(p.gamma, p.b1, p.b2, 1.0)  # the populations are not used
+    import numpy as np
+
+    form = _x_form(float(p.gamma), float(p.b1), float(p.b2), 1.0)  # the populations are not used
     # the lower mixed level sits at -(1+gamma)/2 - r, and levels[2] = 2r
-    energies = p.j * (form.levels - (0.5 * (1.0 + p.gamma) + 0.5 * form.levels[2]))
-    small = math.sqrt(0.5 * float(form.one_minus_cos))
-    big = math.sqrt(1.0 - 0.5 * float(form.one_minus_cos))
+    shift = 0.5 * (1.0 + p.gamma) + 0.5 * form.levels[2]
+    small = math.sqrt(0.5 * form.one_minus_cos)
+    big = math.sqrt(1.0 - 0.5 * form.one_minus_cos)
     cos_phi, sin_phi = (big, small) if p.b1 >= p.b2 else (small, big)
     vectors = np.zeros((4, 4), dtype=complex)  # one eigenvector per column
     vectors[0, 0] = vectors[3, 1] = 1.0
     vectors[1:3, 2] = cos_phi, sin_phi
     vectors[1:3, 3] = -sin_phi, cos_phi
-    return [EigenPair(float(energies[k]), vectors[:, k].copy()) for k in range(4)]
+    return [EigenPair(float(p.j * (level - shift)), vectors[:, k].copy()) for k, level in enumerate(form.levels)]
+
+
+def _gibbs_entries(gamma: float, b1: float, b2: float, tau: float) -> tuple[float, ...]:
+    """rho11, rho44, rho22, rho33 and rho23 of the closed-form Gibbs state at one point."""
+    form = _x_form(gamma, b1, b2, tau)
+    return form.populations[0], form.populations[1], form.rho22, form.rho33, -form.coherence
 
 
 def thermal_state_analytic(p: ModelParams, t) -> np.ndarray:
@@ -178,15 +271,16 @@ def thermal_state_analytic(p: ModelParams, t) -> np.ndarray:
     -(p_lo - p_hi) sin(theta) / 2 (see _x_form).  Array parameters and
     temperatures broadcast to a (..., 4, 4) stack.
     """
+    import numpy as np
+
     check_positive_finite(t)
-    gamma, b1, b2, j, t = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (p.gamma, p.b1, p.b2, p.j, t))
-    )
-    form = _x_form(gamma, b1, b2, t / j)
+    gamma, b1, b2, j, t = _broadcast(p.gamma, p.b1, p.b2, p.j, t)
+    entries = np.frompyfunc(_gibbs_entries, 4, 5)(gamma, b1, b2, t / j)
+    rho11, rho44, rho22, rho33, rho23 = (np.asarray(e, dtype=float) for e in entries)
     rho = np.zeros(t.shape + (4, 4), dtype=complex)
-    rho[..., 0, 0], rho[..., 3, 3] = form.populations[0], form.populations[1]
-    rho[..., 1, 1], rho[..., 2, 2] = form.rho22, form.rho33
-    rho[..., 1, 2] = rho[..., 2, 1] = -form.coherence
+    rho[..., 0, 0], rho[..., 3, 3] = rho11, rho44
+    rho[..., 1, 1], rho[..., 2, 2] = rho22, rho33
+    rho[..., 1, 2] = rho[..., 2, 1] = rho23
     return rho
 
 
@@ -196,6 +290,8 @@ def thermal_state(p: ModelParams, t) -> np.ndarray:
     Array parameters and temperatures broadcast to a (..., 4, 4) stack,
     built with one eigensolver call.
     """
+    from .matkernel import gibbs
+
     return gibbs(build_hamiltonian(p), t)
 
 
@@ -206,6 +302,8 @@ def ground_state_limit(p: ModelParams) -> np.ndarray:
     the minimum count as degenerate, so the Ising point (gamma = 1) yields
     the equal mixture of the singlet and triplet-zero projectors.
     """
+    from .matkernel import hermitian_eig
+
     values, vectors = hermitian_eig(build_hamiltonian(p))
     ground = values <= values[0] + 1e-10
     cols = vectors[:, ground]
@@ -221,28 +319,13 @@ def concurrence_analytic(p: ModelParams, t: float) -> float:
     return float(closed_form_correlations(p.gamma, p.b1, p.b2, t, p.j)["concurrence"])
 
 
-def _check_params(gamma, b1, b2, j) -> None:
-    """Raise DomainError unless gamma lies in [-1, 1], b1, b2 and b1 +- b2 are finite, and j is positive and finite."""
-    gamma = np.asarray(gamma, dtype=float)
-    bad = ~((gamma >= -1.0) & (gamma <= 1.0))  # NaN fails both comparisons
-    if bad.any():
-        raise DomainError(f"gamma must lie in [-1, 1], got {gamma[bad].flat[0]}")
-    b1, b2 = np.asarray(b1, dtype=float), np.asarray(b2, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked right below
-        fields = (("b1", b1), ("b2", b2), ("b1 + b2", b1 + b2), ("b1 - b2", b1 - b2))
-    for name, v in fields:
-        bad = ~np.isfinite(v)
-        if bad.any():
-            raise DomainError(f"{name} must be finite, got {v[bad].flat[0]}")
-    check_positive_finite(j, "j")
-
-
-def closed_form_correlations(gamma, b1, b2, t, j=1.0) -> dict[str, np.ndarray]:
+def closed_form_correlations(gamma, b1, b2, t, j=1.0) -> dict:
     """Total, quantum and classical correlation (bits) and concurrence of the Gibbs state.
 
-    Arguments broadcast against each other and every result has the
-    broadcast shape.  From the X-state of _x_form, built on the
-    ground-shifted Boltzmann populations of the four levels:
+    Numbers give floats.  Arrays broadcast against each other, and every
+    result is an array of the broadcast shape, the kernel's value at each
+    point.  From the X-state of _x_form, built on the ground-shifted
+    Boltzmann populations of the four levels:
 
     - S12 is the entropy of the populations, and both marginals are diagonal;
     - rho22 and rho33 split the mixed pair by the mixing angle, with
@@ -251,24 +334,18 @@ def closed_form_correlations(gamma, b1, b2, t, j=1.0) -> dict[str, np.ndarray]:
     - |rho23| = (p_low - p_high) sin(theta) / 2 and rho14 = 0, so the
       concurrence is C = 2 max(0, |rho23| - sqrt(rho11 rho44))
       (Yu and Eberly, QIC 7, 459 (2007); Wootters, PRL 80, 2245 (1998));
-    - quantum is the entanglement of formation of C, from the same
-      cancellation-free E_f(C) that the dense route uses.
+    - quantum is the entanglement of formation of C, h((1 + sqrt(1 - C^2)) / 2),
+      taken without cancellation (_formation).
 
     Nothing overflows at any T > 0, and no result is -0.0.
     Non-finite inputs, gamma outside [-1, 1] and T or j <= 0 raise DomainError.
     """
-    gamma, b1, b2, t, j = np.broadcast_arrays(
-        *(np.asarray(a, dtype=float) for a in (gamma, b1, b2, t, j))
-    )
-    _check_params(gamma, b1, b2, j)
-    check_positive_finite(t)
-    form = _x_form(gamma, b1, b2, t / j)
-    p_uu, p_dd, p_hi, p_lo = form.populations
-    c = np.clip(2.0 * (form.coherence - form.corners), 0.0, 1.0)
+    args = (gamma, b1, b2, t, j)
+    if all(isinstance(a, (int, float)) for a in args):
+        columns = _correlation_columns(*([float(a)] for a in args))
+        return {name: column[0] for name, column in zip(OUTPUTS, columns)}
+    import numpy as np
 
-    s12 = -(_xlog2x(p_uu) + _xlog2x(p_dd) + _xlog2x(p_hi) + _xlog2x(p_lo))
-    s1 = -(_xlog2x(p_uu + form.rho22) + _xlog2x(form.rho33 + p_dd))
-    s2 = -(_xlog2x(p_uu + form.rho33) + _xlog2x(form.rho22 + p_dd))
-    total = np.maximum(s1 + s2 - s12, 0.0)  # >= 0 by subadditivity; clamp the rounding
-    quantum = _formation(c)
-    return {"total": total, "quantum": quantum, "classical": total - quantum, "concurrence": c}
+    arrays = _broadcast(*args)
+    columns = _correlation_columns(*(a.ravel().tolist() for a in arrays))
+    return {name: np.array(column, dtype=float).reshape(arrays[0].shape) for name, column in zip(OUTPUTS, columns)}

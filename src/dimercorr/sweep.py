@@ -1,22 +1,27 @@
 """Parameter sweeps over temperature, anisotropy and fields.
 
-A sweep evaluates the full correlation report on a one- or two-axis grid
-with one call to the vectorised closed form, closed_form_correlations.
-Rows are produced in row-major order (axis 1 outer, axis 2 inner) and the
-output is deterministic for a fixed spec.
+A sweep evaluates the full correlation report on a one- or two-axis grid,
+running the closed-form kernel of closed_form_correlations point by point
+on plain float columns, so it loads no numpy.  Rows are produced in
+row-major order (axis 1 outer, axis 2 inner) and the output is
+deterministic for a fixed spec.  The analyses of a finished table
+(SweepTable.column, the detectors, count_peaks) work on numpy arrays and
+import numpy when called.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
+from .domain import check_positive_finite, linspace
 from .exceptions import DomainError
-from .matkernel import check_positive_finite
-from .models import ModelParams, closed_form_correlations
+from .models import OUTPUTS, ModelParams, _correlation_columns
 from .names import AXIS_NAMES, AXIS_WRITES, RECORD_COLUMNS
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "AXIS_NAMES",
@@ -57,7 +62,10 @@ class Axis:
             raise DomainError(f"axis {self.name!r} needs a finite span, got {self.start}:{self.stop}")
 
     def values(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.points)
+        """The grid np.linspace(start, stop, points) gives."""
+        import numpy as np
+
+        return np.array(linspace(self.start, self.stop, self.points))
 
 
 @dataclass(frozen=True)
@@ -94,55 +102,60 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepTable:
-    """Sweep output: one array per record column, in row-major grid order.
+    """Sweep output: one list of floats per record column, in row-major grid order.
 
-    ``columns`` maps each name of RECORD_COLUMNS to an array with one entry
+    ``columns`` maps each name of RECORD_COLUMNS to a list with one entry
     per grid point, aligned with the axis value arrays.
     """
 
     spec: SweepSpec
-    axis1_values: np.ndarray
-    axis2_values: np.ndarray | None
-    columns: dict[str, np.ndarray]
+    columns: dict[str, list[float]]
+
+    @property
+    def axis1_values(self) -> np.ndarray:
+        return self.spec.axis1.values()
+
+    @property
+    def axis2_values(self) -> np.ndarray | None:
+        return None if self.spec.axis2 is None else self.spec.axis2.values()
 
     @property
     def is_1d(self) -> bool:
-        return self.axis2_values is None
+        return self.spec.axis2 is None
 
     def column(self, name: str) -> np.ndarray:
+        """A new float array of one record column."""
         if name not in RECORD_COLUMNS:
             raise ValueError(f"unknown column {name!r}; choose from {', '.join(RECORD_COLUMNS)}")
-        return self.columns[name].copy()
+        import numpy as np
+
+        return np.array(self.columns[name], dtype=float)
 
 
 def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepTable:
-    """Evaluate the whole grid in one vectorised closed-form call.
+    """Evaluate the whole grid with the closed-form kernel, one point at a time.
 
-    ``threads`` is accepted for compatibility and otherwise ignored: the
-    grid is one array computation, so there is nothing to spread over
+    ``threads`` is accepted for compatibility and otherwise ignored: each
+    point costs microseconds, so there is nothing worth spreading over
     threads.  A value below 1 is still a usage error (ValueError).
     """
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     axes = [spec.axis1] + ([spec.axis2] if spec.axis2 is not None else [])
-    grids = [axis.values() for axis in axes]
-    mesh = np.meshgrid(*grids, indexing="ij")
+    grids = [linspace(axis.start, axis.stop, axis.points) for axis in axes]
+    if len(grids) == 2:  # row-major: axis 1 outer, axis 2 inner
+        grids = [[v for v in grids[0] for _ in grids[1]], grids[1] * len(grids[0])]
+    n = len(grids[0])
     base = spec.base
     base_t = spec.temp if spec.temp is not None else 1.0  # overwritten by any T axis
     fixed = {"T": base_t, "gamma": base.gamma, "b1": base.b1, "b2": base.b2}
-    columns = {name: np.full(mesh[0].size, value, dtype=float) for name, value in fixed.items()}
-    for axis, values in zip(axes, mesh):
+    columns = {name: [float(value)] * n for name, value in fixed.items()}
+    for axis, values in zip(axes, grids):
         for name, sign in AXIS_WRITES[axis.name]:
-            columns[name] = sign * values.ravel()
-    columns.update(
-        closed_form_correlations(columns["gamma"], columns["b1"], columns["b2"], columns["T"], base.j)
-    )
-    return SweepTable(
-        spec=spec,
-        axis1_values=grids[0],
-        axis2_values=grids[1] if len(grids) == 2 else None,
-        columns=columns,
-    )
+            columns[name] = [sign * v for v in values]
+    outputs = _correlation_columns(columns["gamma"], columns["b1"], columns["b2"], columns["T"], [float(base.j)] * n)
+    columns.update(zip(OUTPUTS, outputs))
+    return SweepTable(spec=spec, columns=columns)
 
 
 def _require_1d(table: SweepTable) -> None:

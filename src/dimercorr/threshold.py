@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
+from .domain import check_positive_finite, linspace
 from .exceptions import DomainError
 
 if TYPE_CHECKING:
@@ -34,8 +34,7 @@ _SCAN_POINTS = 200  # temperatures of the coarse scan in tth_numeric
 _REFINE_POINTS = 64  # temperatures per re-scan of the bracket in tth_numeric
 
 
-@dataclass(frozen=True)
-class ThresholdPoint:
+class ThresholdPoint(NamedTuple):
     """One point of a threshold curve; ``degenerate`` marks the gamma = 1 limit."""
 
     gamma: float
@@ -93,29 +92,28 @@ def tth_numeric(p: ModelParams, t_max: float) -> float | None:
 
     A coarse scan over 200 temperatures locates positive-to-zero
     transitions of the thermal concurrence.  The bracket of the largest one
-    is re-scanned with the array kernel, keeping its largest transition each
-    time, until it is at most 1e-8 wide (or one float apart).  Returns None
-    when no transition exists in the range.  Multiple transitions trigger a
-    warning and the largest is returned.
+    is re-scanned with the closed-form kernel, keeping its largest
+    transition each time, until it is at most 1e-8 wide (or one float
+    apart).  Returns None when no transition exists in the range.  Multiple
+    transitions trigger a warning and the largest is returned.
     """
-    # imported here: the zero-field threshold needs neither numpy nor the kernel
-    import numpy as np
-
-    from .matkernel import check_positive_finite
-    from .models import closed_form_correlations
+    from .models import _correlation_columns  # imported here: the zero-field threshold needs no kernel
 
     check_positive_finite(t_max, "t_max")
+    params = [float(v) for v in (p.gamma, p.b1, p.b2, p.j)]
 
-    def entangled(t):
-        c = closed_form_correlations(p.gamma, p.b1, p.b2, t, p.j)["concurrence"]
-        return c > _POSITIVE_C
+    def entangled(grid: list[float]) -> list[bool]:
+        gamma, b1, b2, j = ([v] * len(grid) for v in params)
+        return [c > _POSITIVE_C for c in _correlation_columns(gamma, b1, b2, grid, j)[3]]
 
-    grid = np.linspace(t_max / _SCAN_POINTS, t_max, _SCAN_POINTS)
-    positive = entangled(grid)
-    transitions = np.flatnonzero(positive[:-1] & ~positive[1:])
-    if transitions.size == 0:
+    def turn_offs(positive: list[bool]) -> list[int]:
+        return [k for k in range(len(positive) - 1) if positive[k] and not positive[k + 1]]
+
+    grid = linspace(t_max / _SCAN_POINTS, t_max, _SCAN_POINTS)
+    transitions = turn_offs(entangled(grid))
+    if not transitions:
         return None
-    if transitions.size > 1:
+    if len(transitions) > 1:
         warnings.warn(
             "concurrence turns off more than once in the scan range; "
             "returning the largest transition temperature",
@@ -123,11 +121,11 @@ def tth_numeric(p: ModelParams, t_max: float) -> float | None:
         )
     lo, hi = grid[transitions[-1]], grid[transitions[-1] + 1]
     while hi - lo > 1e-8:
-        grid = np.linspace(lo, hi, _REFINE_POINTS)
+        grid = linspace(lo, hi, _REFINE_POINTS)
         positive = entangled(grid)
         positive[0], positive[-1] = True, False  # the bracket ends are already known
-        k = np.flatnonzero(positive[:-1] & ~positive[1:])[-1]
+        k = turn_offs(positive)[-1]
         if (grid[k], grid[k + 1]) == (lo, hi):  # the bracket is down to adjacent floats
             break
         lo, hi = grid[k], grid[k + 1]
-    return float(0.5 * (lo + hi))
+    return 0.5 * (lo + hi)

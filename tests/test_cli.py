@@ -298,11 +298,25 @@ def test_import_does_not_load_scipy_signal():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_threshold_does_not_load_numpy():
+@pytest.mark.parametrize(
+    ("argv", "absent"),
+    [
+        (["point", "--model", "xy", "--b1", "0.7", "--b2", "-1.1", "--temp", "0.3"], ["numpy"]),
+        (["sweep", "--model", "heisenberg", "--gamma", "0.3", "--axis", "T=0.02:4:150"], ["numpy"]),
+        (
+            ["sweep", "--model", "xy", "--temp", "0.3", "--axis", "b1=-3:3:61", "--axis", "b2=-3:3:61", "--format", "json"],
+            ["numpy"],
+        ),
+        (["threshold", "--gamma", "-1:0.99:100"], ["numpy", "dataclasses"]),
+    ],
+    ids=["point", "sweep-csv-T", "sweep-json-2d", "threshold"],
+)
+def test_subcommand_does_not_load(argv, absent):
     code = (
         "import sys; from dimercorr import cli; "
-        "assert cli.main(['threshold', '--gamma', '-1:0.99:100']) == 0; "
-        "assert 'numpy' not in sys.modules"
+        f"assert cli.main({argv!r}) == 0; "
+        f"loaded = [name for name in {absent!r} if name in sys.modules]; "
+        "assert not loaded, loaded"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -204,6 +204,47 @@ def test_no_output_is_negative_zero():
             assert not np.signbit(out[name]).any(), name
 
 
+def test_ising_point_with_a_vanishing_field_difference():
+    # at gamma = 1 the |ud>, |du> block does not mix, also where r (r + |b1 - b2|) underflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert closed_form_correlations(1.0, 1e-170, 0.0, 1.0) == closed_form_correlations(1.0, 0.0, 0.0, 1.0)
+
+
+# Corners of the kernel: extreme temperatures, fields whose square or
+# doubled splitting overflows, the r = 0 point and its neighbour, strong
+# uniform fields, and a box point whose total correlation is tiny.
+KERNEL_CORNERS = (
+    (0.4, 0.7, -1.1, 1e-320),
+    (-1.0, 1e13, 0.0, 1e-300),
+    (0.0, 0.0, 0.0, 1e-300),
+    (0.4, 0.7, -1.1, 1e300),
+    (-1.0, 1e160, 0.0, 1.0),
+    (0.3, 0.0, -1e160, 1e-3),
+    (-1.0, 1e308, 0.0, 1.0),
+    (0.9, -1e308, 0.0, 1e300),
+    (1.0, 0.0, 0.0, 0.7),
+    (1.0, 0.5, 0.5, 0.02),
+    (1.0, 1e-170, 0.0, 1.0),
+    (-1.0, 1e200, 1e200, 1.0),
+    (1.0, -1e200, -1e200, 1e-300),
+    (0.99989988, -3.09898549, -3.29893479, 0.18741016),
+)
+
+
+def test_arrays_map_the_scalar_kernel_bit_for_bit():
+    gamma, b1, b2, t = (np.concatenate([v, corner]) for v, corner in zip(_box(), zip(*KERNEL_CORNERS)))
+    j = np.array([1.0, 2.5])
+    out = closed_form_correlations(gamma[:, None], b1[:, None], b2[:, None], t[:, None] * j, j)
+    assert all(out[name].shape == (gamma.size, 2) for name in OUTPUTS)
+    for k, point in enumerate(zip(gamma.tolist(), b1.tolist(), b2.tolist(), t.tolist())):
+        for m, scale in enumerate(j.tolist()):
+            one = closed_form_correlations(*point[:3], point[3] * scale, scale)
+            for name in OUTPUTS:
+                assert type(one[name]) is float
+                assert one[name].hex() == float(out[name][k, m]).hex(), (point, scale, name)
+
+
 def test_results_broadcast():
     out = closed_form_correlations(0.2, np.linspace(-1.0, 1.0, 5)[:, None], 0.5, [0.5, 1.0, 2.0])
     for name in OUTPUTS:
@@ -229,6 +270,8 @@ def test_results_broadcast():
         ((0.0, 0.0, 0.0, 1.0, -1.0), "j"),
         ((0.0, 1e308, 1e308, 1.0), r"b1 \+ b2"),
         ((0.0, [0.0, 1e308], -1e308, 1.0), "b1 - b2"),
+        ((0.0, 0.0, 0.0, 1e-320, 1e10), "underflows"),
+        ((0.0, 0.5, 0.0, [1.0, 1e-320], [1.0, 1e10]), "underflows"),
     ],
 )
 def test_rejects_inputs_outside_the_domain(args, name):

@@ -84,6 +84,19 @@ def test_ensemble_check_has_a_small_fixed_working_set():
     assert peak <= 1.5e6
 
 
+def test_ppt_check_has_a_small_working_set():
+    # the concurrence builds X = V sqrt(Lambda) in eigh's own vectors, so the
+    # 1,000-state stack holds the states, X, X^T (sy x sy) and tau at most
+    check_ppt_agreement(samples=1)  # one-time allocations of the first call
+    tracemalloc.start()
+    try:
+        check_ppt_agreement()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1e6
+
+
 LAPACK_BACKED = (
     "cholesky", "det", "eig", "eigh", "eigvals", "eigvalsh", "inv", "lstsq",
     "matrix_rank", "pinv", "qr", "slogdet", "solve", "svd",
