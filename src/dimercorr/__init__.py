@@ -48,7 +48,6 @@ _SUBMODULE = {
     "analytic_eigensystem": "models",
     "build_hamiltonian": "models",
     "closed_form_correlations": "models",
-    "concurrence_analytic": "models",
     "ground_state_limit": "models",
     "thermal_state": "models",
     "thermal_state_analytic": "models",

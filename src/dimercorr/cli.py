@@ -13,16 +13,14 @@ tables, and each subcommand imports the modules it runs when it runs.  So
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import TYPE_CHECKING
 
-from .domain import linspace
+from .domain import check_grid, linspace, parse_grid
 from .exceptions import DomainError, ValidationError
 from .names import AXIS_NAMES, RECORD_COLUMNS, SUITES
 
 if TYPE_CHECKING:
-    from .models import ModelParams
     from .sweep import Axis, SweepTable
 
 __all__ = ["build_parser", "entry", "main"]
@@ -35,64 +33,29 @@ EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
 
 
+# --model is a preset that only supplies the default gamma; --gamma wins.
+_PRESET_GAMMA = {"heisenberg": 0.0, "xy": -1.0}
+
+
+def _gamma(args: argparse.Namespace) -> float:
+    return args.gamma if args.gamma is not None else _PRESET_GAMMA[args.model]
+
+
 def _parse_axis(text: str) -> Axis:
     """Parse ``name=start:stop:points`` into an Axis."""
     name, sep, rest = text.partition("=")
-    parts = rest.split(":")
-    if not sep or len(parts) != 3:
+    if not sep:
         raise ValueError(f"axis must look like name=start:stop:points, got {text!r}")
-    try:
-        start, stop = float(parts[0]), float(parts[1])
-        points = int(parts[2])
-    except ValueError:
-        raise ValueError(f"could not parse axis numbers in {text!r}") from None
     from .sweep import Axis
 
-    return Axis(name=name, start=start, stop=stop, points=points)
+    return Axis(name, *parse_grid(rest, f"axis {name!r}"))
 
 
 def _parse_range(text: str) -> list[float]:
-    """Parse ``start:stop:points`` into the grid np.linspace would give, bit for bit.
-
-    A single value needs start == stop and points 1.
-    """
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"range must look like start:stop:points, got {text!r}")
-    try:
-        start, stop = float(parts[0]), float(parts[1])
-        points = int(parts[2])
-    except ValueError:
-        raise ValueError(f"could not parse range numbers in {text!r}") from None
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise DomainError(f"range needs finite endpoints, got {text!r}")
-    if points < 1:
-        raise ValueError(f"range needs at least 1 point, got {points}")
-    if points == 1 and start != stop:
-        raise ValueError("a single-point range needs start == stop")
-    if points > 1 and not start < stop:
-        raise ValueError(f"range needs start < stop, got {text!r}")
-    if not math.isfinite(stop - start):
-        raise DomainError(f"range needs a finite span stop - start, got {text!r}")
+    """Parse ``start:stop:points`` into the grid np.linspace would give, bit for bit."""
+    start, stop, points = parse_grid(text)
+    check_grid(start, stop, points)
     return linspace(start, stop, points)
-
-
-def _base_params(model: str, gamma: float | None, b1: float, b2: float) -> ModelParams:
-    from .models import ModelParams
-
-    if model == "heisenberg":
-        if b1 != 0.0 or b2 != 0.0:
-            raise DomainError("model 'heisenberg' requires b1 = b2 = 0")
-        return ModelParams(gamma=gamma if gamma is not None else 0.0)
-    if gamma is not None and gamma != -1.0:
-        raise DomainError("model 'xy' fixes gamma = -1")
-    return ModelParams(gamma=-1.0, b1=b1, b2=b2)
-
-
-_MODEL_AXES = {
-    "heisenberg": {"T", "gamma"},
-    "xy": {"T", "b1", "b2", "b_uniform", "b_anti"},
-}
 
 
 # One record writer serves point, sweep (CSV and JSON) and threshold.  A
@@ -151,9 +114,9 @@ def _write_output(text: str, path: str | None) -> None:
 def _cmd_point(args: argparse.Namespace) -> int:
     from .models import closed_form_correlations
 
-    params = _base_params(args.model, args.gamma, args.b1, args.b2)
-    columns = {"T": args.temp, "gamma": params.gamma, "b1": params.b1, "b2": params.b2}
-    columns.update(closed_form_correlations(params.gamma, params.b1, params.b2, args.temp, params.j))
+    gamma = _gamma(args)
+    columns = {"T": args.temp, "gamma": gamma, "b1": args.b1, "b2": args.b2}
+    columns.update(closed_form_correlations(gamma, args.b1, args.b2, args.temp))
     _write_output(_to_csv(columns), args.output)
     return EXIT_OK
 
@@ -195,26 +158,19 @@ def _table_to_json(table: SweepTable) -> str:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .models import ModelParams
     from .sweep import SweepSpec, run_sweep
 
-    params = _base_params(args.model, args.gamma, args.b1, args.b2)
     axes = [_parse_axis(text) for text in args.axis]
     if not 1 <= len(axes) <= 2:
         raise ValueError("sweep takes one or two --axis options")
-    allowed = _MODEL_AXES[args.model]
-    for axis in axes:
-        if axis.name not in allowed:
-            raise DomainError(
-                f"axis {axis.name!r} is not valid for model {args.model!r}; "
-                f"choose from {', '.join(sorted(allowed))}"
-            )
     spec = SweepSpec(
-        base=params,
+        base=ModelParams(gamma=_gamma(args), b1=args.b1, b2=args.b2),
         axis1=axes[0],
         axis2=axes[1] if len(axes) == 2 else None,
         temp=args.temp,
     )
-    table = run_sweep(spec, threads=args.threads)
+    table = run_sweep(spec)
     text = _table_to_json(table) if args.format == "json" else _to_csv(table.columns)
     _write_output(text, args.output)
     return EXIT_OK
@@ -267,20 +223,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    point = sub.add_parser("point", help="evaluate the correlation report at one point")
-    point.add_argument("--model", choices=["heisenberg", "xy"], required=True)
-    point.add_argument("--gamma", type=float, default=None, help="anisotropy in [-1, 1]")
-    point.add_argument("--b1", type=float, default=0.0, help="field on qubit 1 (units of J)")
-    point.add_argument("--b2", type=float, default=0.0, help="field on qubit 2 (units of J)")
+    params = argparse.ArgumentParser(add_help=False)  # the parameter flags of point and sweep
+    params.add_argument(
+        "--model",
+        choices=list(_PRESET_GAMMA),
+        default="heisenberg",
+        help="preset that only sets the default gamma: heisenberg 0, xy -1",
+    )
+    params.add_argument("--gamma", type=float, default=None, help="anisotropy in [-1, 1]; overrides --model")
+    params.add_argument("--b1", type=float, default=0.0, help="field on qubit 1 (units of J)")
+    params.add_argument("--b2", type=float, default=0.0, help="field on qubit 2 (units of J)")
+
+    point = sub.add_parser("point", parents=[params], help="evaluate the correlation report at one point")
     point.add_argument("--temp", type=float, required=True, help="temperature (units of J)")
     point.add_argument("--output", default=None, help="write to this file instead of stdout")
     point.set_defaults(func=_cmd_point)
 
-    sweep = sub.add_parser("sweep", help="evaluate the report over a 1D or 2D grid")
-    sweep.add_argument("--model", choices=["heisenberg", "xy"], required=True)
-    sweep.add_argument("--gamma", type=float, default=None)
-    sweep.add_argument("--b1", type=float, default=0.0)
-    sweep.add_argument("--b2", type=float, default=0.0)
+    sweep = sub.add_parser("sweep", parents=[params], help="evaluate the report over a 1D or 2D grid")
     sweep.add_argument("--temp", type=float, default=None, help="fixed T when no T axis is given")
     sweep.add_argument(
         "--axis",
@@ -291,12 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--format", choices=["csv", "json"], default="csv")
     sweep.add_argument("--output", default=None)
-    sweep.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="accepted for compatibility and ignored: the grid is one vectorised pass (must be >= 1)",
-    )
     sweep.set_defaults(func=_cmd_sweep)
 
     thr = sub.add_parser("threshold", help="zero-field threshold temperatures over a gamma range")

@@ -37,7 +37,6 @@ __all__ = [
     "analytic_eigensystem",
     "build_hamiltonian",
     "closed_form_correlations",
-    "concurrence_analytic",
     "ground_state_limit",
     "thermal_state",
     "thermal_state_analytic",
@@ -308,15 +307,6 @@ def ground_state_limit(p: ModelParams) -> np.ndarray:
     ground = values <= values[0] + 1e-10
     cols = vectors[:, ground]
     return (cols @ cols.conj().T) / int(ground.sum())
-
-
-def concurrence_analytic(p: ModelParams, t: float) -> float:
-    """Closed-form concurrence of the thermal state, any (gamma, b1, b2).
-
-    A scalar view of closed_form_correlations, kept as the closed-form side
-    of the comparisons with the dense route concurrence(thermal_state(p, t)).
-    """
-    return float(closed_form_correlations(p.gamma, p.b1, p.b2, t, p.j)["concurrence"])
 
 
 def closed_form_correlations(gamma, b1, b2, t, j=1.0) -> dict:

@@ -11,11 +11,10 @@ import numpy when called.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .domain import check_positive_finite, linspace
+from .domain import check_grid, check_positive_finite, linspace
 from .exceptions import DomainError
 from .models import OUTPUTS, ModelParams, _correlation_columns
 from .names import AXIS_NAMES, AXIS_WRITES, RECORD_COLUMNS
@@ -41,7 +40,7 @@ def _targets(axis: Axis) -> set[str]:
 
 @dataclass(frozen=True)
 class Axis:
-    """An inclusive linear grid over one sweep variable."""
+    """An inclusive linear grid over one sweep variable, under the rules of check_grid."""
 
     name: str
     start: float
@@ -51,15 +50,7 @@ class Axis:
     def __post_init__(self) -> None:
         if self.name not in AXIS_WRITES:
             raise ValueError(f"unknown axis {self.name!r}; choose from {', '.join(AXIS_NAMES)}")
-        for end in (self.start, self.stop):
-            if not math.isfinite(end):
-                raise DomainError(f"axis {self.name!r} needs finite endpoints, got {end}")
-        if self.points < 2:
-            raise ValueError(f"axis {self.name!r} needs at least 2 points, got {self.points}")
-        if not self.start < self.stop:
-            raise ValueError(f"axis {self.name!r} needs start < stop, got {self.start}:{self.stop}")
-        if not math.isfinite(self.stop - self.start):
-            raise DomainError(f"axis {self.name!r} needs a finite span, got {self.start}:{self.stop}")
+        check_grid(self.start, self.stop, self.points, f"axis {self.name!r}")
 
     def values(self) -> np.ndarray:
         """The grid np.linspace(start, stop, points) gives."""
@@ -72,7 +63,8 @@ class Axis:
 class SweepSpec:
     """Base parameters plus one or two axes to scan.
 
-    ``temp`` is the fixed temperature used when no T axis is present.
+    ``temp`` is the fixed temperature used when no T axis is present; when
+    given, it must be positive and finite whether or not a T axis is.
     """
 
     base: ModelParams
@@ -89,14 +81,12 @@ class SweepSpec:
                 raise ValueError(
                     f"axes {self.axis1.name!r} and {self.axis2.name!r} write the same field"
                 )
-        has_t_axis = any(a.name == "T" for a in axes)
-        if has_t_axis:
-            t_axis = next(a for a in axes if a.name == "T")
-            if t_axis.start <= 0:
-                raise DomainError("temperature grid must be strictly positive")
-        elif self.temp is None:
+        t_axes = [a for a in axes if a.name == "T"]
+        if t_axes and t_axes[0].start <= 0:
+            raise DomainError("temperature grid must be strictly positive")
+        if not t_axes and self.temp is None:
             raise ValueError("a sweep without a T axis needs a fixed temp")
-        else:
+        if self.temp is not None:  # checked beside a T axis too, since the JSON spec records it
             check_positive_finite(self.temp)
 
 

@@ -18,7 +18,7 @@ from dimercorr.correlations import (
 )
 from dimercorr.models import (
     ModelParams,
-    concurrence_analytic,
+    closed_form_correlations,
     thermal_state,
     thermal_state_analytic,
 )
@@ -69,7 +69,8 @@ def test_criterion_04_concurrence_closed_form_on_grid():
         for t in np.linspace(0.5, 5.0, 5):
             p = ModelParams(gamma=float(gamma))
             rho = thermal_state_analytic(p, float(t))
-            worst = max(worst, abs(concurrence_analytic(p, float(t)) - concurrence(rho)))
+            closed = closed_form_correlations(float(gamma), 0.0, 0.0, float(t))["concurrence"]
+            worst = max(worst, abs(closed - concurrence(rho)))
     _criterion(
         4,
         "closed-form concurrence matches pipeline on 50-point grid",

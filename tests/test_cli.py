@@ -58,16 +58,25 @@ def test_point_writes_file(tmp_path, capsys):
     assert row["b1"] == 0.5
 
 
-def test_point_rejects_fields_for_heisenberg(capsys):
-    code, _, err = run_cli(capsys, "point", "--model", "heisenberg", "--b1", "0.3", "--temp", "1")
-    assert code == 3
-    assert "b1 = b2 = 0" in err
+def test_point_serves_fields_for_heisenberg(capsys, tmp_path):
+    # the paper's system: a Heisenberg dimer in a nonuniform field
+    columns = {"T": 1.0, "gamma": 0.0, "b1": 0.3, "b2": 0.0}
+    columns.update(closed_form_correlations(0.0, 0.3, 0.0, 1.0))
+    out = cli_bytes(capsys, tmp_path, "point", "--model", "heisenberg", "--b1", "0.3", "--temp", "1")
+    assert out == oracle_csv(columns)
 
 
-def test_point_rejects_gamma_override_for_xy(capsys):
-    code, _, err = run_cli(capsys, "point", "--model", "xy", "--gamma", "0.2", "--temp", "1")
-    assert code == 3
-    assert "gamma" in err.lower()
+def test_point_gamma_overrides_the_xy_preset(capsys, tmp_path):
+    columns = {"T": 1.0, "gamma": 0.2, "b1": 0.0, "b2": 0.0}
+    columns.update(closed_form_correlations(0.2, 0.0, 0.0, 1.0))
+    out = cli_bytes(capsys, tmp_path, "point", "--model", "xy", "--gamma", "0.2", "--temp", "1")
+    assert out == oracle_csv(columns)
+
+
+def test_point_model_defaults_to_heisenberg(capsys, tmp_path):
+    argv = ["point", "--b1", "0.7", "--b2", "-0.3", "--temp", "1"]
+    assert cli_bytes(capsys, tmp_path, *argv) == cli_bytes(capsys, tmp_path, *argv, "--model", "heisenberg")
+    assert cli_bytes(capsys, tmp_path, "point", "--temp", "1").splitlines()[1].startswith("1,0,0,0,")
 
 
 def test_sweep_csv_roundtrip(capsys):
@@ -125,12 +134,22 @@ def test_sweep_rejects_zero_temperature_grid(capsys):
     assert "positive" in err.lower()
 
 
-def test_sweep_rejects_axis_outside_model(capsys):
-    code, _, err = run_cli(
-        capsys, "sweep", "--model", "xy", "--temp", "1", "--axis", "gamma=-1:1:5"
-    )
-    assert code == 3
-    assert "axis" in err.lower()
+def test_sweep_takes_every_axis_with_either_preset(capsys, tmp_path):
+    grid = np.linspace(0.25, 1.0, 4)
+    writes = {
+        "T": {"T": grid},
+        "gamma": {"gamma": grid},
+        "b1": {"b1": grid},
+        "b2": {"b2": grid},
+        "b_uniform": {"b1": grid, "b2": grid},
+        "b_anti": {"b1": grid, "b2": -grid},
+    }
+    for model, gamma in (("heisenberg", 0.0), ("xy", -1.0)):
+        for axis, written in writes.items():
+            columns = {"T": 0.7, "gamma": gamma, "b1": 0.0, "b2": 0.0, **written}
+            columns.update(closed_form_correlations(*(columns[name] for name in ("gamma", "b1", "b2", "T"))))
+            argv = ["sweep", "--model", model, "--temp", "0.7", "--axis", f"{axis}=0.25:1:4"]
+            assert cli_bytes(capsys, tmp_path, *argv) == oracle_csv(columns), argv
 
 
 def test_sweep_rejects_malformed_axis(capsys):
@@ -140,13 +159,12 @@ def test_sweep_rejects_malformed_axis(capsys):
     assert code == 2
 
 
-def test_sweep_deterministic_across_threads(capsys):
+def test_sweep_is_deterministic(capsys):
     argv = ["sweep", "--model", "xy", "--temp", "0.8", "--axis", "b_anti=-2:2:41"]
-    _, out1, _ = run_cli(capsys, *argv, "--threads", "1")
-    _, out4, _ = run_cli(capsys, *argv, "--threads", "4")
-    assert out1 == out4
-    _, again, _ = run_cli(capsys, *argv, "--threads", "4")
-    assert again == out4
+    code, first, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(first.splitlines()) == 42
+    code, again, _ = run_cli(capsys, *argv)
+    assert code == 0 and again == first
 
 
 def test_threshold_range_output(capsys):
@@ -259,6 +277,9 @@ def test_sweep_rejects_non_finite_axis_and_temp(capsys):
     assert code == 3 and "finite" in err
     code, _, err = run_cli(capsys, "sweep", "--model", "xy", "--temp", "nan", "--axis", "b1=0:1:5")
     assert code == 3 and "temperature" in err
+    for temp in ("nan", "inf", "-1"):  # a fixed T beside a T axis is checked too
+        code, out, err = run_cli(capsys, "sweep", "--temp", temp, "--axis", "T=0.1:1:3", "--format", "json")
+        assert code == 3 and out == "" and "temperature" in err
 
 
 def test_sweep_rejects_grid_leaving_the_domain(capsys):
@@ -272,11 +293,32 @@ def test_sweep_rejects_grid_leaving_the_domain(capsys):
 
 @pytest.mark.parametrize("threads", ["0", "-4"])
 def test_sweep_threads_below_one_is_usage_error(capsys, threads):
+    # --threads is no longer an option, so any value, 1 included, is a usage error
     argv = ["sweep", "--model", "xy", "--temp", "0.8", "--axis", "b_anti=-2:2:5"]
-    code, out, err = run_cli(capsys, *argv, "--threads", threads)
-    assert code == 2
-    assert out == ""
-    assert "threads" in err
+    for value in (threads, "1"):
+        code, out, err = run_cli(capsys, *argv, "--threads", value)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --threads" in err
+
+
+@pytest.mark.parametrize(
+    ("grid", "code"),
+    [
+        ("0:1", 2),
+        ("0:x:3", 2),
+        ("0:1:0", 2),
+        ("1:0:5", 2),
+        ("0:1:1", 2),
+        ("0.5:0.5:1", 0),
+        ("-inf:0:3", 3),
+        ("0:nan:3", 3),
+        ("-1e308:1e308:3", 3),
+    ],
+)
+def test_threshold_ranges_and_sweep_axes_share_the_grid_rules(capsys, grid, code):
+    assert run_cli(capsys, "threshold", "--gamma", grid)[0] == code
+    assert run_cli(capsys, "sweep", "--temp", "1", "--axis", f"b1={grid}")[0] == code
 
 
 def test_point_and_sweep_print_the_same_row(capsys):
@@ -302,6 +344,7 @@ def test_import_does_not_load_scipy_signal():
     ("argv", "absent"),
     [
         (["point", "--model", "xy", "--b1", "0.7", "--b2", "-1.1", "--temp", "0.3"], ["numpy"]),
+        (["point", "--gamma", "0", "--b1", "0.7", "--b2", "-0.3", "--temp", "0.3"], ["numpy"]),
         (["sweep", "--model", "heisenberg", "--gamma", "0.3", "--axis", "T=0.02:4:150"], ["numpy"]),
         (
             ["sweep", "--model", "xy", "--temp", "0.3", "--axis", "b1=-3:3:61", "--axis", "b2=-3:3:61", "--format", "json"],
@@ -309,7 +352,7 @@ def test_import_does_not_load_scipy_signal():
         ),
         (["threshold", "--gamma", "-1:0.99:100"], ["numpy", "dataclasses"]),
     ],
-    ids=["point", "sweep-csv-T", "sweep-json-2d", "threshold"],
+    ids=["point", "point-heisenberg-fields", "sweep-csv-T", "sweep-json-2d", "threshold"],
 )
 def test_subcommand_does_not_load(argv, absent):
     code = (

@@ -14,7 +14,6 @@ from dimercorr.models import (
     analytic_eigensystem,
     build_hamiltonian,
     closed_form_correlations,
-    concurrence_analytic,
     ground_state_limit,
     thermal_state,
     thermal_state_analytic,
@@ -247,7 +246,7 @@ def test_cold_thermal_state_approaches_ground_state_limit():
 def test_concurrence_closed_form_isotropic_point():
     # gamma=0, T=1: C = (sinh 1 - 1/e) / (cosh 1 + 1/e)
     expected = (math.sinh(1.0) - math.exp(-1.0)) / (math.cosh(1.0) + math.exp(-1.0))
-    assert abs(concurrence_analytic(ModelParams(gamma=0.0), 1.0) - expected) < 1e-14
+    assert abs(closed_form_correlations(0.0, 0.0, 0.0, 1.0)["concurrence"] - expected) < 1e-14
 
 
 def test_concurrence_closed_form_matches_pipeline():
@@ -259,7 +258,7 @@ def test_concurrence_closed_form_matches_pipeline():
     ]
     for p in zero_field + with_fields:
         for t in (0.5, 1.0, 2.2, 5.0):
-            direct = concurrence_analytic(p, t)
+            direct = closed_form_correlations(p.gamma, p.b1, p.b2, t)["concurrence"]
             via_state = concurrence(thermal_state_analytic(p, t))
             assert abs(direct - via_state) < 1e-12
 
@@ -267,14 +266,14 @@ def test_concurrence_closed_form_matches_pipeline():
 def test_concurrence_closed_form_cold_limits():
     # the singlet ground state gives maximal concurrence; a strongly
     # polarized pair keeps only an exponentially small entangled admixture
-    assert abs(concurrence_analytic(ModelParams(gamma=0.0), 0.01) - 1.0) < 1e-12
-    polarized = concurrence_analytic(ModelParams(gamma=-1.0, b1=2.0, b2=2.0), 0.01)
+    assert abs(closed_form_correlations(0.0, 0.0, 0.0, 0.01)["concurrence"] - 1.0) < 1e-12
+    polarized = closed_form_correlations(-1.0, 2.0, 2.0, 0.01)["concurrence"]
     assert 0.0 <= polarized < 1e-12
 
 
 def test_concurrence_closed_form_vanishes_at_high_temperature():
     for p in (ModelParams(gamma=0.0), ModelParams(gamma=-1.0, b1=1.0, b2=-1.0)):
-        assert concurrence_analytic(p, 50.0) == 0.0
+        assert closed_form_correlations(p.gamma, p.b1, p.b2, 50.0)["concurrence"] == 0.0
 
 
 @pytest.mark.parametrize(
@@ -297,9 +296,11 @@ def test_thermal_states_reject_non_finite_temperature(t):
     p = ModelParams(gamma=-1.0, b1=0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for route in (thermal_state, thermal_state_analytic, concurrence_analytic):
+        for route in (thermal_state, thermal_state_analytic):
             with pytest.raises(DomainError, match="temperature"):
                 route(p, t)
+        with pytest.raises(DomainError, match="temperature"):
+            closed_form_correlations(p.gamma, p.b1, p.b2, t)
         with pytest.raises(DomainError, match="temperature"):
             gibbs(build_hamiltonian(p), t)
 
@@ -311,4 +312,5 @@ def test_concurrence_closed_form_covers_every_family():
             gamma=float(rng.uniform(-1.0, 1.0)), b1=float(rng.uniform(-3.0, 3.0)), b2=float(rng.uniform(-3.0, 3.0))
         )
         for t in (0.5, 1.0, 2.2, 5.0):
-            assert abs(concurrence_analytic(p, t) - concurrence(thermal_state(p, t))) < 1e-12
+            closed = closed_form_correlations(p.gamma, p.b1, p.b2, t)["concurrence"]
+            assert abs(closed - concurrence(thermal_state(p, t))) < 1e-12

@@ -7,7 +7,7 @@ import pytest
 
 from dimercorr.correlations import concurrence
 from dimercorr.exceptions import DomainError
-from dimercorr.models import ModelParams, concurrence_analytic, thermal_state, thermal_state_analytic
+from dimercorr.models import ModelParams, closed_form_correlations, thermal_state, thermal_state_analytic
 from dimercorr.threshold import threshold_curve, tth_anisotropic, tth_numeric
 
 
@@ -59,9 +59,8 @@ def test_threshold_curve_is_strictly_decreasing():
 def test_concurrence_changes_sign_at_threshold():
     for gamma in (-1.0, -0.4, 0.0, 0.6, 0.95):
         t = tth_anisotropic(gamma)
-        p = ModelParams(gamma=gamma)
-        assert concurrence_analytic(p, 0.99 * t) > 0.0
-        assert concurrence_analytic(p, 1.01 * t) == 0.0
+        assert closed_form_correlations(gamma, 0.0, 0.0, 0.99 * t)["concurrence"] > 0.0
+        assert closed_form_correlations(gamma, 0.0, 0.0, 1.01 * t)["concurrence"] == 0.0
 
 
 def test_pipeline_concurrence_agrees_near_threshold():
