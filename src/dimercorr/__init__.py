@@ -16,8 +16,6 @@ __version__ = "0.1.0"
 # imported on its first access, through __getattr__ below (PEP 562).
 _SUBMODULE = {
     "CorrelationReport": "correlations",
-    "Ensemble": "correlations",
-    "average_entanglement": "correlations",
     "classical_correlation": "correlations",
     "concurrence": "correlations",
     "entanglement_of_formation": "correlations",
@@ -25,7 +23,6 @@ _SUBMODULE = {
     "is_separable_ppt": "correlations",
     "mutual_information": "correlations",
     "random_density_matrix": "correlations",
-    "random_ensemble": "correlations",
     "random_unitary": "correlations",
     "report": "correlations",
     "sample_decomposition_average": "correlations",
@@ -43,7 +40,6 @@ _SUBMODULE = {
     "partial_trace": "matkernel",
     "partial_transpose": "matkernel",
     "pauli": "matkernel",
-    "EigenPair": "models",
     "ModelParams": "models",
     "analytic_eigensystem": "models",
     "build_hamiltonian": "models",

@@ -27,8 +27,6 @@ from .models import _formation as _point_formation
 
 __all__ = [
     "CorrelationReport",
-    "Ensemble",
-    "average_entanglement",
     "classical_correlation",
     "concurrence",
     "entanglement_of_formation",
@@ -36,7 +34,6 @@ __all__ = [
     "is_separable_ppt",
     "mutual_information",
     "random_density_matrix",
-    "random_ensemble",
     "random_unitary",
     "report",
     "sample_decomposition_average",
@@ -241,18 +238,6 @@ def random_density_matrix(rng: np.random.Generator, dim: int = 4, size: int | No
     return rho
 
 
-@dataclass(frozen=True)
-class Ensemble:
-    """A pure-state decomposition rho = sum_i p_i |psi_i><psi_i|."""
-
-    probabilities: np.ndarray  # shape (m,), nonnegative, sums to 1
-    states: np.ndarray  # shape (m, 4), rows are normalized pure states
-
-    def density_matrix(self) -> np.ndarray:
-        weighted = self.states * self.probabilities[:, None]
-        return weighted.T @ self.states.conj()
-
-
 def _weighted_eigenrows(rho: np.ndarray, size: int) -> tuple[np.ndarray, int]:
     """Rows sqrt(mu_i) e_i^T over the support of each validated state, and the largest rank.
 
@@ -272,38 +257,6 @@ def _weighted_eigenrows(rho: np.ndarray, size: int) -> tuple[np.ndarray, int]:
     weights = np.sqrt(np.take_along_axis(np.where(kept, values, 0.0), order, axis=-1))
     columns = np.take_along_axis(vectors, order[..., None, :], axis=-1) * weights[..., None, :]
     return columns.swapaxes(-1, -2)[..., :rank, :], rank
-
-
-def random_ensemble(rho: np.ndarray, size: int, rng: np.random.Generator) -> Ensemble:
-    """Random ``size``-member pure-state decomposition of ``rho``.
-
-    Members are built by applying the first rank(rho) columns of a Haar
-    unitary to the weighted eigenvectors, which exhausts every
-    decomposition of the given size.  ``size`` must be at least rank(rho).
-    """
-    rho = check_density_matrix(rho, 4)
-    basis, rank = _weighted_eigenrows(rho, size)
-    unnormalized = random_unitary(size, rng)[:, :rank] @ basis  # row j is the j-th member
-    probabilities = np.einsum("ij,ij->i", unnormalized, unnormalized.conj()).real
-    norms = np.sqrt(np.where(probabilities > 0, probabilities, 1.0))
-    return Ensemble(probabilities=probabilities, states=unnormalized / norms[:, None])
-
-
-def _pure_entanglement(states: np.ndarray) -> np.ndarray:
-    """Entropy of the qubit-1 marginal for each row of normalized pure states.
-
-    A pure two-qubit state with amplitude matrix A (reshaped 2x2) has
-    concurrence 2 |det A|, and its marginal entropy is the entanglement of
-    formation of that concurrence.
-    """
-    amps = states.reshape(-1, 2, 2)
-    dets = np.abs(amps[:, 0, 0] * amps[:, 1, 1] - amps[:, 0, 1] * amps[:, 1, 0])
-    return _formation(np.minimum(2.0 * dets, 1.0))
-
-
-def average_entanglement(ensemble: Ensemble) -> float:
-    """Probability-weighted mean pure-state entanglement of an ensemble."""
-    return float(ensemble.probabilities @ _pure_entanglement(ensemble.states))
 
 
 def _ginibre_blocks(rng: np.random.Generator, samples: int, size: int):

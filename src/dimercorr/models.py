@@ -31,8 +31,9 @@ from .exceptions import DomainError
 if TYPE_CHECKING:
     import numpy as np
 
+    from .matkernel import EigenSystem
+
 __all__ = [
-    "EigenPair",
     "ModelParams",
     "analytic_eigensystem",
     "build_hamiltonian",
@@ -69,14 +70,6 @@ class ModelParams:
         if not (isinstance(b1, (int, float)) and isinstance(b2, (int, float))):
             b1, b2 = _broadcast(b1, b2)
         _check_params(as_floats(self.gamma), as_floats(b1), as_floats(b2), as_floats(self.j))
-
-
-@dataclass(frozen=True)
-class EigenPair:
-    """One closed-form eigenstate: energy and a normalized 4-vector."""
-
-    energy: float
-    state: np.ndarray
 
 
 def build_hamiltonian(p: ModelParams) -> np.ndarray:
@@ -232,16 +225,19 @@ def _broadcast(*values) -> list[np.ndarray]:
     return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
 
 
-def analytic_eigensystem(p: ModelParams) -> list[EigenPair]:
-    """Closed-form eigenpairs of one dimer (scalar parameters), any (gamma, b1, b2).
+def analytic_eigensystem(p: ModelParams) -> EigenSystem:
+    """Closed-form eigensystem of one dimer (scalar parameters), any (gamma, b1, b2).
 
     |uu> and |dd> at J[(1+gamma)/2 +- (b1+b2)], then the upper and lower
     mixed levels at J[-(1+gamma)/2 +- r]: the upper one is
     cos(phi)|ud> + sin(phi)|du> and the lower one -sin(phi)|ud> + cos(phi)|du>,
     with 2 phi = theta.  The half-angle components come from 1 - |cos(theta)|
-    without cancellation.
+    without cancellation.  As from hermitian_eig, the values ascend (a
+    stable sort of that level order) and column k belongs to values[k].
     """
     import numpy as np
+
+    from .matkernel import EigenSystem
 
     form = _x_form(float(p.gamma), float(p.b1), float(p.b2), 1.0)  # the populations are not used
     # the lower mixed level sits at -(1+gamma)/2 - r, and levels[2] = 2r
@@ -253,7 +249,9 @@ def analytic_eigensystem(p: ModelParams) -> list[EigenPair]:
     vectors[0, 0] = vectors[3, 1] = 1.0
     vectors[1:3, 2] = cos_phi, sin_phi
     vectors[1:3, 3] = -sin_phi, cos_phi
-    return [EigenPair(float(p.j * (level - shift)), vectors[:, k].copy()) for k, level in enumerate(form.levels)]
+    values = p.j * (np.array(form.levels) - shift)
+    order = np.argsort(values, kind="stable")
+    return EigenSystem(values[order], vectors[:, order])
 
 
 def _gibbs_entries(gamma: float, b1: float, b2: float, tau: float) -> tuple[float, ...]:

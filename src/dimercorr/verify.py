@@ -139,12 +139,16 @@ def run_suites(
 ) -> list[CheckResult]:
     """Run one named suite or all of them and collect the results.
 
-    ``samples`` overrides the per-suite sample counts and must be at least 1.
+    ``samples`` overrides the per-suite sample counts and must be at least 1;
+    ``seed`` must be nonnegative.  Neither reaches the wootters suite, whose
+    panel is fixed (see check_wootters_closed_form).
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from all, {', '.join(SUITES)}")
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     wanted = SUITES if suite == "all" else (suite,)
     results: list[CheckResult] = []
     for name in wanted:

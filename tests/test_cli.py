@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -231,6 +232,29 @@ def test_console_script_entry_point():
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["point", "--temp", "1"],
+        ["sweep", "--temp", "1", "--axis", "b1=0:1:3"],
+        ["threshold", "--gamma", "0:1:3"],
+        ["verify", "--suite", "ppt"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_closed_stdout_exits_1_without_a_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dimercorr", *argv], stdout=write_end, stderr=subprocess.PIPE, text=True
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize(
     "argv,rows,concurrence",
     [
         pytest.param(["sweep", "--temp", "1e-300", "--axis", "b1=1e13:1.5e15:50"], 50, None, id="sweep"),
@@ -389,6 +413,13 @@ def test_verify_samples_below_one_is_usage_error(capsys, samples):
     assert "samples" in err
 
 
+def test_verify_negative_seed_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "ppt", "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert "seed" in err
+
+
 # The record format the CLI has always printed, one Python call per value,
 # kept here as the oracle for the bytes of the one-pass writer.
 def _g(v):
@@ -494,10 +525,9 @@ def _awkward_columns():
     "columns",
     [
         _awkward_columns(),
-        {**_awkward_columns(), "T": -0.0, "gamma": np.array(7.0)},  # scalar columns broadcast
         {name: np.array([]) for name in RECORD_COLUMNS},
     ],
-    ids=["awkward", "broadcast", "empty"],
+    ids=["awkward", "empty"],
 )
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_hand_built_columns_match_the_oracle(capsys, tmp_path, monkeypatch, columns, fmt):

@@ -8,8 +8,6 @@ import pytest
 
 from dimercorr.correlations import (
     MAX_ENSEMBLE,
-    Ensemble,
-    average_entanglement,
     classical_correlation,
     concurrence,
     entanglement_of_formation,
@@ -17,7 +15,6 @@ from dimercorr.correlations import (
     is_separable_ppt,
     mutual_information,
     random_density_matrix,
-    random_ensemble,
     random_unitary,
     report,
     sample_decomposition_average,
@@ -220,35 +217,10 @@ def test_random_density_matrix_properties():
     assert np.array_equal(same, random_density_matrix(np.random.default_rng(8)))
 
 
-def test_random_ensemble_reconstructs_the_state():
-    rng = np.random.default_rng(71)
-    for _ in range(30):
-        rho = random_density_matrix(rng)
-        size = int(rng.integers(4, MAX_ENSEMBLE + 1))
-        ensemble = random_ensemble(rho, size, rng)
-        assert ensemble.probabilities.shape == (size,)
-        assert np.all(ensemble.probabilities >= 0.0)
-        assert abs(ensemble.probabilities.sum() - 1.0) < 1e-12
-        norms = np.linalg.norm(ensemble.states, axis=1)
-        assert np.max(np.abs(norms[ensemble.probabilities > 1e-12] - 1.0)) < 1e-12
-        assert np.max(np.abs(ensemble.density_matrix() - rho)) < 1e-10
-
-
-def test_random_ensemble_size_limits():
-    rng = np.random.default_rng(73)
-    rho = random_density_matrix(rng)  # full rank
-    with pytest.raises(DomainError):
-        random_ensemble(rho, 3, rng)
-    with pytest.raises(ValueError):
-        random_ensemble(rho, MAX_ENSEMBLE + 1, rng)
-
-
 def test_average_entanglement_of_pure_decompositions():
     # any decomposition of a pure state repeats that state, so the average
     # equals the marginal entropy exactly
-    rng = np.random.default_rng(79)
-    ensemble = random_ensemble(SINGLET_RHO, 3, rng)
-    assert abs(average_entanglement(ensemble) - 1.0) < 1e-12
+    assert abs(sample_decomposition_average(SINGLET_RHO, 3, 50, seed=5) - 1.0) < 1e-12
 
     lopsided = np.array([math.sqrt(0.8), 0.0, 0.0, math.sqrt(0.2)], dtype=complex)
     rho = np.outer(lopsided, lopsided.conj())
@@ -260,19 +232,8 @@ def test_average_entanglement_of_pure_decompositions():
     theta = 0.5 * math.asin(1e-8)
     near_product = np.array([math.cos(theta), 0.0, 0.0, math.sin(theta)], dtype=complex)
     want = mp_formation(2.0 * math.cos(theta) * math.sin(theta))
-    single = Ensemble(probabilities=np.array([1.0]), states=near_product[None, :])
-    assert abs(average_entanglement(single) - want) < 1e-12 * want
     value = sample_decomposition_average(np.outer(near_product, near_product.conj()), 3, 50, seed=5)
     assert abs(value - want) < 1e-12 * want
-
-
-def test_eigendecomposition_of_classical_mixture_is_unentangled():
-    up_up = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-    down_down = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
-    ensemble = Ensemble(
-        probabilities=np.array([0.5, 0.5]), states=np.vstack([up_up, down_down])
-    )
-    assert average_entanglement(ensemble) == 0.0
 
 
 def test_sampled_average_never_undercuts_formation():
@@ -300,5 +261,7 @@ def test_sample_decomposition_argument_checks():
         sample_decomposition_average(rho, 0, 10, seed=1)
     with pytest.raises(ValueError):
         sample_decomposition_average(rho, 4, 0, seed=1)
+    with pytest.raises(ValueError):
+        sample_decomposition_average(rho, MAX_ENSEMBLE + 1, 10, seed=1)
     with pytest.raises(DomainError):
         sample_decomposition_average(rho, 2, 10, seed=1)

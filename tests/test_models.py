@@ -8,7 +8,7 @@ import pytest
 
 from dimercorr.correlations import concurrence, report
 from dimercorr.exceptions import DomainError
-from dimercorr.matkernel import check_density_matrix, gibbs, hermitian_eig
+from dimercorr.matkernel import EigenSystem, check_density_matrix, gibbs, hermitian_eig
 from dimercorr.models import (
     ModelParams,
     analytic_eigensystem,
@@ -80,21 +80,19 @@ def test_singlet_is_eigenstate_without_fields():
     ],
 )
 def test_zero_field_energies(gamma, expected):
-    pairs = analytic_eigensystem(ModelParams(gamma=gamma))
-    assert np.allclose(sorted(pair.energy for pair in pairs), expected, atol=1e-12)
+    values = analytic_eigensystem(ModelParams(gamma=gamma)).values
+    assert np.allclose(values, expected, atol=1e-12)
 
 
 def test_xy_energies_with_fields():
     # opposite fields of 0.5 split the central block by 2 sqrt(5)/2
-    pairs = analytic_eigensystem(ModelParams(gamma=-1.0, b1=0.5, b2=-0.5))
-    energies = sorted(pair.energy for pair in pairs)
+    energies = analytic_eigensystem(ModelParams(gamma=-1.0, b1=0.5, b2=-0.5)).values
     root5 = math.sqrt(5.0)
     assert np.allclose(energies, [-root5, 0.0, 0.0, root5], atol=1e-12)
 
 
 def test_xy_energies_uniform_field():
-    pairs = analytic_eigensystem(ModelParams(gamma=-1.0, b1=0.8, b2=0.8))
-    energies = sorted(pair.energy for pair in pairs)
+    energies = analytic_eigensystem(ModelParams(gamma=-1.0, b1=0.8, b2=0.8)).values
     assert np.allclose(energies, [-2.0, -1.6, 1.6, 2.0], atol=1e-12)
 
 
@@ -118,15 +116,32 @@ def test_analytic_pairs_solve_the_hamiltonian():
     ]
     for p in params:
         h = build_hamiltonian(p)
-        for pair in analytic_eigensystem(p):
-            assert abs(np.linalg.norm(pair.state) - 1.0) < 1e-12
-            assert np.max(np.abs(h @ pair.state - pair.energy * pair.state)) < 1e-10
+        values, vectors = analytic_eigensystem(p)
+        for energy, state in zip(values, vectors.T):
+            assert abs(np.linalg.norm(state) - 1.0) < 1e-12
+            assert np.max(np.abs(h @ state - energy * state)) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "p",
+    # gamma = 1 with b1 = b2 (r = 0, no mixing angle), and zero field, where levels coincide
+    [ModelParams(1.0), ModelParams(1.0, 0.4, 0.4), ModelParams(0.0), ModelParams(-1.0), ModelParams(0.9, j=2.0)],
+)
+def test_analytic_eigensystem_contract_at_degenerate_points(p):
+    h = build_hamiltonian(p)
+    system = analytic_eigensystem(p)
+    assert isinstance(system, EigenSystem)
+    assert np.all(np.diff(system.values) >= 0.0)
+    assert np.max(np.abs(system.values - hermitian_eig(h).values)) < 1e-10
+    for k in range(4):
+        v = system.vectors[:, k]
+        assert np.max(np.abs(h @ v - system.values[k] * v)) < 1e-10
 
 
 def test_fields_away_from_the_xy_point_match_dense_and_reference():
     p = ModelParams(gamma=0.5, b1=0.1)
-    energies = sorted(pair.energy for pair in analytic_eigensystem(p))
-    assert np.max(np.abs(np.array(energies) - hermitian_eig(build_hamiltonian(p))[0])) < 1e-10
+    energies = analytic_eigensystem(p).values
+    assert np.max(np.abs(energies - hermitian_eig(build_hamiltonian(p))[0])) < 1e-10
     assert_gibbs_matches_dense_and_reference(0.5, 0.1, 0.0, 1.0)
     assert_gibbs_matches_dense_and_reference(0.0, 0.0, 0.2, 1.0)
 
@@ -192,11 +207,10 @@ def test_eigenpairs_gibbs_state_and_correlations_agree_over_the_box():
     b2[2] = b1[2]
     rho = thermal_state_analytic(ModelParams(gamma, b1, b2), t)
     for k in range(n):
-        pairs = analytic_eigensystem(ModelParams(float(gamma[k]), float(b1[k]), float(b2[k])))
-        energies = np.array([pair.energy for pair in pairs])
+        energies, vectors = analytic_eigensystem(ModelParams(float(gamma[k]), float(b1[k]), float(b2[k])))
         weights = np.exp(-(energies - energies.min()) / t[k])
         weights /= weights.sum()
-        mixture = sum(w * np.outer(pair.state, pair.state.conj()) for w, pair in zip(weights, pairs))
+        mixture = sum(w * np.outer(state, state.conj()) for w, state in zip(weights, vectors.T))
         assert np.max(np.abs(mixture - rho[k])) < 1e-14, k
     check_density_matrix(rho)
     x_pattern = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]

@@ -61,6 +61,11 @@ def test_run_suites_rejects_samples_below_one(samples):
         run_suites("ppt", samples=samples)
 
 
+def test_run_suites_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed"):
+        run_suites("ppt", seed=-1)
+
+
 def test_ensemble_gap_is_kept():
     # the five states share one stream of Haar draws; the Gram-Schmidt
     # isometries and the members' weights and concurrences depend on the
