@@ -33,9 +33,6 @@ _SUBMODULE = {
     "check_density_matrix": "matkernel",
     "gibbs": "matkernel",
     "hermitian_eig": "matkernel",
-    "is_hermitian": "matkernel",
-    "is_psd": "matkernel",
-    "is_unit_trace": "matkernel",
     "kron": "matkernel",
     "partial_trace": "matkernel",
     "partial_transpose": "matkernel",

@@ -125,7 +125,7 @@ def _table_to_json(table: SweepTable) -> str:
                 "gamma": spec.base.gamma,
                 "b1": spec.base.b1,
                 "b2": spec.base.b2,
-                "j": spec.base.j,
+                "j": 1.0,  # J is the unit of energy; kept so the JSON spec's bytes stay the same
                 "temp": spec.temp,
                 "axes": axes,
             },

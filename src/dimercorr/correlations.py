@@ -150,8 +150,8 @@ def entanglement_of_formation(rho: np.ndarray) -> float:
 
 
 def classical_correlation(rho: np.ndarray) -> float:
-    """Classical correlation: mutual information minus entanglement of formation."""
-    return mutual_information(rho) - entanglement_of_formation(rho)
+    """Classical correlation: mutual information minus entanglement of formation (see report)."""
+    return report(rho).classical
 
 
 @dataclass(frozen=True)

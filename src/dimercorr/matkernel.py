@@ -23,12 +23,8 @@ __all__ = [
     "TRACE_TOL",
     "EigenSystem",
     "check_density_matrix",
-    "check_positive_finite",
     "gibbs",
     "hermitian_eig",
-    "is_hermitian",
-    "is_psd",
-    "is_unit_trace",
     "kron",
     "partial_trace",
     "partial_transpose",
@@ -98,20 +94,15 @@ def _member(bad: np.ndarray) -> str:
     return f" (stack member {index[0] if len(index) == 1 else index})"
 
 
-def is_hermitian(m: np.ndarray) -> bool:
-    """True when ``m`` (one matrix or every matrix of a stack) equals its adjoint within HERMITIAN_TOL."""
-    return bool(np.all(_hermitian_mask(np.asarray(m, dtype=complex), HERMITIAN_TOL)))
-
-
-def is_unit_trace(m: np.ndarray) -> bool:
-    """True when every trace is 1 within TRACE_TOL (imaginary part included)."""
-    return bool(np.all(np.abs(_trace(np.asarray(m, dtype=complex)) - 1.0) <= TRACE_TOL))
-
-
-def is_psd(m: np.ndarray) -> bool:
-    """True when every smallest eigenvalue of Hermitian ``m`` is at least -PSD_TOL."""
-    m = np.asarray(m, dtype=complex)
-    return bool(np.all(np.linalg.eigvalsh(m)[..., 0] >= -PSD_TOL))
+def _check_hermitian_unit_trace(m: np.ndarray, what: str) -> None:
+    """Raise ValidationError, naming ``what``, unless every matrix of ``m`` is Hermitian with unit trace."""
+    bad = ~_hermitian_mask(m, HERMITIAN_TOL)
+    if bad.any():
+        raise ValidationError(f"{what} is not Hermitian within tolerance" + _member(bad))
+    trace = _trace(m)
+    bad = ~(np.abs(trace - 1.0) <= TRACE_TOL)
+    if bad.any():
+        raise ValidationError(f"{what} trace is {trace[bad].flat[0]:.6g}, expected 1" + _member(bad))
 
 
 def check_density_matrix(m: np.ndarray, dim: int | None = None) -> np.ndarray:
@@ -125,15 +116,7 @@ def check_density_matrix(m: np.ndarray, dim: int | None = None) -> np.ndarray:
     """
     dims = (dim,) if dim is not None else (2, 4)
     m = _as_square(m, dims)
-    bad = ~_hermitian_mask(m, HERMITIAN_TOL)
-    if bad.any():
-        raise ValidationError("density matrix is not Hermitian within tolerance" + _member(bad))
-    trace = _trace(m)
-    bad = ~(np.abs(trace - 1.0) <= TRACE_TOL)
-    if bad.any():
-        raise ValidationError(
-            f"density matrix trace is {trace[bad].flat[0]:.6g}, expected 1" + _member(bad)
-        )
+    _check_hermitian_unit_trace(m, "density matrix")
     bad = ~(np.linalg.eigvalsh(m)[..., 0] >= -PSD_TOL)
     if bad.any():
         raise ValidationError(f"density matrix has an eigenvalue below {-PSD_TOL:g}" + _member(bad))
@@ -209,8 +192,5 @@ def partial_transpose(rho: np.ndarray, subsystem: int) -> np.ndarray:
     if subsystem not in (1, 2):
         raise ValueError(f"subsystem must be 1 or 2, got {subsystem}")
     rho = _as_square(rho, (4,))
-    if not is_hermitian(rho):
-        raise ValidationError("partial transpose input is not Hermitian within tolerance")
-    if not is_unit_trace(rho):
-        raise ValidationError("partial transpose input does not have unit trace")
+    _check_hermitian_unit_trace(rho, "partial transpose input")
     return _partial_transpose(rho, subsystem)

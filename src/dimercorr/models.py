@@ -53,23 +53,29 @@ class ModelParams:
 
     gamma : anisotropy in [-1, 1]; -1 is the XY point, +1 the Ising point.
     b1, b2 : local z fields on qubits 1 and 2, in units of J.
-    j : exchange constant, > 0; all energies and temperatures scale with it.
 
     Each field is a float, or an array when one instance stands for many
-    points; the arrays broadcast against each other, and build_hamiltonian
-    and thermal_state then return (..., 4, 4) stacks.
+    points; the arrays must broadcast against each other (else ValueError),
+    and build_hamiltonian and thermal_state then return (..., 4, 4) stacks.
     """
 
     gamma: float
     b1: float = 0.0
     b2: float = 0.0
-    j: float = 1.0
 
     def __post_init__(self) -> None:
-        b1, b2 = self.b1, self.b2
-        if not (isinstance(b1, (int, float)) and isinstance(b2, (int, float))):
-            b1, b2 = _broadcast(b1, b2)
-        _check_params(as_floats(self.gamma), as_floats(b1), as_floats(b2), as_floats(self.j))
+        values = (self.gamma, self.b1, self.b2)
+        if not all(isinstance(v, (int, float)) for v in values):
+            values = _broadcast(*values)
+        _check_params(*map(as_floats, values))
+
+
+def _single_point(p: ModelParams, caller: str) -> list[float]:
+    """[gamma, b1, b2] of ``p`` as floats; ValueError when ``p`` stands for more than one point."""
+    values = [as_floats(v) for v in (p.gamma, p.b1, p.b2)]
+    if any(len(v) != 1 for v in values):
+        raise ValueError(f"{caller} takes one parameter point, got a stack of sizes {[len(v) for v in values]}")
+    return [v[0] for v in values]
 
 
 def build_hamiltonian(p: ModelParams) -> np.ndarray:
@@ -81,9 +87,9 @@ def build_hamiltonian(p: ModelParams) -> np.ndarray:
     exchange_xy = kron(pauli("x"), pauli("x")) + kron(pauli("y"), pauli("y"))
     exchange_z = kron(pauli("z"), pauli("z"))
     field_1, field_2 = kron(pauli("z"), np.eye(2)), kron(np.eye(2), pauli("z"))
-    gamma, b1, b2, j = (np.asarray(v, dtype=float)[..., None, None] for v in (p.gamma, p.b1, p.b2, p.j))
+    gamma, b1, b2 = (np.asarray(v, dtype=float)[..., None, None] for v in (p.gamma, p.b1, p.b2))
     exchange = 0.5 * (1.0 - gamma) * exchange_xy + 0.5 * (1.0 + gamma) * exchange_z
-    return j * (exchange + (b1 * field_1 + b2 * field_2))
+    return exchange + (b1 * field_1 + b2 * field_2)
 
 
 class _XForm(NamedTuple):
@@ -98,8 +104,8 @@ class _XForm(NamedTuple):
     corners: float  # sqrt(rho11 rho44), formed without underflow
 
 
-def _x_form(gamma: float, b1: float, b2: float, tau: float) -> _XForm:
-    """Levels, populations and mixing angle of the Gibbs state at tau = T/J.
+def _x_form(gamma: float, b1: float, b2: float, t: float) -> _XForm:
+    """Levels, populations and mixing angle of the Gibbs state at temperature t > 0.
 
     H conserves total S_z: |uu> and |dd> are eigenstates at
     J[(1+gamma)/2 +- (b1+b2)], and |ud>, |du> mix into levels at
@@ -108,11 +114,8 @@ def _x_form(gamma: float, b1: float, b2: float, tau: float) -> _XForm:
     level leans toward |ud> when b1 >= b2.  Every Boltzmann exponent is
     nonpositive, and one that overflows saturates to -inf (float * and /
     saturate to +-inf without raising), so nothing overflows or raises at
-    any T > 0 and any fields with finite b1 +- b2.  A tau that underflows
-    to 0 (T and J each valid, T/J below the smallest float) is a DomainError.
+    any T > 0 and any fields with finite b1 +- b2.
     """
-    if tau == 0.0:
-        raise DomainError("T / j underflows to 0")
     sigma = b1 + b2
     delta = b1 - b2
     size = abs(delta)
@@ -128,8 +131,8 @@ def _x_form(gamma: float, b1: float, b2: float, tau: float) -> _XForm:
     lift = 2.0 + (square / (r_safe + gap) if math.isfinite(square) else size * (size / (r_safe + gap)))
     levels = (lift + sigma, lift - sigma, 2.0 * r, 0.0)
     low = min(levels)
-    x = [(level - low) / tau for level in levels]  # exp and expm1 map +inf to the right limits
-    split = 2.0 * r / tau
+    x = [(level - low) / t for level in levels]  # exp and expm1 map +inf to the right limits
+    split = 2.0 * r / t
     weights = [math.exp(-v) for v in x]
     z = weights[0] + weights[1] + weights[2] + weights[3]
     populations = tuple(w / z for w in weights)
@@ -144,7 +147,7 @@ def _x_form(gamma: float, b1: float, b2: float, tau: float) -> _XForm:
     upper_side = 0.5 * (p_hi * (2.0 - one_minus_cos) + p_lo * one_minus_cos)
     lower_side = 0.5 * (p_hi * one_minus_cos + p_lo * (2.0 - one_minus_cos))
     # (p_lo - p_hi) sin(theta) / 2 = (p_lo - p_hi) gap / 2r with p_lo - p_hi =
-    # p_lo (1 - e^{-2r/tau}), kept exact for small r / tau; where 2r overflows
+    # p_lo (1 - e^{-2r/T}), kept exact for small r / T; where 2r overflows
     # (|b1 - b2| past ~9e307) the numerator is divided by r and then halved,
     # which only there rounds a subnormal result twice
     numerator = -p_lo * math.expm1(-split) * gap
@@ -179,9 +182,9 @@ def _formation(c: float) -> float:
     return -_xlog2x(small) - (1.0 - small) * math.log1p(-small) / _LN2
 
 
-def _correlations(gamma: float, b1: float, b2: float, tau: float) -> tuple[float, float, float, float]:
+def _correlations(gamma: float, b1: float, b2: float, t: float) -> tuple[float, float, float, float]:
     """Total, quantum and classical correlation and concurrence at one point (see closed_form_correlations)."""
-    form = _x_form(gamma, b1, b2, tau)
+    form = _x_form(gamma, b1, b2, t)
     p_uu, p_dd, p_hi, p_lo = form.populations
     rho22, rho33 = form.rho22, form.rho33
     c = min(max(2.0 * (form.coherence - form.corners), 0.0), 1.0)
@@ -194,10 +197,10 @@ def _correlations(gamma: float, b1: float, b2: float, tau: float) -> tuple[float
     return total, quantum, total - quantum, c
 
 
-def _check_params(gamma: list, b1: list, b2: list, j: list) -> None:
-    """Raise DomainError unless gamma lies in [-1, 1], b1, b2 and b1 +- b2 are finite, and j is positive and finite.
+def _check_params(gamma: list, b1: list, b2: list) -> None:
+    """Raise DomainError unless gamma lies in [-1, 1] and b1, b2 and b1 +- b2 are finite.
 
-    Each argument is a list of floats, b1 and b2 of one length; each rule
+    Each argument is a list of floats, all of one length; each rule
     is checked over every point before the next.
     """
     for g in gamma:
@@ -207,14 +210,13 @@ def _check_params(gamma: list, b1: list, b2: list, j: list) -> None:
         for v in values:
             if not math.isfinite(v):
                 raise DomainError(f"{name} must be finite, got {v}")
-    check_positive_finite(j, "j")
 
 
-def _correlation_columns(gamma: list, b1: list, b2: list, t: list, j: list) -> list[list[float]]:
+def _correlation_columns(gamma: list, b1: list, b2: list, t: list) -> list[list[float]]:
     """closed_form_correlations over equal-length lists of floats: one list per name of OUTPUTS."""
-    _check_params(gamma, b1, b2, j)
+    _check_params(gamma, b1, b2)
     check_positive_finite(t)
-    rows = list(map(_correlations, gamma, b1, b2, [tk / jk for tk, jk in zip(t, j)]))
+    rows = list(map(_correlations, gamma, b1, b2, t))
     return [list(column) for column in zip(*rows)] if rows else [[] for _ in OUTPUTS]
 
 
@@ -226,7 +228,7 @@ def _broadcast(*values) -> list[np.ndarray]:
 
 
 def analytic_eigensystem(p: ModelParams) -> EigenSystem:
-    """Closed-form eigensystem of one dimer (scalar parameters), any (gamma, b1, b2).
+    """Closed-form eigensystem of one dimer, any (gamma, b1, b2); ValueError for a parameter stack.
 
     |uu> and |dd> at J[(1+gamma)/2 +- (b1+b2)], then the upper and lower
     mixed levels at J[-(1+gamma)/2 +- r]: the upper one is
@@ -239,24 +241,25 @@ def analytic_eigensystem(p: ModelParams) -> EigenSystem:
 
     from .matkernel import EigenSystem
 
-    form = _x_form(float(p.gamma), float(p.b1), float(p.b2), 1.0)  # the populations are not used
+    gamma, b1, b2 = _single_point(p, "analytic_eigensystem")
+    form = _x_form(gamma, b1, b2, 1.0)  # the populations are not used
     # the lower mixed level sits at -(1+gamma)/2 - r, and levels[2] = 2r
-    shift = 0.5 * (1.0 + p.gamma) + 0.5 * form.levels[2]
+    shift = 0.5 * (1.0 + gamma) + 0.5 * form.levels[2]
     small = math.sqrt(0.5 * form.one_minus_cos)
     big = math.sqrt(1.0 - 0.5 * form.one_minus_cos)
-    cos_phi, sin_phi = (big, small) if p.b1 >= p.b2 else (small, big)
+    cos_phi, sin_phi = (big, small) if b1 >= b2 else (small, big)
     vectors = np.zeros((4, 4), dtype=complex)  # one eigenvector per column
     vectors[0, 0] = vectors[3, 1] = 1.0
     vectors[1:3, 2] = cos_phi, sin_phi
     vectors[1:3, 3] = -sin_phi, cos_phi
-    values = p.j * (np.array(form.levels) - shift)
+    values = np.array(form.levels) - shift
     order = np.argsort(values, kind="stable")
     return EigenSystem(values[order], vectors[:, order])
 
 
-def _gibbs_entries(gamma: float, b1: float, b2: float, tau: float) -> tuple[float, ...]:
+def _gibbs_entries(gamma: float, b1: float, b2: float, t: float) -> tuple[float, ...]:
     """rho11, rho44, rho22, rho33 and rho23 of the closed-form Gibbs state at one point."""
-    form = _x_form(gamma, b1, b2, tau)
+    form = _x_form(gamma, b1, b2, t)
     return form.populations[0], form.populations[1], form.rho22, form.rho33, -form.coherence
 
 
@@ -271,8 +274,8 @@ def thermal_state_analytic(p: ModelParams, t) -> np.ndarray:
     import numpy as np
 
     check_positive_finite(t)
-    gamma, b1, b2, j, t = _broadcast(p.gamma, p.b1, p.b2, p.j, t)
-    entries = np.frompyfunc(_gibbs_entries, 4, 5)(gamma, b1, b2, t / j)
+    gamma, b1, b2, t = _broadcast(p.gamma, p.b1, p.b2, t)
+    entries = np.frompyfunc(_gibbs_entries, 4, 5)(gamma, b1, b2, t)
     rho11, rho44, rho22, rho33, rho23 = (np.asarray(e, dtype=float) for e in entries)
     rho = np.zeros(t.shape + (4, 4), dtype=complex)
     rho[..., 0, 0], rho[..., 3, 3] = rho11, rho44
@@ -293,7 +296,7 @@ def thermal_state(p: ModelParams, t) -> np.ndarray:
 
 
 def ground_state_limit(p: ModelParams) -> np.ndarray:
-    """T -> 0+ limit of the thermal state.
+    """T -> 0+ limit of the thermal state of one parameter point (ValueError for a stack).
 
     Uniform mixture over the ground eigenspace; energies within 1e-10 of
     the minimum count as degenerate, so the Ising point (gamma = 1) yields
@@ -301,13 +304,13 @@ def ground_state_limit(p: ModelParams) -> np.ndarray:
     """
     from .matkernel import hermitian_eig
 
-    values, vectors = hermitian_eig(build_hamiltonian(p))
+    values, vectors = hermitian_eig(build_hamiltonian(ModelParams(*_single_point(p, "ground_state_limit"))))
     ground = values <= values[0] + 1e-10
     cols = vectors[:, ground]
     return (cols @ cols.conj().T) / int(ground.sum())
 
 
-def closed_form_correlations(gamma, b1, b2, t, j=1.0) -> dict:
+def closed_form_correlations(gamma, b1, b2, t) -> dict:
     """Total, quantum and classical correlation (bits) and concurrence of the Gibbs state.
 
     Numbers give floats.  Arrays broadcast against each other, and every
@@ -326,9 +329,9 @@ def closed_form_correlations(gamma, b1, b2, t, j=1.0) -> dict:
       taken without cancellation (_formation).
 
     Nothing overflows at any T > 0, and no result is -0.0.
-    Non-finite inputs, gamma outside [-1, 1] and T or j <= 0 raise DomainError.
+    Non-finite inputs, gamma outside [-1, 1] and T <= 0 raise DomainError.
     """
-    args = (gamma, b1, b2, t, j)
+    args = (gamma, b1, b2, t)
     if all(isinstance(a, (int, float)) for a in args):
         columns = _correlation_columns(*([float(a)] for a in args))
         return {name: column[0] for name, column in zip(OUTPUTS, columns)}

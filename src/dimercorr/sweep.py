@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from .domain import check_grid, check_positive_finite, linspace
 from .exceptions import DomainError
-from .models import OUTPUTS, ModelParams, _correlation_columns
+from .models import OUTPUTS, ModelParams, _correlation_columns, _single_point
 from .names import AXIS_NAMES, AXIS_WRITES, RECORD_COLUMNS
 
 if TYPE_CHECKING:
@@ -61,7 +61,7 @@ class Axis:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Base parameters plus one or two axes to scan.
+    """One base parameter point (ValueError for a stack) plus one or two axes to scan.
 
     ``temp`` is the fixed temperature used when no T axis is present; when
     given, it must be positive and finite whether or not a T axis is.
@@ -73,6 +73,7 @@ class SweepSpec:
     temp: float | None = None
 
     def __post_init__(self) -> None:
+        _single_point(self.base, "SweepSpec")
         axes = [self.axis1] + ([self.axis2] if self.axis2 is not None else [])
         if self.axis2 is not None:
             if self.axis1.name == self.axis2.name:
@@ -136,14 +137,13 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepTable:
     if len(grids) == 2:  # row-major: axis 1 outer, axis 2 inner
         grids = [[v for v in grids[0] for _ in grids[1]], grids[1] * len(grids[0])]
     n = len(grids[0])
-    base = spec.base
     base_t = spec.temp if spec.temp is not None else 1.0  # overwritten by any T axis
-    fixed = {"T": base_t, "gamma": base.gamma, "b1": base.b1, "b2": base.b2}
+    fixed = dict(zip(("T", "gamma", "b1", "b2"), [base_t, *_single_point(spec.base, "SweepSpec")]))
     columns = {name: [float(value)] * n for name, value in fixed.items()}
     for axis, values in zip(axes, grids):
         for name, sign in AXIS_WRITES[axis.name]:
             columns[name] = [sign * v for v in values]
-    outputs = _correlation_columns(columns["gamma"], columns["b1"], columns["b2"], columns["T"], [float(base.j)] * n)
+    outputs = _correlation_columns(columns["gamma"], columns["b1"], columns["b2"], columns["T"])
     columns.update(zip(OUTPUTS, outputs))
     return SweepTable(spec=spec, columns=columns)
 

@@ -88,7 +88,7 @@ def threshold_curve(gammas: Sequence[float]) -> list[ThresholdPoint]:
 
 
 def tth_numeric(p: ModelParams, t_max: float) -> float | None:
-    """Largest temperature in (0, t_max] where the concurrence turns off.
+    """Largest temperature in (0, t_max] where the concurrence at one point ``p`` turns off.
 
     A coarse scan over 200 temperatures locates positive-to-zero
     transitions of the thermal concurrence.  The bracket of the largest one
@@ -97,14 +97,14 @@ def tth_numeric(p: ModelParams, t_max: float) -> float | None:
     apart).  Returns None when no transition exists in the range.  Multiple
     transitions trigger a warning and the largest is returned.
     """
-    from .models import _correlation_columns  # imported here: the zero-field threshold needs no kernel
+    from .models import _correlation_columns, _single_point  # imported here: the zero-field threshold needs no kernel
 
     check_positive_finite(t_max, "t_max")
-    params = [float(v) for v in (p.gamma, p.b1, p.b2, p.j)]
+    params = _single_point(p, "tth_numeric")
 
     def entangled(grid: list[float]) -> list[bool]:
-        gamma, b1, b2, j = ([v] * len(grid) for v in params)
-        return [c > _POSITIVE_C for c in _correlation_columns(gamma, b1, b2, grid, j)[3]]
+        gamma, b1, b2 = ([v] * len(grid) for v in params)
+        return [c > _POSITIVE_C for c in _correlation_columns(gamma, b1, b2, grid)[3]]
 
     def turn_offs(positive: list[bool]) -> list[int]:
         return [k for k in range(len(positive) - 1) if positive[k] and not positive[k + 1]]

@@ -448,7 +448,7 @@ def oracle_json(table):
             "gamma": spec.base.gamma,
             "b1": spec.base.b1,
             "b2": spec.base.b2,
-            "j": spec.base.j,
+            "j": 1.0,
             "temp": spec.temp,
             "axes": axes,
         },

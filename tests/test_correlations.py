@@ -173,6 +173,15 @@ def test_report_split_is_exact_and_consistent():
         assert abs(classical_correlation(random_density_matrix(rng))) >= 0.0
 
 
+def test_classical_correlation_is_the_report_field():
+    rng = np.random.default_rng(53)
+    singles = [random_density_matrix(rng) for _ in range(50)]
+    for rho in singles + [np.array(singles), SINGLET_RHO, CLASSICAL_MIX]:
+        got = classical_correlation(rho)
+        assert np.array_equal(got, report(rho).classical)
+        assert np.all(np.abs(got - (mutual_information(rho) - entanglement_of_formation(rho))) < 1e-12)
+
+
 def test_separability_reference_points():
     assert not is_separable_ppt(SINGLET_RHO)
     assert is_separable_ppt(CLASSICAL_MIX)

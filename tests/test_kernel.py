@@ -40,16 +40,16 @@ def _mp_entropy(m):
     return -sum(_mp_xlog2x(x) for x in mp.eigsy(m, eigvals_only=True))
 
 
-def mp_reference(gamma, b1, b2, t, j=1.0):
+def mp_reference(gamma, b1, b2, t):
     """Total, quantum, classical and concurrence of the Gibbs state at 50 digits.
 
     Generic dense route: Hamiltonian from Pauli products, spectral Gibbs
     state, partial traces, and the Wootters spectrum of sqrt(rho) rho~ sqrt(rho).
     """
     with mp.workdps(50):
-        gamma, b1, b2, t, j = (mp.mpf(v) for v in (gamma, b1, b2, t, j))
+        gamma, b1, b2, t = (mp.mpf(v) for v in (gamma, b1, b2, t))
         ident = mp.eye(2)
-        h = j * (
+        h = (
             (1 - gamma) / 2 * (_mp_kron(_SX, _SX) + _SYSY)
             + (1 + gamma) / 2 * _mp_kron(_SZ, _SZ)
             + b1 * _mp_kron(_SZ, ident)
@@ -72,14 +72,14 @@ def mp_reference(gamma, b1, b2, t, j=1.0):
         return {"total": total, "quantum": quantum, "classical": total - quantum, "concurrence": c}
 
 
-def assert_gibbs_matches_dense_and_reference(gamma, b1, b2, t, j=1.0):
+def assert_gibbs_matches_dense_and_reference(gamma, b1, b2, t):
     """thermal_state_analytic against the dense route (1e-10) and, through report, mp_reference (1e-13)."""
-    gamma, b1, b2, t, j = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, float)) for v in (gamma, b1, b2, t, j)))
-    params = ModelParams(gamma, b1, b2, j)
+    gamma, b1, b2, t = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, float)) for v in (gamma, b1, b2, t)))
+    params = ModelParams(gamma, b1, b2)
     stack = thermal_state_analytic(params, t)
     assert np.max(np.abs(stack - thermal_state(params, t))) < 1e-10
     got = report(stack)
-    for k, point in enumerate(zip(gamma, b1, b2, t, j)):
+    for k, point in enumerate(zip(gamma, b1, b2, t)):
         want = mp_reference(*point)
         for name in OUTPUTS:
             assert abs(getattr(got, name)[k] - float(want[name])) < 1e-13, (point, name)
@@ -99,13 +99,6 @@ def test_matches_fifty_digit_reference():
         for name in OUTPUTS:
             worst[name] = max(worst[name], abs(float(got[name]) - float(want[name])))
     assert max(worst.values()) < 1e-13, worst
-
-
-def test_reference_with_coupling_scale():
-    got = closed_form_correlations(0.4, 0.7, -1.1, 0.3, 2.5)
-    want = mp_reference(0.4, 0.7, -1.1, 0.3, 2.5)
-    for name in OUTPUTS:
-        assert abs(float(got[name]) - float(want[name])) < 1e-13
 
 
 # --- agreement with the dense route ------------------------------------------
@@ -177,14 +170,6 @@ def test_global_spin_flip_invariance():
     assert _gap(closed_form_correlations(gamma, b1, b2, t), flipped) < 1e-14
 
 
-def test_energy_scale_invariance():
-    gamma, b1, b2, t = _box()
-    base = closed_form_correlations(gamma, b1, b2, t)
-    for scale in (0.25, 3.0, 40.0):
-        scaled = closed_form_correlations(gamma, b1, b2, scale * t, scale)
-        assert _gap(base, scaled) < 1e-14
-
-
 def test_bounds_and_exact_split():
     out = closed_form_correlations(*_box())
     assert np.all((out["concurrence"] >= 0.0) & (out["concurrence"] <= 1.0))
@@ -234,12 +219,12 @@ KERNEL_CORNERS = (
 
 def test_arrays_map_the_scalar_kernel_bit_for_bit():
     gamma, b1, b2, t = (np.concatenate([v, corner]) for v, corner in zip(_box(), zip(*KERNEL_CORNERS)))
-    j = np.array([1.0, 2.5])
-    out = closed_form_correlations(gamma[:, None], b1[:, None], b2[:, None], t[:, None] * j, j)
+    scales = np.array([1.0, 2.5])
+    out = closed_form_correlations(gamma[:, None], b1[:, None], b2[:, None], t[:, None] * scales)
     assert all(out[name].shape == (gamma.size, 2) for name in OUTPUTS)
     for k, point in enumerate(zip(gamma.tolist(), b1.tolist(), b2.tolist(), t.tolist())):
-        for m, scale in enumerate(j.tolist()):
-            one = closed_form_correlations(*point[:3], point[3] * scale, scale)
+        for m, scale in enumerate(scales.tolist()):
+            one = closed_form_correlations(*point[:3], point[3] * scale)
             for name in OUTPUTS:
                 assert type(one[name]) is float
                 assert one[name].hex() == float(out[name][k, m]).hex(), (point, scale, name)
@@ -266,12 +251,10 @@ def test_results_broadcast():
         ((0.0, 0.0, 0.0, np.nan), "temperature"),
         ((0.0, 0.0, 0.0, np.inf), "temperature"),
         ((0.0, 0.0, 0.0, [1.0, 0.0]), "temperature"),
-        ((0.0, 0.0, 0.0, 1.0, np.inf), "j"),
-        ((0.0, 0.0, 0.0, 1.0, -1.0), "j"),
+        ((0.0, 0.0, 0.0, -1.0), "temperature"),
+        ((0.0, 0.0, 0.0, [1.0, -np.inf]), "temperature"),
         ((0.0, 1e308, 1e308, 1.0), r"b1 \+ b2"),
         ((0.0, [0.0, 1e308], -1e308, 1.0), "b1 - b2"),
-        ((0.0, 0.0, 0.0, 1e-320, 1e10), "underflows"),
-        ((0.0, 0.5, 0.0, [1.0, 1e-320], [1.0, 1e10]), "underflows"),
     ],
 )
 def test_rejects_inputs_outside_the_domain(args, name):

@@ -6,9 +6,6 @@ from dimercorr.matkernel import (
     check_density_matrix,
     gibbs,
     hermitian_eig,
-    is_hermitian,
-    is_psd,
-    is_unit_trace,
     kron,
     partial_trace,
     partial_transpose,
@@ -158,9 +155,8 @@ def test_gibbs_contract():
         h = rand_hermitian(rng)
         t = float(rng.uniform(0.05, 10.0))
         rho = gibbs(h, t)
-        assert is_hermitian(rho)
+        check_density_matrix(rho)  # Hermitian, unit trace and positive, each within 1e-10
         assert abs(np.trace(rho).real - 1.0) < 1e-12
-        assert is_psd(rho)
         assert np.max(np.abs(rho @ h - h @ rho)) < 1e-10
 
 
@@ -211,7 +207,7 @@ def test_partial_transpose_preserves_hermiticity_and_trace():
     for _ in range(100):
         rho = rand_rho(rng)
         pt = partial_transpose(rho, 2)
-        assert is_hermitian(pt)
+        assert np.max(np.abs(pt - pt.conj().T)) <= 1e-10
         assert abs(np.trace(pt).real - 1.0) < 1e-12
 
 
@@ -222,13 +218,16 @@ def test_partial_transpose_of_products_stays_positive():
         assert np.linalg.eigvalsh(partial_transpose(product, 2))[0] >= -1e-10
 
 
-def test_predicates():
-    assert is_hermitian(np.eye(4))
-    assert not is_hermitian(np.triu(np.ones((4, 4))))
-    assert is_unit_trace(np.eye(4) / 4.0)
-    assert not is_unit_trace(np.eye(4))
-    assert is_psd(np.diag([0.5, 0.5, 0.0, 0.0]))
-    assert not is_psd(np.diag([1.5, -0.5, 0.0, 0.0]))
+def test_partial_transpose_input_contract():
+    # the input must be Hermitian with unit trace, but need not be positive
+    with pytest.raises(ValidationError):
+        partial_transpose(np.triu(np.ones((4, 4))) / 4.0, 2)  # trace 1, not Hermitian
+    with pytest.raises(ValidationError):
+        partial_transpose(np.eye(4), 2)  # Hermitian, trace 4
+    pt = partial_transpose(SINGLET_RHO, 2)
+    assert np.linalg.eigvalsh(pt)[0] < -0.4
+    for sub in (1, 2):
+        assert np.array_equal(partial_transpose(partial_transpose(pt, sub), sub), pt)
 
 
 def test_check_density_matrix_rejects_bad_input():

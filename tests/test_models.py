@@ -29,10 +29,6 @@ def test_params_validation():
         ModelParams(gamma=1.2)
     with pytest.raises(DomainError):
         ModelParams(gamma=-1.0001)
-    with pytest.raises(DomainError):
-        ModelParams(gamma=0.0, j=0.0)
-    with pytest.raises(DomainError):
-        ModelParams(gamma=0.0, j=-1.0)
 
 
 def test_hamiltonian_ising_limit_is_diagonal():
@@ -56,19 +52,12 @@ def test_hamiltonian_isotropic_entries():
     assert np.max(np.abs(h - expected)) < 1e-15
 
 
-def test_hamiltonian_scales_with_coupling():
-    p1 = ModelParams(gamma=-1.0, b1=0.4, b2=-0.2)
-    p2 = ModelParams(gamma=-1.0, b1=0.4, b2=-0.2, j=2.5)
-    assert np.allclose(build_hamiltonian(p2), 2.5 * build_hamiltonian(p1))
-
-
 def test_singlet_is_eigenstate_without_fields():
     singlet = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
     for gamma in (-1.0, -0.3, 0.0, 0.7, 1.0):
-        for j in (1.0, 2.0):
-            h = build_hamiltonian(ModelParams(gamma=gamma, j=j))
-            energy = j * (gamma - 3.0) / 2.0
-            assert np.max(np.abs(h @ singlet - energy * singlet)) < 1e-12
+        h = build_hamiltonian(ModelParams(gamma=gamma))
+        energy = (gamma - 3.0) / 2.0
+        assert np.max(np.abs(h @ singlet - energy * singlet)) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -98,16 +87,17 @@ def test_xy_energies_uniform_field():
 
 def test_analytic_pairs_solve_the_hamiltonian():
     rng = np.random.default_rng(13)
+    # each field block also draws (and drops) a value in [0.5, 2]; the draws after it follow from that
     params = [ModelParams(gamma=float(g)) for g in rng.uniform(-1.0, 1.0, 25)]
     params += [
-        ModelParams(gamma=-1.0, b1=float(b1), b2=float(b2), j=float(j))
-        for b1, b2, j in zip(
+        ModelParams(gamma=-1.0, b1=float(b1), b2=float(b2))
+        for b1, b2, _ in zip(
             rng.uniform(-3.0, 3.0, 25), rng.uniform(-3.0, 3.0, 25), rng.uniform(0.5, 2.0, 25)
         )
     ]
     params += [
-        ModelParams(gamma=float(g), b1=float(b1), b2=float(b2), j=float(j))
-        for g, b1, b2, j in zip(
+        ModelParams(gamma=float(g), b1=float(b1), b2=float(b2))
+        for g, b1, b2, _ in zip(
             rng.uniform(-1.0, 1.0, 25),
             rng.uniform(-3.0, 3.0, 25),
             rng.uniform(-3.0, 3.0, 25),
@@ -125,7 +115,7 @@ def test_analytic_pairs_solve_the_hamiltonian():
 @pytest.mark.parametrize(
     "p",
     # gamma = 1 with b1 = b2 (r = 0, no mixing angle), and zero field, where levels coincide
-    [ModelParams(1.0), ModelParams(1.0, 0.4, 0.4), ModelParams(0.0), ModelParams(-1.0), ModelParams(0.9, j=2.0)],
+    [ModelParams(1.0), ModelParams(1.0, 0.4, 0.4), ModelParams(0.0), ModelParams(-1.0), ModelParams(0.9)],
 )
 def test_analytic_eigensystem_contract_at_degenerate_points(p):
     h = build_hamiltonian(p)
@@ -296,8 +286,6 @@ def test_concurrence_closed_form_vanishes_at_high_temperature():
         ({"gamma": float("nan")}, "gamma"),
         ({"gamma": 0.0, "b1": float("inf")}, "b1"),
         ({"gamma": 0.0, "b2": float("nan")}, "b2"),
-        ({"gamma": 0.0, "j": float("inf")}, "j"),
-        ({"gamma": 0.0, "j": float("nan")}, "j"),
     ],
 )
 def test_params_reject_non_finite_values(kwargs, name):

@@ -27,7 +27,16 @@ from dimercorr.matkernel import (
     partial_trace,
     partial_transpose,
 )
-from dimercorr.models import ModelParams, build_hamiltonian, thermal_state, thermal_state_analytic
+from dimercorr.models import (
+    ModelParams,
+    analytic_eigensystem,
+    build_hamiltonian,
+    ground_state_limit,
+    thermal_state,
+    thermal_state_analytic,
+)
+from dimercorr.sweep import Axis, SweepSpec, run_sweep
+from dimercorr.threshold import tth_numeric
 from test_kernel import assert_gibbs_matches_dense_and_reference
 
 STACK_TOL = 1e-14
@@ -192,6 +201,37 @@ def test_one_bad_parameter_rejects_the_array():
         gibbs(h, 1.0)
 
 
+@pytest.mark.parametrize(
+    "gamma,b1,b2",
+    [
+        (np.zeros(3), np.zeros(2), np.zeros(2)),  # gamma against matching fields
+        (0.0, np.zeros(3), np.zeros(2)),
+        (np.zeros((2, 3)), 0.0, np.zeros(2)),
+    ],
+)
+def test_parameter_arrays_must_broadcast(gamma, b1, b2):
+    with pytest.raises(ValueError, match="broadcast"):
+        ModelParams(gamma, b1, b2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        ground_state_limit,
+        analytic_eigensystem,
+        lambda p: tth_numeric(p, 5.0),
+        lambda p: run_sweep(SweepSpec(p, Axis("T", 0.1, 1.0, 3))),
+    ],
+    ids=["ground_state_limit", "analytic_eigensystem", "tth_numeric", "SweepSpec"],
+)
+@pytest.mark.parametrize("n", [2, 4])
+def test_single_point_functions_reject_a_parameter_stack(call, n):
+    for params in (ModelParams(np.linspace(-0.5, 0.5, n)), ModelParams(0.0, np.zeros(n), 0.5)):
+        with pytest.raises(ValueError, match="one parameter point"):
+            call(params)
+    call(ModelParams(np.array([0.3]), np.array(0.1), 0.0))  # one point, held in arrays
+
+
 def _family_points(n=40, seed=9):
     """Zero-field points and XY field points, from T = 0.005 J to 5 J."""
     rng = np.random.default_rng(seed)
@@ -199,29 +239,29 @@ def _family_points(n=40, seed=9):
     gamma = np.where(zero, rng.uniform(-1.0, 1.0, n), -1.0)
     b1 = np.where(zero, 0.0, rng.uniform(-3.0, 3.0, n))
     b2 = np.where(zero, 0.0, rng.uniform(-3.0, 3.0, n))
-    j = rng.uniform(0.5, 2.0, n)
-    t = j * np.exp(rng.uniform(np.log(0.005), np.log(5.0), n))
-    return gamma, b1, b2, j, t
+    rng.uniform(0.5, 2.0, n)  # discarded; the temperatures are the draw after it, fixing the points of seed 9
+    t = np.exp(rng.uniform(np.log(0.005), np.log(5.0), n))
+    return gamma, b1, b2, t
 
 
 def test_thermal_state_analytic_on_parameter_arrays_matches_a_loop():
-    gamma, b1, b2, j, t = _family_points()
-    assert (t / j < 0.02).any() and (t / j >= 0.02).any()
+    gamma, b1, b2, t = _family_points()
+    assert (t < 0.02).any() and (t >= 0.02).any()
     singles = [
-        thermal_state_analytic(ModelParams(*point[:4]), point[4])
-        for point in zip(gamma.tolist(), b1.tolist(), b2.tolist(), j.tolist(), t.tolist())
+        thermal_state_analytic(ModelParams(*point[:3]), point[3])
+        for point in zip(gamma.tolist(), b1.tolist(), b2.tolist(), t.tolist())
     ]
     assert all(rho.shape == (4, 4) for rho in singles)
-    stacked = thermal_state_analytic(ModelParams(gamma, b1, b2, j), t)
+    stacked = thermal_state_analytic(ModelParams(gamma, b1, b2), t)
     assert np.array_equal(stacked, np.array(singles))
     grid = thermal_state_analytic(ModelParams(gamma.reshape(5, 8), b1.reshape(5, 8), b2.reshape(5, 8)), 0.7)
     assert grid.shape == (5, 8, 4, 4)
 
 
 def test_thermal_state_analytic_stack_with_a_general_point_matches_dense_and_reference():
-    gamma, b1, b2, j, t = _family_points()
+    gamma, b1, b2, t = _family_points()
     gamma[7] = 0.5  # a field point (7 is odd) away from gamma = -1
-    assert_gibbs_matches_dense_and_reference(gamma, b1, b2, t, j)
+    assert_gibbs_matches_dense_and_reference(gamma, b1, b2, t)
 
 
 def test_thermal_state_analytic_strong_cold_field_is_polarized():

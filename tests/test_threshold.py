@@ -1,6 +1,8 @@
 """Threshold temperatures: closed-form inversion and numeric scanning."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -120,8 +122,21 @@ def test_numeric_threshold_with_fields_off_the_xy_point():
     assert concurrence(thermal_state(p, t + 1e-4)) < 1e-9
 
 
+def test_numeric_threshold_loads_no_numpy():
+    code = (
+        "import sys; from dimercorr.models import ModelParams; from dimercorr.threshold import tth_numeric; "
+        "assert tth_numeric(ModelParams(-1.0, 0.5, -0.5), 5.0) > 0.0; assert 'numpy' not in sys.modules"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_numeric_threshold_stops_at_float_resolution():
-    # at J = 1e9 the threshold sits near 1.8e9, where adjacent floats are
-    # more than 1e-8 apart, so the bracket can only shrink to one ulp
-    t = tth_numeric(ModelParams(gamma=0.0, j=1e9), 5e9)
-    assert abs(t / 1e9 - tth_anisotropic(0.0)) < 1e-9
+    # with opposite fields of 1e10 the threshold sits near 8.2e8, where
+    # adjacent floats are 1.2e-7 apart, more than 1e-8, so the bracket can
+    # only shrink to one ulp
+    t = tth_numeric(ModelParams(0.0, 1e10, -1e10), 1e10)
+    step = math.ulp(t)
+    assert step > 1e-8
+    below, above = (closed_form_correlations(0.0, 1e10, -1e10, t + d)["concurrence"] for d in (-step, step))
+    assert below > 1e-12 >= above
