@@ -58,12 +58,14 @@ def parse_grid(text: str, what: str = "range") -> tuple[float, float, int]:
 def check_grid(start: float, stop: float, points: int, what: str = "range") -> None:
     """The rules of an inclusive linear grid, which linspace relies on.
 
-    Non-finite endpoints or span stop - start are a DomainError.  Fewer
-    than 1 point, start >= stop, or a single point with start != stop
-    are a ValueError.
+    Non-finite endpoints or span stop - start are a DomainError.  A
+    non-integer count, fewer than 1 point, start >= stop, or a single
+    point with start != stop are a ValueError.
     """
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise DomainError(f"{what} needs finite endpoints, got {start}:{stop}")
+    if not hasattr(points, "__index__"):  # operator.index's test: int and numpy integers pass, 3.0 does not
+        raise ValueError(f"{what} needs an integer number of points, got {points!r}")
     if points < 1:
         raise ValueError(f"{what} needs at least 1 point, got {points}")
     if points == 1 and start != stop:

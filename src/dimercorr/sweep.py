@@ -4,14 +4,15 @@ A sweep evaluates the full correlation report on a one- or two-axis grid,
 running the closed-form kernel of closed_form_correlations point by point
 on plain float columns, so it loads no numpy.  Rows are produced in
 row-major order (axis 1 outer, axis 2 inner) and the output is
-deterministic for a fixed spec.  The analyses of a finished table
-(SweepTable.column, the detectors, count_peaks) work on numpy arrays and
-import numpy when called.
+deterministic for a fixed spec.  SweepTable.column, Axis.values and the
+two interval detectors build numpy arrays and import numpy when called;
+count_peaks walks the float lists and loads neither numpy nor scipy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import TYPE_CHECKING
 
 from .domain import check_grid, check_positive_finite, linspace
@@ -175,12 +176,27 @@ def detect_quantum_exceeds_classical(table: SweepTable) -> list[tuple[float, flo
 
 
 def count_peaks(table: SweepTable, column: str) -> int:
-    """Number of interior local maxima of ``column`` with a prominence of at least 0.01."""
-    _require_1d(table)
-    from scipy.signal import find_peaks  # imported here: it dominates the package's import time
+    """Number of interior local maxima of ``column`` with a prominence of at least 0.01.
 
-    peaks, _ = find_peaks(table.column(column), prominence=0.01)
-    return int(peaks.size)
+    Counted as scipy.signal.find_peaks(y, prominence=0.01) counts them: a flat
+    top counts once and the edges never do.  Plain Python: no numpy, no scipy.
+    """
+    _require_1d(table)
+    y = table.columns[column] if column in RECORD_COLUMNS else table.column(column)  # column() rejects the name
+    count = 0
+    for i in range(1, len(y) - 1):
+        if y[i - 1] < y[i]:  # a rise: a peak if what follows its flat top falls
+            ahead = i + 1
+            while ahead < len(y) - 1 and y[ahead] == y[i]:
+                ahead += 1
+            if y[ahead] < y[i]:
+                # prominence: the height above the higher side minimum, each side
+                # walked out from the peak until the column rises above it (or is NaN)
+                sides = range(i, -1, -1), range(i, len(y))
+                base = max(min(takewhile(lambda v: v <= y[i], (y[k] for k in side))) for side in sides)
+                if y[i] - base >= 0.01:
+                    count += 1
+    return count
 
 
 def detect_zero_plateau(table: SweepTable, column: str) -> list[tuple[float, float]]:

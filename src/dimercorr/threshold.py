@@ -31,7 +31,6 @@ _T_SUPPORT = 2.0 / math.log(2.0)  # e^{2/T} - 2 changes sign here
 _RESIDUAL_TOL = 1e-10
 _POSITIVE_C = 1e-12
 _SCAN_POINTS = 200  # temperatures of the coarse scan in tth_numeric
-_REFINE_POINTS = 64  # temperatures per re-scan of the bracket in tth_numeric
 
 
 class ThresholdPoint(NamedTuple):
@@ -92,9 +91,8 @@ def tth_numeric(p: ModelParams, t_max: float) -> float | None:
 
     A coarse scan over 200 temperatures locates positive-to-zero
     transitions of the thermal concurrence.  The bracket of the largest one
-    is re-scanned with the closed-form kernel, keeping its largest
-    transition each time, until it is at most 1e-8 wide (or one float
-    apart).  Returns None when no transition exists in the range.  Multiple
+    is bisected with the closed-form kernel until its ends are adjacent
+    floats.  Returns None when no transition exists in the range.  Multiple
     transitions trigger a warning and the largest is returned.
     """
     from .models import _correlation_columns, _single_point  # imported here: the zero-field threshold needs no kernel
@@ -106,11 +104,9 @@ def tth_numeric(p: ModelParams, t_max: float) -> float | None:
         gamma, b1, b2 = ([v] * len(grid) for v in params)
         return [c > _POSITIVE_C for c in _correlation_columns(gamma, b1, b2, grid)[3]]
 
-    def turn_offs(positive: list[bool]) -> list[int]:
-        return [k for k in range(len(positive) - 1) if positive[k] and not positive[k + 1]]
-
     grid = linspace(t_max / _SCAN_POINTS, t_max, _SCAN_POINTS)
-    transitions = turn_offs(entangled(grid))
+    positive = entangled(grid)
+    transitions = [k for k in range(_SCAN_POINTS - 1) if positive[k] and not positive[k + 1]]
     if not transitions:
         return None
     if len(transitions) > 1:
@@ -120,12 +116,11 @@ def tth_numeric(p: ModelParams, t_max: float) -> float | None:
             stacklevel=2,
         )
     lo, hi = grid[transitions[-1]], grid[transitions[-1] + 1]
-    while hi - lo > 1e-8:
-        grid = linspace(lo, hi, _REFINE_POINTS)
-        positive = entangled(grid)
-        positive[0], positive[-1] = True, False  # the bracket ends are already known
-        k = turn_offs(positive)[-1]
-        if (grid[k], grid[k + 1]) == (lo, hi):  # the bracket is down to adjacent floats
-            break
-        lo, hi = grid[k], grid[k + 1]
-    return 0.5 * (lo + hi)
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if mid in (lo, hi):  # the bracket is down to adjacent floats
+            return mid
+        if entangled([mid])[0]:
+            lo = mid
+        else:
+            hi = mid

@@ -10,6 +10,7 @@ from dimercorr.sweep import (
     RECORD_COLUMNS,
     Axis,
     SweepSpec,
+    SweepTable,
     count_peaks,
     detect_quantum_exceeds_classical,
     detect_zero_plateau,
@@ -32,6 +33,10 @@ def test_axis_validation():
         Axis("T", 0.1, 1.0, 1)
     with pytest.raises(ValueError):
         Axis("gamma", 1.0, -1.0, 5)
+    for points in (2.5, 3.0):  # linspace would fail deep inside with a bare TypeError
+        with pytest.raises(ValueError, match="axis 'T' needs an integer number of points"):
+            Axis("T", 0.5, 1.0, points)
+    assert Axis("T", 0.5, 1.0, np.int64(3)).values().tolist() == [0.5, 0.75, 1.0]
 
 
 def test_spec_validation():
@@ -230,3 +235,77 @@ def test_columns_and_rows_agree():
     points = closed_form_correlations(*(table.column(name) for name in ("gamma", "b1", "b2", "T")))
     for name in ("total", "quantum", "classical", "concurrence"):
         assert points[name].tolist() == table.column(name).tolist()
+
+
+def _oracle_peaks(column):
+    return find_peaks(np.array(column, dtype=float), prominence=0.01)[0].size
+
+
+def _column_table(column):
+    return SweepTable(spec=SweepSpec(base=XY, axis1=Axis("T", 0.5, 1.0, 5)), columns={"quantum": list(column)})
+
+
+def _random_column(rng):
+    n = int(rng.integers(0, 40))
+    kind = rng.integers(4)
+    if kind == 0:  # noise
+        return rng.normal(0.0, 0.05, n)
+    if kind == 1:  # rounded: ties and flat tops
+        return np.round(rng.normal(0.0, 0.05, n), 2)
+    if kind == 2:  # three-level steps
+        return rng.integers(0, 3, n) * 0.02
+    return np.cumsum(rng.normal(0.0, 0.02, n))  # random walk
+
+
+def test_count_peaks_matches_find_peaks_on_random_columns():
+    rng = np.random.default_rng(15)
+    for _ in range(12000):
+        column = _random_column(rng).tolist()
+        assert count_peaks(_column_table(column), "quantum") == _oracle_peaks(column), column
+
+
+@pytest.mark.parametrize(
+    "column, peaks",
+    [
+        ([], 0),
+        ([1.0], 0),
+        ([0.0, 1.0], 0),
+        ([1.0, 1.0, 0.5, 0.0], 0),  # a flat top at the left edge
+        ([0.0, 0.5, 1.0, 1.0], 0),  # a flat top at the right edge
+        ([0.0, 1.0, 1.0, 2.0, 0.0], 1),  # a plateau that rises again is no peak
+        ([0.0, 1.0, 1.0, 1.0, 0.0], 1),  # a flat top counts once
+        ([0.0, 0.005, 0.0], 0),  # prominence below 0.01
+        ([0.0, 0.01, 0.0], 1),  # prominence exactly 0.01
+        ([0.0, 0.5, 0.49, 0.499, 0.0], 1),  # the lower top stands 0.009 above its saddle
+        ([0.0, 0.5, 0.49, 0.5, 0.0], 2),  # equal tops: each side walk passes the other
+        ([0.0, 1.0, 0.5, 2.0, 0.0], 2),
+    ],
+)
+def test_count_peaks_hand_cases(column, peaks):
+    assert count_peaks(_column_table(column), "quantum") == peaks == _oracle_peaks(column)
+
+
+# every 1-D sweep of tests/test_sweep.py and tests/test_acceptance.py, plus
+# b_uniform and gamma axes
+ONE_AXIS_SPECS = [
+    *(SweepSpec(XY, Axis("b_anti", -3.0, 3.0, n), temp=t) for t, n in ((0.3, 201), (1.6, 201), (2.5, 201), (1.6, 61))),
+    SweepSpec(base=XY, axis1=Axis("b_anti", -2.0, 2.0, 9), temp=0.8),
+    SweepSpec(base=XY, axis1=Axis("T", 0.5, 1.0, 5)),
+    *(SweepSpec(ModelParams(g), Axis("T", 0.05, 4.0, n)) for g, n in ((0.0, 100), (1.0, 100), (0.0, 200))),
+    SweepSpec(base=ModelParams(gamma=0.2), axis1=Axis("T", 0.5, 2.0, 4)),
+    SweepSpec(base=ModelParams(gamma=-0.3), axis1=Axis("T", 0.05, 3.0, 40)),
+    SweepSpec(base=ModelParams(gamma=0.5), axis1=Axis("T", 1.0, 100.0, 12)),
+    SweepSpec(base=ModelParams(gamma=1.0), axis1=Axis("T", 0.5, 2.0, 50)),
+    SweepSpec(base=ModelParams(gamma=0.9), axis1=Axis("T", 0.02, 1.0, 200)),
+    *(SweepSpec(base=ModelParams(-1.0, b, b), axis1=Axis("T", 0.01, 2.0, 400)) for b in (0.95, 1.05)),
+    SweepSpec(base=ModelParams(-1.0, 5.0, 5.0), axis1=Axis("T", 0.01, 2.0, 200)),
+    SweepSpec(base=XY, axis1=Axis("b_uniform", -3.0, 3.0, 201), temp=0.3),
+    SweepSpec(base=ModelParams(0.0, 0.7, -0.3), axis1=Axis("gamma", -1.0, 1.0, 201), temp=0.4),
+]
+
+
+@pytest.mark.parametrize("spec", ONE_AXIS_SPECS, ids=lambda s: f"{s.axis1.name}-{s.axis1.points}-{s.base}-{s.temp}")
+def test_count_peaks_matches_find_peaks_on_the_test_sweeps(spec):
+    table = run_sweep(spec)
+    for name in RECORD_COLUMNS:
+        assert count_peaks(table, name) == _oracle_peaks(table.columns[name]), name

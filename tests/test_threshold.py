@@ -131,12 +131,23 @@ def test_numeric_threshold_loads_no_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_numeric_threshold_stops_at_float_resolution():
-    # with opposite fields of 1e10 the threshold sits near 8.2e8, where
-    # adjacent floats are 1.2e-7 apart, more than 1e-8, so the bracket can
-    # only shrink to one ulp
-    t = tth_numeric(ModelParams(0.0, 1e10, -1e10), 1e10)
+@pytest.mark.parametrize(
+    "params, t_max",
+    [
+        *((ModelParams(gamma), 5.0) for gamma in (-1.0, 0.0, 0.5)),
+        (ModelParams(0.4, 0.3, -0.6), 5.0),
+        # opposite fields of 1e10 put the threshold near 8.2e8, where adjacent
+        # floats are 1.2e-7 apart
+        (ModelParams(0.0, 1e10, -1e10), 1e10),
+    ],
+    ids=["gamma=-1", "gamma=0", "gamma=0.5", "off-xy", "fields=1e10"],
+)
+def test_numeric_threshold_stops_at_float_resolution(params, t_max):
+    # the bisection stops only when the bracket ends are adjacent floats, so
+    # the concurrence crosses 1e-12 within one ulp of the result
+    t = tth_numeric(params, t_max)
     step = math.ulp(t)
-    assert step > 1e-8
-    below, above = (closed_form_correlations(0.0, 1e10, -1e10, t + d)["concurrence"] for d in (-step, step))
+    below, above = (
+        closed_form_correlations(params.gamma, params.b1, params.b2, t + d)["concurrence"] for d in (-step, step)
+    )
     assert below > 1e-12 >= above
