@@ -16,12 +16,10 @@ __version__ = "0.1.0"
 # imported on its first access, through __getattr__ below (PEP 562).
 _SUBMODULE = {
     "CorrelationReport": "correlations",
-    "classical_correlation": "correlations",
     "concurrence": "correlations",
     "entanglement_of_formation": "correlations",
     "formation_from_concurrence": "correlations",
     "is_separable_ppt": "correlations",
-    "mutual_information": "correlations",
     "random_density_matrix": "correlations",
     "random_unitary": "correlations",
     "report": "correlations",
@@ -41,7 +39,6 @@ _SUBMODULE = {
     "analytic_eigensystem": "models",
     "build_hamiltonian": "models",
     "closed_form_correlations": "models",
-    "ground_state_limit": "models",
     "thermal_state": "models",
     "thermal_state_analytic": "models",
     "Axis": "sweep",

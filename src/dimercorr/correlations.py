@@ -27,12 +27,10 @@ from .models import _formation as _point_formation
 
 __all__ = [
     "CorrelationReport",
-    "classical_correlation",
     "concurrence",
     "entanglement_of_formation",
     "formation_from_concurrence",
     "is_separable_ppt",
-    "mutual_information",
     "random_density_matrix",
     "random_unitary",
     "report",
@@ -94,12 +92,6 @@ def _mutual_information(rho: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     return s1 + s2 - _entropy_bits(spectrum)
 
 
-def mutual_information(rho: np.ndarray) -> float:
-    """Total correlation S(1) + S(2) - S(12) of a two-qubit state (or a stack), in bits."""
-    rho = check_density_matrix(rho, 4)
-    return _scalar(_mutual_information(rho, np.linalg.eigvalsh(rho)))
-
-
 def _sigma_yy_form(rows: np.ndarray) -> np.ndarray:
     """The complex-symmetric tau = R (sy x sy) R^T of a (..., k, 4) stack of rows R, as one matrix product."""
     return (rows[..., ::-1] * _SIGMA_YY_SIGNS) @ rows.swapaxes(-1, -2)
@@ -147,11 +139,6 @@ def formation_from_concurrence(c):
 def entanglement_of_formation(rho: np.ndarray) -> float:
     """Entanglement of formation of a two-qubit state (or a stack), in bits."""
     return _scalar(_formation(concurrence(rho)))
-
-
-def classical_correlation(rho: np.ndarray) -> float:
-    """Classical correlation: mutual information minus entanglement of formation (see report)."""
-    return report(rho).classical
 
 
 @dataclass(frozen=True)

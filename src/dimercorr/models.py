@@ -15,17 +15,19 @@ correlations for any (gamma, b1, b2) and any T > 0; the dense route
 
 The closed form is a scalar kernel in plain ``math``, so ``point`` and
 ``sweep`` never load numpy: numpy is imported only by the functions that
-take or return arrays, which map the kernel over their points.
+take or return arrays, which map the kernel over their points.  A
+ModelParams is one validated point; build_hamiltonian,
+thermal_state_analytic and closed_form_correlations take (gamma, b1, b2)
+as numbers or as arrays that broadcast.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import add, sub
 from typing import TYPE_CHECKING, NamedTuple
 
-from .domain import as_floats, check_positive_finite
+from .domain import check_positive_finite
 from .exceptions import DomainError
 
 if TYPE_CHECKING:
@@ -38,7 +40,6 @@ __all__ = [
     "analytic_eigensystem",
     "build_hamiltonian",
     "closed_form_correlations",
-    "ground_state_limit",
     "thermal_state",
     "thermal_state_analytic",
 ]
@@ -47,39 +48,44 @@ OUTPUTS = ("total", "quantum", "classical", "concurrence")
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Physical parameters selecting a dimer Hamiltonian.
-
-    gamma : anisotropy in [-1, 1]; -1 is the XY point, +1 the Ising point.
-    b1, b2 : local z fields on qubits 1 and 2, in units of J.
-
-    Each field is a float, or an array when one instance stands for many
-    points; the arrays must broadcast against each other (else ValueError),
-    and build_hamiltonian and thermal_state then return (..., 4, 4) stacks.
-    """
-
+class _Point(NamedTuple):
     gamma: float
     b1: float = 0.0
     b2: float = 0.0
 
-    def __post_init__(self) -> None:
-        values = (self.gamma, self.b1, self.b2)
-        if not all(isinstance(v, (int, float)) for v in values):
-            values = _broadcast(*values)
-        _check_params(*map(as_floats, values))
+
+class ModelParams(_Point):
+    """One parameter point selecting a dimer Hamiltonian, held as three floats.
+
+    gamma : anisotropy in [-1, 1]; -1 is the XY point, +1 the Ising point.
+    b1, b2 : local z fields on qubits 1 and 2, in units of J.
+
+    Each value may be a real number, a numpy scalar or a 0-d array.  An
+    array of one or more dimensions is a ValueError, and a value outside
+    the domain a DomainError.  Arrays of points go to build_hamiltonian,
+    thermal_state_analytic and closed_form_correlations instead.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, gamma: float, b1: float = 0.0, b2: float = 0.0) -> ModelParams:
+        for name, value in zip(cls._fields, (gamma, b1, b2)):
+            if getattr(value, "ndim", 0):
+                raise ValueError(f"ModelParams holds one parameter point, got {name} of shape {value.shape}")
+        point = super().__new__(cls, float(gamma), float(b1), float(b2))
+        _check_params(*([v] for v in point))
+        return point
+
+    @classmethod
+    def _make(cls, iterable) -> ModelParams:  # behind _replace too, which would otherwise skip the checks
+        return cls(*iterable)
 
 
-def _single_point(p: ModelParams, caller: str) -> list[float]:
-    """[gamma, b1, b2] of ``p`` as floats; ValueError when ``p`` stands for more than one point."""
-    values = [as_floats(v) for v in (p.gamma, p.b1, p.b2)]
-    if any(len(v) != 1 for v in values):
-        raise ValueError(f"{caller} takes one parameter point, got a stack of sizes {[len(v) for v in values]}")
-    return [v[0] for v in values]
+def build_hamiltonian(gamma, b1, b2) -> np.ndarray:
+    """Dense Hamiltonian in the product basis: 4x4, or (..., 4, 4) for arrays that broadcast to (...).
 
-
-def build_hamiltonian(p: ModelParams) -> np.ndarray:
-    """Dense 4x4 Hamiltonian matrix in the product basis; (..., 4, 4) for array parameters."""
+    The parameters are validated as in closed_form_correlations.
+    """
     import numpy as np
 
     from .matkernel import kron, pauli
@@ -87,7 +93,7 @@ def build_hamiltonian(p: ModelParams) -> np.ndarray:
     exchange_xy = kron(pauli("x"), pauli("x")) + kron(pauli("y"), pauli("y"))
     exchange_z = kron(pauli("z"), pauli("z"))
     field_1, field_2 = kron(pauli("z"), np.eye(2)), kron(np.eye(2), pauli("z"))
-    gamma, b1, b2 = (np.asarray(v, dtype=float)[..., None, None] for v in (p.gamma, p.b1, p.b2))
+    gamma, b1, b2 = (v[..., None, None] for v in _checked_arrays(gamma, b1, b2))
     exchange = 0.5 * (1.0 - gamma) * exchange_xy + 0.5 * (1.0 + gamma) * exchange_z
     return exchange + (b1 * field_1 + b2 * field_2)
 
@@ -221,14 +227,23 @@ def _correlation_columns(gamma: list, b1: list, b2: list, t: list) -> list[list[
 
 
 def _broadcast(*values) -> list[np.ndarray]:
-    """The arguments as float arrays of their common broadcast shape."""
+    """The arguments as float arrays of their common broadcast shape; ValueError if they do not broadcast."""
     import numpy as np
 
     return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
 
 
+def _checked_arrays(gamma, b1, b2, *t) -> list[np.ndarray]:
+    """_broadcast of (gamma, b1, b2[, t]), every point checked as in _correlation_columns (DomainError)."""
+    arrays = _broadcast(gamma, b1, b2, *t)
+    _check_params(*(a.ravel().tolist() for a in arrays[:3]))
+    if t:
+        check_positive_finite(arrays[3])
+    return arrays
+
+
 def analytic_eigensystem(p: ModelParams) -> EigenSystem:
-    """Closed-form eigensystem of one dimer, any (gamma, b1, b2); ValueError for a parameter stack.
+    """Closed-form eigensystem of the dimer at one point ``p``, any (gamma, b1, b2).
 
     |uu> and |dd> at J[(1+gamma)/2 +- (b1+b2)], then the upper and lower
     mixed levels at J[-(1+gamma)/2 +- r]: the upper one is
@@ -241,7 +256,7 @@ def analytic_eigensystem(p: ModelParams) -> EigenSystem:
 
     from .matkernel import EigenSystem
 
-    gamma, b1, b2 = _single_point(p, "analytic_eigensystem")
+    gamma, b1, b2 = p
     form = _x_form(gamma, b1, b2, 1.0)  # the populations are not used
     # the lower mixed level sits at -(1+gamma)/2 - r, and levels[2] = 2r
     shift = 0.5 * (1.0 + gamma) + 0.5 * form.levels[2]
@@ -263,18 +278,18 @@ def _gibbs_entries(gamma: float, b1: float, b2: float, t: float) -> tuple[float,
     return form.populations[0], form.populations[1], form.rho22, form.rho33, -form.coherence
 
 
-def thermal_state_analytic(p: ModelParams, t) -> np.ndarray:
+def thermal_state_analytic(gamma, b1, b2, t) -> np.ndarray:
     """Closed-form Gibbs state, any (gamma, b1, b2) and any T > 0.
 
     An X-state: the populations of |uu> and |dd> in the corners, and the
     |ud>, |du> block split by the mixing angle with rho23 = rho32 =
-    -(p_lo - p_hi) sin(theta) / 2 (see _x_form).  Array parameters and
-    temperatures broadcast to a (..., 4, 4) stack.
+    -(p_lo - p_hi) sin(theta) / 2 (see _x_form).  Numbers give one 4x4
+    state, and arrays that broadcast a (..., 4, 4) stack; the inputs are
+    validated as in closed_form_correlations.
     """
     import numpy as np
 
-    check_positive_finite(t)
-    gamma, b1, b2, t = _broadcast(p.gamma, p.b1, p.b2, t)
+    gamma, b1, b2, t = _checked_arrays(gamma, b1, b2, t)
     entries = np.frompyfunc(_gibbs_entries, 4, 5)(gamma, b1, b2, t)
     rho11, rho44, rho22, rho33, rho23 = (np.asarray(e, dtype=float) for e in entries)
     rho = np.zeros(t.shape + (4, 4), dtype=complex)
@@ -285,29 +300,15 @@ def thermal_state_analytic(p: ModelParams, t) -> np.ndarray:
 
 
 def thermal_state(p: ModelParams, t) -> np.ndarray:
-    """Gibbs state of the dimer at temperature ``t``, any parameters.
+    """Gibbs state of the dimer at one point ``p`` by the dense route, for any T > 0.
 
-    Array parameters and temperatures broadcast to a (..., 4, 4) stack,
-    built with one eigensolver call.
+    An array of temperatures gives a (..., 4, 4) stack, built with one
+    eigensolver call; a stack over parameters is
+    gibbs(build_hamiltonian(gamma, b1, b2), t).
     """
     from .matkernel import gibbs
 
-    return gibbs(build_hamiltonian(p), t)
-
-
-def ground_state_limit(p: ModelParams) -> np.ndarray:
-    """T -> 0+ limit of the thermal state of one parameter point (ValueError for a stack).
-
-    Uniform mixture over the ground eigenspace; energies within 1e-10 of
-    the minimum count as degenerate, so the Ising point (gamma = 1) yields
-    the equal mixture of the singlet and triplet-zero projectors.
-    """
-    from .matkernel import hermitian_eig
-
-    values, vectors = hermitian_eig(build_hamiltonian(ModelParams(*_single_point(p, "ground_state_limit"))))
-    ground = values <= values[0] + 1e-10
-    cols = vectors[:, ground]
-    return (cols @ cols.conj().T) / int(ground.sum())
+    return gibbs(build_hamiltonian(*p), t)
 
 
 def closed_form_correlations(gamma, b1, b2, t) -> dict:

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from .domain import check_grid, check_positive_finite, linspace
 from .exceptions import DomainError
-from .models import OUTPUTS, ModelParams, _correlation_columns, _single_point
+from .models import OUTPUTS, ModelParams, _correlation_columns
 from .names import AXIS_NAMES, AXIS_WRITES, RECORD_COLUMNS
 
 if TYPE_CHECKING:
@@ -62,7 +62,7 @@ class Axis:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One base parameter point (ValueError for a stack) plus one or two axes to scan.
+    """One base parameter point plus one or two axes to scan.
 
     ``temp`` is the fixed temperature used when no T axis is present; when
     given, it must be positive and finite whether or not a T axis is.
@@ -74,7 +74,6 @@ class SweepSpec:
     temp: float | None = None
 
     def __post_init__(self) -> None:
-        _single_point(self.base, "SweepSpec")
         axes = [self.axis1] + ([self.axis2] if self.axis2 is not None else [])
         if self.axis2 is not None:
             if self.axis1.name == self.axis2.name:
@@ -139,7 +138,7 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepTable:
         grids = [[v for v in grids[0] for _ in grids[1]], grids[1] * len(grids[0])]
     n = len(grids[0])
     base_t = spec.temp if spec.temp is not None else 1.0  # overwritten by any T axis
-    fixed = dict(zip(("T", "gamma", "b1", "b2"), [base_t, *_single_point(spec.base, "SweepSpec")]))
+    fixed = dict(zip(("T", "gamma", "b1", "b2"), [base_t, *spec.base]))
     columns = {name: [float(value)] * n for name, value in fixed.items()}
     for axis, values in zip(axes, grids):
         for name, sign in AXIS_WRITES[axis.name]:

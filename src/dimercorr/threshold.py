@@ -95,13 +95,12 @@ def tth_numeric(p: ModelParams, t_max: float) -> float | None:
     floats.  Returns None when no transition exists in the range.  Multiple
     transitions trigger a warning and the largest is returned.
     """
-    from .models import _correlation_columns, _single_point  # imported here: the zero-field threshold needs no kernel
+    from .models import _correlation_columns  # imported here: the zero-field threshold needs no kernel
 
     check_positive_finite(t_max, "t_max")
-    params = _single_point(p, "tth_numeric")
 
     def entangled(grid: list[float]) -> list[bool]:
-        gamma, b1, b2 = ([v] * len(grid) for v in params)
+        gamma, b1, b2 = ([v] * len(grid) for v in p)
         return [c > _POSITIVE_C for c in _correlation_columns(gamma, b1, b2, grid)[3]]
 
     grid = linspace(t_max / _SCAN_POINTS, t_max, _SCAN_POINTS)

@@ -22,8 +22,8 @@ from .correlations import (
     random_density_matrix,
     sample_decomposition_average,
 )
-from .matkernel import check_density_matrix
-from .models import ModelParams, closed_form_correlations, thermal_state, thermal_state_analytic
+from .matkernel import check_density_matrix, gibbs
+from .models import build_hamiltonian, closed_form_correlations, thermal_state_analytic
 from .names import SUITES
 
 __all__ = [
@@ -59,8 +59,8 @@ def _box(rng: np.random.Generator, n: int) -> tuple[np.ndarray, ...]:
 def check_gibbs_equivalence(samples: int = 200, seed: int = 7) -> CheckResult:
     """Closed-form thermal states vs the spectral Gibbs construction."""
     gamma, b1, b2, t = _box(np.random.default_rng(seed), samples)
-    params = ModelParams(gamma, b1, b2)
-    worst = float(np.max(np.abs(thermal_state_analytic(params, t) - thermal_state(params, t)), initial=0.0))
+    dense = gibbs(build_hamiltonian(gamma, b1, b2), t)
+    worst = float(np.max(np.abs(thermal_state_analytic(gamma, b1, b2, t) - dense), initial=0.0))
     return CheckResult(
         suite="gibbs",
         name="analytic vs numeric thermal state",
@@ -81,7 +81,7 @@ def check_wootters_closed_form() -> list[CheckResult]:
     grid = (g.ravel(), np.zeros(g.size), np.zeros(g.size), t.ravel())
     gamma, b1, b2, temp = (np.concatenate(pair) for pair in zip(grid, _box(np.random.default_rng(11), 50)))
     closed = closed_form_correlations(gamma, b1, b2, temp)["concurrence"]
-    delta = np.abs(closed - concurrence(thermal_state(ModelParams(gamma, b1, b2), temp)))
+    delta = np.abs(closed - concurrence(gibbs(build_hamiltonian(gamma, b1, b2), temp)))
     checks = (
         ("zero-field closed form vs pipeline", delta[: g.size], "max deviation over a 10x5 (gamma, T) grid"),
         ("box closed form vs pipeline", delta[g.size :], "max deviation over 50 random box points"),

@@ -67,8 +67,7 @@ def test_criterion_04_concurrence_closed_form_on_grid():
     worst = 0.0
     for gamma in np.linspace(-1.0, 1.0, 10):
         for t in np.linspace(0.5, 5.0, 5):
-            p = ModelParams(gamma=float(gamma))
-            rho = thermal_state_analytic(p, float(t))
+            rho = thermal_state_analytic(float(gamma), 0.0, 0.0, float(t))
             closed = closed_form_correlations(float(gamma), 0.0, 0.0, float(t))["concurrence"]
             worst = max(worst, abs(closed - concurrence(rho)))
     _criterion(
@@ -184,7 +183,7 @@ def test_criterion_11_sampled_averages_respect_lower_bound():
 def test_criterion_12_high_temperature_decay():
     worst = 0.0
     for gamma in (-1.0, 0.0, 0.9):
-        r = report(thermal_state_analytic(ModelParams(gamma=gamma), 100.0))
+        r = report(thermal_state_analytic(gamma, 0.0, 0.0, 100.0))
         worst = max(worst, r.total, r.quantum, r.classical, r.concurrence)
     _criterion(
         12,

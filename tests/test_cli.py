@@ -367,7 +367,7 @@ def test_import_does_not_load_scipy_signal():
 @pytest.mark.parametrize(
     ("argv", "absent"),
     [
-        (["point", "--model", "xy", "--b1", "0.7", "--b2", "-1.1", "--temp", "0.3"], ["numpy"]),
+        (["point", "--model", "xy", "--b1", "0.7", "--b2", "-1.1", "--temp", "0.3"], ["numpy", "dataclasses"]),
         (["point", "--gamma", "0", "--b1", "0.7", "--b2", "-0.3", "--temp", "0.3"], ["numpy"]),
         (["sweep", "--model", "heisenberg", "--gamma", "0.3", "--axis", "T=0.02:4:150"], ["numpy"]),
         (
@@ -394,6 +394,48 @@ def test_lazy_namespace_resolves_every_public_name():
 
     import dimercorr
 
+    # the public surface, spelled out: adding or removing a name is a deliberate edit here
+    assert dimercorr.__all__ == [
+        "Axis",
+        "CheckResult",
+        "CorrelationReport",
+        "DomainError",
+        "EigenSystem",
+        "ModelParams",
+        "SweepSpec",
+        "SweepTable",
+        "ThresholdPoint",
+        "ValidationError",
+        "analytic_eigensystem",
+        "build_hamiltonian",
+        "check_density_matrix",
+        "closed_form_correlations",
+        "concurrence",
+        "count_peaks",
+        "detect_quantum_exceeds_classical",
+        "detect_zero_plateau",
+        "entanglement_of_formation",
+        "formation_from_concurrence",
+        "gibbs",
+        "hermitian_eig",
+        "is_separable_ppt",
+        "kron",
+        "partial_trace",
+        "partial_transpose",
+        "pauli",
+        "random_density_matrix",
+        "random_unitary",
+        "report",
+        "run_suites",
+        "run_sweep",
+        "sample_decomposition_average",
+        "thermal_state",
+        "thermal_state_analytic",
+        "threshold_curve",
+        "tth_anisotropic",
+        "tth_numeric",
+        "von_neumann_entropy",
+    ]
     for name in dimercorr.__all__:
         module = importlib.import_module(f"dimercorr.{dimercorr._SUBMODULE[name]}")
         assert getattr(dimercorr, name) is getattr(module, name), name

@@ -8,12 +8,10 @@ import pytest
 
 from dimercorr.correlations import (
     MAX_ENSEMBLE,
-    classical_correlation,
     concurrence,
     entanglement_of_formation,
     formation_from_concurrence,
     is_separable_ppt,
-    mutual_information,
     random_density_matrix,
     random_unitary,
     report,
@@ -21,7 +19,7 @@ from dimercorr.correlations import (
     von_neumann_entropy,
 )
 from dimercorr.exceptions import DomainError, ValidationError
-from dimercorr.models import ModelParams, thermal_state_analytic
+from dimercorr.models import thermal_state_analytic
 
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 SINGLET_RHO = np.outer(SINGLET, SINGLET.conj())
@@ -62,22 +60,22 @@ def test_entropy_rejects_bad_input():
 
 
 def test_mutual_information_reference_points():
-    assert abs(mutual_information(SINGLET_RHO) - 2.0) < 1e-12
-    assert abs(mutual_information(CLASSICAL_MIX) - 1.0) < 1e-12
-    assert abs(mutual_information(np.eye(4, dtype=complex) / 4.0)) < 1e-12
+    assert abs(report(SINGLET_RHO).total - 2.0) < 1e-12
+    assert abs(report(CLASSICAL_MIX).total - 1.0) < 1e-12
+    assert abs(report(np.eye(4, dtype=complex) / 4.0).total) < 1e-12
 
 
 def test_mutual_information_vanishes_on_products():
     rng = np.random.default_rng(19)
     for _ in range(100):
         product = np.kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
-        assert abs(mutual_information(product)) < 1e-10
+        assert abs(report(product).total) < 1e-10
 
 
 def test_mutual_information_bounds():
     rng = np.random.default_rng(23)
     for _ in range(200):
-        mi = mutual_information(random_density_matrix(rng))
+        mi = report(random_density_matrix(rng)).total
         assert -1e-12 <= mi <= 2.0 + 1e-12
 
 
@@ -89,7 +87,7 @@ def test_concurrence_reference_points():
 
 def test_concurrence_of_isotropic_thermal_state():
     # gamma=0, T=1: C = (sinh 1 - 1/e) / (cosh 1 + 1/e)
-    rho = thermal_state_analytic(ModelParams(gamma=0.0), 1.0)
+    rho = thermal_state_analytic(0.0, 0.0, 0.0, 1.0)
     expected = (math.sinh(1.0) - math.exp(-1.0)) / (math.cosh(1.0) + math.exp(-1.0))
     assert abs(concurrence(rho) - expected) < 1e-10
 
@@ -108,7 +106,7 @@ def test_local_unitary_invariance():
         u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
         rotated = u @ rho @ u.conj().T
         assert abs(concurrence(rotated) - concurrence(rho)) < 1e-10
-        assert abs(mutual_information(rotated) - mutual_information(rho)) < 1e-10
+        assert abs(report(rotated).total - report(rho).total) < 1e-10
 
 
 def test_formation_from_concurrence():
@@ -128,7 +126,7 @@ def test_formation_from_concurrence():
 
 
 def test_formation_of_isotropic_thermal_state():
-    rho = thermal_state_analytic(ModelParams(gamma=0.0), 1.0)
+    rho = thermal_state_analytic(0.0, 0.0, 0.0, 1.0)
     c = (math.sinh(1.0) - math.exp(-1.0)) / (math.cosh(1.0) + math.exp(-1.0))
     expected = binary_entropy((1.0 + math.sqrt(1.0 - c * c)) / 2.0)
     assert abs(entanglement_of_formation(rho) - expected) < 1e-10
@@ -170,16 +168,15 @@ def test_report_split_is_exact_and_consistent():
             assert r.quantum == 0.0
         if r.concurrence > 1e-6:
             assert r.quantum > 0.0
-        assert abs(classical_correlation(random_density_matrix(rng))) >= 0.0
+        assert abs(report(random_density_matrix(rng)).classical) >= 0.0
 
 
 def test_classical_correlation_is_the_report_field():
     rng = np.random.default_rng(53)
     singles = [random_density_matrix(rng) for _ in range(50)]
     for rho in singles + [np.array(singles), SINGLET_RHO, CLASSICAL_MIX]:
-        got = classical_correlation(rho)
-        assert np.array_equal(got, report(rho).classical)
-        assert np.all(np.abs(got - (mutual_information(rho) - entanglement_of_formation(rho))) < 1e-12)
+        got = report(rho)
+        assert np.all(np.abs(got.classical - (got.total - entanglement_of_formation(rho))) < 1e-12)
 
 
 def test_separability_reference_points():

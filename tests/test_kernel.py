@@ -14,7 +14,14 @@ import pytest
 
 from dimercorr.correlations import formation_from_concurrence, report
 from dimercorr.exceptions import DomainError
-from dimercorr.models import ModelParams, closed_form_correlations, thermal_state, thermal_state_analytic
+from dimercorr.matkernel import gibbs
+from dimercorr.models import (
+    ModelParams,
+    build_hamiltonian,
+    closed_form_correlations,
+    thermal_state,
+    thermal_state_analytic,
+)
 from dimercorr.sweep import Axis, SweepSpec, run_sweep
 from dimercorr.threshold import tth_anisotropic
 
@@ -75,9 +82,8 @@ def mp_reference(gamma, b1, b2, t):
 def assert_gibbs_matches_dense_and_reference(gamma, b1, b2, t):
     """thermal_state_analytic against the dense route (1e-10) and, through report, mp_reference (1e-13)."""
     gamma, b1, b2, t = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, float)) for v in (gamma, b1, b2, t)))
-    params = ModelParams(gamma, b1, b2)
-    stack = thermal_state_analytic(params, t)
-    assert np.max(np.abs(stack - thermal_state(params, t))) < 1e-10
+    stack = thermal_state_analytic(gamma, b1, b2, t)
+    assert np.max(np.abs(stack - gibbs(build_hamiltonian(gamma, b1, b2), t))) < 1e-10
     got = report(stack)
     for k, point in enumerate(zip(gamma, b1, b2, t)):
         want = mp_reference(*point)
@@ -115,7 +121,7 @@ def test_sweep_matches_dense_route(gamma):
         )
         table = run_sweep(spec)
         g, b1, b2, temp = (table.column(name) for name in ("gamma", "b1", "b2", "T"))
-        dense = report(thermal_state(ModelParams(gamma=g, b1=b1, b2=b2), temp))
+        dense = report(gibbs(build_hamiltonian(g, b1, b2), temp))
         for name in ("total", "quantum", "concurrence"):
             assert np.max(np.abs(table.column(name) - getattr(dense, name))) < 1e-12
 
@@ -129,7 +135,7 @@ def test_dense_route_matches_closed_form_over_the_box():
     b1, b2 = rng.uniform(-5.0, 5.0, (2, n))
     t = rng.uniform(0.02, 5.0, n)
     closed = closed_form_correlations(gamma, b1, b2, t)
-    dense = report(thermal_state(ModelParams(gamma, b1, b2), t))
+    dense = report(gibbs(build_hamiltonian(gamma, b1, b2), t))
     for name in ("quantum", "concurrence"):
         assert np.max(np.abs(getattr(dense, name) - closed[name])) < 1e-13
 

@@ -14,7 +14,6 @@ from dimercorr.models import (
     analytic_eigensystem,
     build_hamiltonian,
     closed_form_correlations,
-    ground_state_limit,
     thermal_state,
     thermal_state_analytic,
 )
@@ -33,13 +32,13 @@ def test_params_validation():
 
 def test_hamiltonian_ising_limit_is_diagonal():
     # gamma=1 kills the in-plane exchange, leaving sigma_z terms only
-    h = build_hamiltonian(ModelParams(gamma=1.0, b1=0.3, b2=-0.7))
+    h = build_hamiltonian(1.0, 0.3, -0.7)
     assert np.max(np.abs(h - np.diag(np.diag(h)))) == 0.0
     assert np.allclose(np.diag(h).real, [1.0 - 0.4, -1.0 + 1.0, -1.0 - 1.0, 1.0 + 0.4])
 
 
 def test_hamiltonian_isotropic_entries():
-    h = build_hamiltonian(ModelParams(gamma=0.0))
+    h = build_hamiltonian(0.0, 0.0, 0.0)
     expected = np.array(
         [
             [0.5, 0, 0, 0],
@@ -55,7 +54,7 @@ def test_hamiltonian_isotropic_entries():
 def test_singlet_is_eigenstate_without_fields():
     singlet = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
     for gamma in (-1.0, -0.3, 0.0, 0.7, 1.0):
-        h = build_hamiltonian(ModelParams(gamma=gamma))
+        h = build_hamiltonian(gamma, 0.0, 0.0)
         energy = (gamma - 3.0) / 2.0
         assert np.max(np.abs(h @ singlet - energy * singlet)) < 1e-12
 
@@ -105,7 +104,7 @@ def test_analytic_pairs_solve_the_hamiltonian():
         )
     ]
     for p in params:
-        h = build_hamiltonian(p)
+        h = build_hamiltonian(*p)
         values, vectors = analytic_eigensystem(p)
         for energy, state in zip(values, vectors.T):
             assert abs(np.linalg.norm(state) - 1.0) < 1e-12
@@ -118,7 +117,7 @@ def test_analytic_pairs_solve_the_hamiltonian():
     [ModelParams(1.0), ModelParams(1.0, 0.4, 0.4), ModelParams(0.0), ModelParams(-1.0), ModelParams(0.9)],
 )
 def test_analytic_eigensystem_contract_at_degenerate_points(p):
-    h = build_hamiltonian(p)
+    h = build_hamiltonian(*p)
     system = analytic_eigensystem(p)
     assert isinstance(system, EigenSystem)
     assert np.all(np.diff(system.values) >= 0.0)
@@ -131,14 +130,14 @@ def test_analytic_eigensystem_contract_at_degenerate_points(p):
 def test_fields_away_from_the_xy_point_match_dense_and_reference():
     p = ModelParams(gamma=0.5, b1=0.1)
     energies = analytic_eigensystem(p).values
-    assert np.max(np.abs(energies - hermitian_eig(build_hamiltonian(p))[0])) < 1e-10
+    assert np.max(np.abs(energies - hermitian_eig(build_hamiltonian(*p))[0])) < 1e-10
     assert_gibbs_matches_dense_and_reference(0.5, 0.1, 0.0, 1.0)
     assert_gibbs_matches_dense_and_reference(0.0, 0.0, 0.2, 1.0)
 
 
 def test_thermal_state_closed_form_entries():
     # gamma=0, T=1: corners eta/e, central block eta (cosh 1, -sinh 1)
-    rho = thermal_state_analytic(ModelParams(gamma=0.0), 1.0)
+    rho = thermal_state_analytic(0.0, 0.0, 0.0, 1.0)
     eta = 1.0 / (2.0 * (math.cosh(1.0) + math.exp(-1.0)))
     assert abs(rho[0, 0] - eta * math.exp(-1.0)) < 1e-14
     assert abs(rho[3, 3] - eta * math.exp(-1.0)) < 1e-14
@@ -150,7 +149,7 @@ def test_thermal_state_closed_form_entries():
 def test_thermal_state_xy_entries():
     # delta=0 keeps the central block balanced; off-diagonal is sinh(2/T)/Z
     t = 1.3
-    rho = thermal_state_analytic(ModelParams(gamma=-1.0, b1=0.5, b2=0.5), t)
+    rho = thermal_state_analytic(-1.0, 0.5, 0.5, t)
     z = 2.0 * (math.cosh(1.0 / t) + math.cosh(2.0 / t))
     assert abs(rho[0, 0] - math.exp(-1.0 / t) / z) < 1e-14
     assert abs(rho[3, 3] - math.exp(1.0 / t) / z) < 1e-14
@@ -171,7 +170,7 @@ def test_thermal_state_routes_agree():
     ]
     for p in cases:
         for t in (0.05, 0.7, 3.0):
-            gap = np.max(np.abs(thermal_state_analytic(p, t) - thermal_state(p, t)))
+            gap = np.max(np.abs(thermal_state_analytic(*p, t) - thermal_state(p, t)))
             assert gap < 1e-10
 
 
@@ -182,7 +181,7 @@ def test_cold_thermal_state_matches_dense_and_reference():
         ModelParams(gamma=-1.0, b1=1.5, b2=-0.5),
     ):
         for t in (0.005, 0.01, 0.019):
-            rho = thermal_state_analytic(p, t)
+            rho = thermal_state_analytic(*p, t)
             assert abs(np.trace(rho).real - 1.0) < 1e-12
             assert np.isfinite(rho).all()
             assert_gibbs_matches_dense_and_reference(p.gamma, p.b1, p.b2, t)
@@ -195,7 +194,7 @@ def test_eigenpairs_gibbs_state_and_correlations_agree_over_the_box():
     t = rng.uniform(0.02, 5.0, n)
     gamma[:3] = -1.0, 1.0, 1.0  # both endpoints, and the r = 0 point gamma = 1, b1 = b2
     b2[2] = b1[2]
-    rho = thermal_state_analytic(ModelParams(gamma, b1, b2), t)
+    rho = thermal_state_analytic(gamma, b1, b2, t)
     for k in range(n):
         energies, vectors = analytic_eigensystem(ModelParams(float(gamma[k]), float(b1[k]), float(b2[k])))
         weights = np.exp(-(energies - energies.min()) / t[k])
@@ -212,38 +211,44 @@ def test_eigenpairs_gibbs_state_and_correlations_agree_over_the_box():
 
 def test_thermal_state_rejects_nonpositive_temperature():
     with pytest.raises(DomainError):
-        thermal_state_analytic(ModelParams(gamma=0.0), 0.0)
+        thermal_state_analytic(0.0, 0.0, 0.0, 0.0)
     with pytest.raises(DomainError):
         thermal_state(ModelParams(gamma=0.0), -0.5)
 
 
 def test_high_temperature_limit_is_maximally_mixed():
-    rho = thermal_state_analytic(ModelParams(gamma=0.3), 1e6)
+    rho = thermal_state_analytic(0.3, 0.0, 0.0, 1e6)
     assert np.max(np.abs(rho - np.eye(4) / 4.0)) < 1e-5
 
 
+# T = 0.02 J lies far below the gap above each ground space here (2 J, 2 J
+# and 1 J), so the excited weights, e^-100 and e^-50, vanish in double
+# precision: the dense Gibbs state is its T -> 0+ limit, the uniform mixture
+# over the ground eigenspace, to rounding.
+GROUND_T = 0.02
+POLARIZED_RHO = np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex)
+
+
 def test_ground_state_limit_isotropic_is_singlet():
-    rho = ground_state_limit(ModelParams(gamma=0.0))
+    rho = thermal_state(ModelParams(gamma=0.0), GROUND_T)
     assert np.max(np.abs(rho - SINGLET_RHO)) < 1e-12
 
 
 def test_ground_state_limit_ising_is_degenerate_mixture():
     # gamma=1, B=0: singlet and triplet-0 are both at -J, mixing to
     # an equal classical blend of up-down and down-up
-    rho = ground_state_limit(ModelParams(gamma=1.0))
+    rho = thermal_state(ModelParams(gamma=1.0), GROUND_T)
     assert np.max(np.abs(rho - np.diag([0.0, 0.5, 0.5, 0.0]))) < 1e-12
 
 
 def test_ground_state_limit_strong_field_polarizes():
-    rho = ground_state_limit(ModelParams(gamma=-1.0, b1=1.5, b2=1.5))
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[3, 3] = 1.0
-    assert np.max(np.abs(rho - expected)) < 1e-12
+    rho = thermal_state(ModelParams(gamma=-1.0, b1=1.5, b2=1.5), GROUND_T)
+    assert np.max(np.abs(rho - POLARIZED_RHO)) < 1e-12
 
 
 def test_cold_thermal_state_approaches_ground_state_limit():
-    for p in (ModelParams(gamma=0.0), ModelParams(gamma=-1.0, b1=1.5, b2=1.5)):
-        gap = np.max(np.abs(thermal_state_analytic(p, 0.02) - ground_state_limit(p)))
+    for p, ground in ((ModelParams(gamma=0.0), SINGLET_RHO), (ModelParams(gamma=-1.0, b1=1.5, b2=1.5), POLARIZED_RHO)):
+        gap = np.max(np.abs(thermal_state_analytic(*p, 0.02) - ground))
         assert gap < 1e-6
 
 
@@ -263,7 +268,7 @@ def test_concurrence_closed_form_matches_pipeline():
     for p in zero_field + with_fields:
         for t in (0.5, 1.0, 2.2, 5.0):
             direct = closed_form_correlations(p.gamma, p.b1, p.b2, t)["concurrence"]
-            via_state = concurrence(thermal_state_analytic(p, t))
+            via_state = concurrence(thermal_state_analytic(*p, t))
             assert abs(direct - via_state) < 1e-12
 
 
@@ -298,13 +303,14 @@ def test_thermal_states_reject_non_finite_temperature(t):
     p = ModelParams(gamma=-1.0, b1=0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for route in (thermal_state, thermal_state_analytic):
-            with pytest.raises(DomainError, match="temperature"):
-                route(p, t)
+        with pytest.raises(DomainError, match="temperature"):
+            thermal_state(p, t)
+        with pytest.raises(DomainError, match="temperature"):
+            thermal_state_analytic(*p, t)
         with pytest.raises(DomainError, match="temperature"):
             closed_form_correlations(p.gamma, p.b1, p.b2, t)
         with pytest.raises(DomainError, match="temperature"):
-            gibbs(build_hamiltonian(p), t)
+            gibbs(build_hamiltonian(*p), t)
 
 
 def test_concurrence_closed_form_covers_every_family():

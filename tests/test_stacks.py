@@ -13,7 +13,6 @@ from dimercorr.correlations import (
     entanglement_of_formation,
     formation_from_concurrence,
     is_separable_ppt,
-    mutual_information,
     random_density_matrix,
     report,
     sample_decomposition_average,
@@ -29,14 +28,11 @@ from dimercorr.matkernel import (
 )
 from dimercorr.models import (
     ModelParams,
-    analytic_eigensystem,
     build_hamiltonian,
-    ground_state_limit,
+    closed_form_correlations,
     thermal_state,
     thermal_state_analytic,
 )
-from dimercorr.sweep import Axis, SweepSpec, run_sweep
-from dimercorr.threshold import tth_numeric
 from test_kernel import assert_gibbs_matches_dense_and_reference
 
 STACK_TOL = 1e-14
@@ -49,6 +45,11 @@ def _states(n=12, seed=3):
 def _params(n=12, seed=4):
     rng = np.random.default_rng(seed)
     return rng.uniform(-1.0, 1.0, n), rng.uniform(-3.0, 3.0, n), rng.uniform(-3.0, 3.0, n), rng.uniform(0.05, 5.0, n)
+
+
+def mutual_information(rho):
+    """The total correlation S(1) + S(2) - S(12), as report gives it."""
+    return report(rho).total
 
 
 def test_random_density_matrix_stack_draws_like_single_calls():
@@ -125,22 +126,23 @@ def test_matrix_helpers_on_a_stack_match_a_loop():
 
 def test_hamiltonian_and_thermal_state_on_parameter_arrays():
     gamma, b1, b2, t = _params()
-    h = build_hamiltonian(ModelParams(gamma, b1, b2))
-    rho = thermal_state(ModelParams(gamma, b1, b2), t)
+    h = build_hamiltonian(gamma, b1, b2)
+    rho = gibbs(h, t)
     assert h.shape == rho.shape == (len(gamma), 4, 4)
     for i, point in enumerate(zip(gamma.tolist(), b1.tolist(), b2.tolist(), t.tolist())):
         p = ModelParams(*point[:3])
-        single_h = build_hamiltonian(p)
+        single_h = build_hamiltonian(*p)
         assert single_h.shape == (4, 4)
         assert np.array_equal(h[i], single_h)
         assert np.max(np.abs(rho[i] - thermal_state(p, point[3]))) < STACK_TOL
 
 
 def test_gibbs_broadcasts_one_hamiltonian_over_temperatures():
-    h = build_hamiltonian(ModelParams(gamma=0.3, b1=0.7, b2=-1.1))
+    h = build_hamiltonian(0.3, 0.7, -1.1)
     temps = np.array([0.1, 0.5, 2.0])
     stacked = gibbs(h, temps)
     assert stacked.shape == (3, 4, 4)
+    assert np.array_equal(thermal_state(ModelParams(0.3, 0.7, -1.1), temps), stacked)
     for i, t in enumerate(temps):
         assert np.max(np.abs(stacked[i] - gibbs(h, float(t)))) < STACK_TOL
 
@@ -180,7 +182,7 @@ def test_one_bad_member_rejects_the_stack(kind):
     bad = _spoil(_states(), 7, kind)
     with pytest.raises(ValidationError, match="stack member 7"):
         check_density_matrix(bad)
-    for fn in (concurrence, mutual_information, is_separable_ppt, report):
+    for fn in (concurrence, is_separable_ppt, report):
         with pytest.raises(ValidationError):
             fn(bad)
     with pytest.raises(ValidationError):
@@ -190,12 +192,15 @@ def test_one_bad_member_rejects_the_stack(kind):
 def test_one_bad_parameter_rejects_the_array():
     gamma, b1, b2, t = _params()
     gamma[3] = 1.5
-    with pytest.raises(DomainError, match="gamma"):
-        ModelParams(gamma, b1, b2)
+    for fn in (build_hamiltonian, lambda *p: thermal_state_analytic(*p, 1.0)):
+        with pytest.raises(DomainError, match="gamma"):
+            fn(gamma, b1, b2)
     t[5] = np.nan
     with pytest.raises(DomainError, match="temperature"):
-        thermal_state(ModelParams(0.0, b1, b2), t)
-    h = build_hamiltonian(ModelParams(0.0, b1, b2))
+        thermal_state_analytic(0.0, b1, b2, t)
+    with pytest.raises(DomainError, match="temperature"):
+        gibbs(build_hamiltonian(0.0, b1, b2), t)
+    h = build_hamiltonian(0.0, b1, b2)
     h[2, 0, 1] += 1.0
     with pytest.raises(ValidationError, match="stack member 2"):
         gibbs(h, 1.0)
@@ -210,26 +215,30 @@ def test_one_bad_parameter_rejects_the_array():
     ],
 )
 def test_parameter_arrays_must_broadcast(gamma, b1, b2):
-    with pytest.raises(ValueError, match="broadcast"):
-        ModelParams(gamma, b1, b2)
+    for fn in (
+        build_hamiltonian,
+        lambda *p: thermal_state_analytic(*p, 1.0),
+        lambda *p: closed_form_correlations(*p, 1.0),
+    ):
+        with pytest.raises(ValueError, match="broadcast"):
+            fn(gamma, b1, b2)
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        ground_state_limit,
-        analytic_eigensystem,
-        lambda p: tth_numeric(p, 5.0),
-        lambda p: run_sweep(SweepSpec(p, Axis("T", 0.1, 1.0, 3))),
-    ],
-    ids=["ground_state_limit", "analytic_eigensystem", "tth_numeric", "SweepSpec"],
-)
-@pytest.mark.parametrize("n", [2, 4])
-def test_single_point_functions_reject_a_parameter_stack(call, n):
-    for params in (ModelParams(np.linspace(-0.5, 0.5, n)), ModelParams(0.0, np.zeros(n), 0.5)):
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_model_params_is_one_point(n):
+    for args in ((np.linspace(-0.5, 0.5, n),), (0.0, np.zeros(n), 0.5)):
         with pytest.raises(ValueError, match="one parameter point"):
-            call(params)
-    call(ModelParams(np.array([0.3]), np.array(0.1), 0.0))  # one point, held in arrays
+            ModelParams(*args)
+    p = ModelParams(np.float64(0.3), np.array(0.1), 0)  # one point, from a numpy scalar and a 0-d array
+    assert p == ModelParams(0.3, 0.1, 0.0)
+    assert all(type(v) is float for v in p)
+    assert repr(ModelParams(0.0)) == "ModelParams(gamma=0.0, b1=0.0, b2=0.0)"
+    with pytest.raises(AttributeError):
+        p.gamma = 0.5
+    assert hash(p) == hash(ModelParams(gamma=0.3, b1=0.1)) and len({p, ModelParams(0.3, 0.1)}) == 1
+    assert build_hamiltonian(*p).shape == (4, 4)
+    with pytest.raises(DomainError, match="gamma"):
+        p._replace(gamma=1.5)
 
 
 def _family_points(n=40, seed=9):
@@ -248,13 +257,13 @@ def test_thermal_state_analytic_on_parameter_arrays_matches_a_loop():
     gamma, b1, b2, t = _family_points()
     assert (t < 0.02).any() and (t >= 0.02).any()
     singles = [
-        thermal_state_analytic(ModelParams(*point[:3]), point[3])
+        thermal_state_analytic(*ModelParams(*point[:3]), point[3])
         for point in zip(gamma.tolist(), b1.tolist(), b2.tolist(), t.tolist())
     ]
     assert all(rho.shape == (4, 4) for rho in singles)
-    stacked = thermal_state_analytic(ModelParams(gamma, b1, b2), t)
+    stacked = thermal_state_analytic(gamma, b1, b2, t)
     assert np.array_equal(stacked, np.array(singles))
-    grid = thermal_state_analytic(ModelParams(gamma.reshape(5, 8), b1.reshape(5, 8), b2.reshape(5, 8)), 0.7)
+    grid = thermal_state_analytic(gamma.reshape(5, 8), b1.reshape(5, 8), b2.reshape(5, 8), 0.7)
     assert grid.shape == (5, 8, 4, 4)
 
 

@@ -70,8 +70,8 @@ def test_pipeline_concurrence_agrees_near_threshold():
     for gamma in (-1.0, 0.0):
         t = tth_anisotropic(gamma)
         p = ModelParams(gamma=gamma)
-        assert concurrence(thermal_state_analytic(p, 0.95 * t)) > 1e-4
-        assert concurrence(thermal_state_analytic(p, 1.05 * t)) < 1e-12
+        assert concurrence(thermal_state_analytic(*p, 0.95 * t)) > 1e-4
+        assert concurrence(thermal_state_analytic(*p, 1.05 * t)) < 1e-12
 
 
 def test_numeric_threshold_matches_closed_form():
