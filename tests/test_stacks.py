@@ -28,11 +28,14 @@ from dimercorr.matkernel import (
 )
 from dimercorr.models import (
     ModelParams,
+    analytic_eigensystem,
     build_hamiltonian,
     closed_form_correlations,
     thermal_state,
     thermal_state_analytic,
 )
+from dimercorr.sweep import Axis, SweepSpec, run_sweep
+from dimercorr.threshold import tth_numeric
 from test_kernel import assert_gibbs_matches_dense_and_reference
 
 STACK_TOL = 1e-14
@@ -239,6 +242,25 @@ def test_model_params_is_one_point(n):
     assert build_hamiltonian(*p).shape == (4, 4)
     with pytest.raises(DomainError, match="gamma"):
         p._replace(gamma=1.5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: thermal_state(p, 0.02),  # the cold dense state that stands in for the ground-state limit
+        analytic_eigensystem,
+        lambda p: tth_numeric(p, 5.0),
+        lambda p: run_sweep(SweepSpec(p, Axis("T", 0.1, 1.0, 3))),
+    ],
+    ids=["ground_state_limit", "analytic_eigensystem", "tth_numeric", "SweepSpec"],
+)
+@pytest.mark.parametrize("n", [2, 4])
+def test_single_point_functions_reject_a_parameter_stack(call, n):
+    # a single-point function takes a ModelParams, so a stack is stopped on its way in
+    for args in ((np.linspace(-0.5, 0.5, n),), (0.0, np.zeros(n), 0.5)):
+        with pytest.raises(ValueError, match="one parameter point"):
+            call(ModelParams(*args))
+    call(ModelParams(np.array(0.3), np.array(0.1), 0.0))  # one point, held in 0-d arrays
 
 
 def _family_points(n=40, seed=9):
