@@ -65,10 +65,36 @@ def _parse_range(text: str) -> list[float]:
 # no Python call per value: "%.12g" is the C routine behind
 # format(x, ".12g"), and every number gets + 0.0 first, which folds -0.0
 # into 0.
+#
+# A JSON record holds the number json.dumps prints for the float of its CSV
+# digits, float(d), which is repr(float(d)).  For a normal float the digits
+# d of "%.12g" are already the shortest that read back as float(d), so the
+# token follows from d by a string rule (_json_token), with no float parse:
+# - a plain integer gets ".0", as repr writes it;
+# - inf, -inf and nan are spelled Infinity, -Infinity and NaN;
+# - an exponent of 12 to 15 falls back to repr(float(d)): there "%.12g"
+#   writes scientific notation and repr writes positional;
+# - an exponent of -308 or below falls back the same way: a subnormal holds
+#   fewer than 12 significant digits, so repr may write fewer digits than d
+#   (5e-324 for "%.12g"'s 4.94065645841e-324);
+# - every other d is the token as it stands, since both formats switch to
+#   scientific notation below an exponent of -4 and write it the same way.
 _NUMBER = "%.12g"
 _NUMBERS = ",".join([_NUMBER] * len(RECORD_COLUMNS))  # one record's values
 # One record of json.dumps(payload, indent=2), nested in the "records" list.
 _JSON_RECORD = "    {\n" + ",\n".join(f'      "{name}": %s' for name in RECORD_COLUMNS) + "\n    }"
+_JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _json_token(digits: str) -> str:
+    """The JSON number json.dumps prints for float(digits), where ``digits`` come from "%.12g"."""
+    _, e, exponent = digits.partition("e")
+    if not e:
+        return _JSON_NON_FINITE.get(digits, digits + ".0")  # plain integers and non-finite values
+    power = int(exponent)
+    if 12 <= power <= 15 or power <= -308:
+        return repr(float(digits))
+    return digits
 
 
 def _record_columns(columns: dict) -> list[list[float]]:
@@ -135,11 +161,9 @@ def _table_to_json(table: SweepTable) -> str:
     )
     columns = _record_columns(table.columns)
     if columns[0]:
-        # Each value is its CSV text read back as a float, as json.dumps
-        # would print it: the C encoder shares float.__repr__ and the
-        # NaN/Infinity spellings with the indented one.
         digits = _fill(_NUMBERS, columns, ",").split(",")
-        tokens = json.dumps(list(map(float, digits)))[1:-1].split(", ")
+        # a positional number with a fraction is its own token: skip the call
+        tokens = [d if "." in d and "e" not in d else _json_token(d) for d in digits]
         records = ",\n".join([_JSON_RECORD] * len(columns[0])) % tuple(tokens)
         head, tail = text.rsplit("[]", 1)  # the records list comes last
         text = head + "[\n" + records + "\n  ]" + tail

@@ -17,7 +17,7 @@ once; the private helpers behind them trust it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,8 +141,7 @@ def entanglement_of_formation(rho: np.ndarray) -> float:
     return _scalar(_formation(concurrence(rho)))
 
 
-@dataclass(frozen=True)
-class CorrelationReport:
+class CorrelationReport(NamedTuple):
     """All four correlation quantities of one state, in bits (arrays for a stack of states)."""
 
     total: float

@@ -11,9 +11,8 @@ count_peaks walks the float lists and loads neither numpy nor scipy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import takewhile
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .domain import check_grid, check_positive_finite, linspace
 from .exceptions import DomainError
@@ -39,19 +38,27 @@ def _targets(axis: Axis) -> set[str]:
     return {column for column, _ in AXIS_WRITES[axis.name]}
 
 
-@dataclass(frozen=True)
-class Axis:
-    """An inclusive linear grid over one sweep variable, under the rules of check_grid."""
-
+class _AxisFields(NamedTuple):
     name: str
     start: float
     stop: float
     points: int
 
-    def __post_init__(self) -> None:
-        if self.name not in AXIS_WRITES:
-            raise ValueError(f"unknown axis {self.name!r}; choose from {', '.join(AXIS_NAMES)}")
-        check_grid(self.start, self.stop, self.points, f"axis {self.name!r}")
+
+class Axis(_AxisFields):
+    """An inclusive linear grid over one sweep variable, under the rules of check_grid."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, start: float, stop: float, points: int) -> Axis:
+        if name not in AXIS_WRITES:
+            raise ValueError(f"unknown axis {name!r}; choose from {', '.join(AXIS_NAMES)}")
+        check_grid(start, stop, points, f"axis {name!r}")
+        return super().__new__(cls, name, start, stop, points)
+
+    @classmethod
+    def _make(cls, iterable) -> Axis:  # behind _replace too, which would otherwise skip the checks
+        return cls(*iterable)
 
     def values(self) -> np.ndarray:
         """The grid np.linspace(start, stop, points) gives."""
@@ -60,39 +67,46 @@ class Axis:
         return np.array(linspace(self.start, self.stop, self.points))
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class _SpecFields(NamedTuple):
+    base: ModelParams
+    axis1: Axis
+    axis2: Axis | None = None
+    temp: float | None = None
+
+
+class SweepSpec(_SpecFields):
     """One base parameter point plus one or two axes to scan.
 
     ``temp`` is the fixed temperature used when no T axis is present; when
     given, it must be positive and finite whether or not a T axis is.
     """
 
-    base: ModelParams
-    axis1: Axis
-    axis2: Axis | None = None
-    temp: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        axes = [self.axis1] + ([self.axis2] if self.axis2 is not None else [])
-        if self.axis2 is not None:
-            if self.axis1.name == self.axis2.name:
+    def __new__(
+        cls, base: ModelParams, axis1: Axis, axis2: Axis | None = None, temp: float | None = None
+    ) -> SweepSpec:
+        axes = [axis1] + ([axis2] if axis2 is not None else [])
+        if axis2 is not None:
+            if axis1.name == axis2.name:
                 raise ValueError("sweep axes must have distinct names")
-            if _targets(self.axis1) & _targets(self.axis2):
-                raise ValueError(
-                    f"axes {self.axis1.name!r} and {self.axis2.name!r} write the same field"
-                )
+            if _targets(axis1) & _targets(axis2):
+                raise ValueError(f"axes {axis1.name!r} and {axis2.name!r} write the same field")
         t_axes = [a for a in axes if a.name == "T"]
         if t_axes and t_axes[0].start <= 0:
             raise DomainError("temperature grid must be strictly positive")
-        if not t_axes and self.temp is None:
+        if not t_axes and temp is None:
             raise ValueError("a sweep without a T axis needs a fixed temp")
-        if self.temp is not None:  # checked beside a T axis too, since the JSON spec records it
-            check_positive_finite(self.temp)
+        if temp is not None:  # checked beside a T axis too, since the JSON spec records it
+            check_positive_finite(temp)
+        return super().__new__(cls, base, axis1, axis2, temp)
+
+    @classmethod
+    def _make(cls, iterable) -> SweepSpec:  # behind _replace too, which would otherwise skip the checks
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SweepTable:
+class SweepTable(NamedTuple):
     """Sweep output: one list of floats per record column, in row-major grid order.
 
     ``columns`` maps each name of RECORD_COLUMNS to a list with one entry

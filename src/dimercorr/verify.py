@@ -10,7 +10,7 @@ CLI subcommand runs, and the test suite reuses them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +41,7 @@ WOOTTERS_TOL = 1e-10
 ENSEMBLE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     suite: str
     name: str
     passed: bool

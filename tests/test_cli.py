@@ -1,6 +1,5 @@
 """Command-line interface: formats, exit codes, determinism."""
 
-import dataclasses
 import json
 import math
 import os
@@ -369,14 +368,18 @@ def test_import_does_not_load_scipy_signal():
     [
         (["point", "--model", "xy", "--b1", "0.7", "--b2", "-1.1", "--temp", "0.3"], ["numpy", "dataclasses"]),
         (["point", "--gamma", "0", "--b1", "0.7", "--b2", "-0.3", "--temp", "0.3"], ["numpy"]),
-        (["sweep", "--model", "heisenberg", "--gamma", "0.3", "--axis", "T=0.02:4:150"], ["numpy"]),
+        (
+            ["sweep", "--model", "heisenberg", "--gamma", "0.3", "--axis", "T=0.02:4:150"],
+            ["numpy", "dataclasses", "inspect"],
+        ),
         (
             ["sweep", "--model", "xy", "--temp", "0.3", "--axis", "b1=-3:3:61", "--axis", "b2=-3:3:61", "--format", "json"],
-            ["numpy"],
+            ["numpy", "dataclasses", "inspect"],
         ),
         (["threshold", "--gamma", "-1:0.99:100"], ["numpy", "dataclasses"]),
+        (["verify", "--suite", "gibbs", "--samples", "2"], ["dataclasses"]),
     ],
-    ids=["point", "point-heisenberg-fields", "sweep-csv-T", "sweep-json-2d", "threshold"],
+    ids=["point", "point-heisenberg-fields", "sweep-csv-T", "sweep-json-2d", "threshold", "verify-gibbs"],
 )
 def test_subcommand_does_not_load(argv, absent):
     code = (
@@ -554,7 +557,8 @@ def _awkward_columns():
     """-0.0, integers, the exponent switch points of %.12g and repr, subnormals, extremes, non-finite."""
     special = [-0.0, 0.0, 1.0, -3.0, 12.0, 0.1, 1.0 / 3.0, -2.5e-7, 123456789012.0, 999999999999.5]
     special += [10.0**k for k in range(11, 18)] + [-(10.0**k) for k in range(11, 18)]
-    special += [1e-4, 1e-5, 9.99999999999e-5, 5e-324, -5e-324, 2.2250738585072014e-308, 1.797e308, -1.797e308]
+    special += [1e-4, 1e-5, 9.99999999999e-5, 5e-324, -5e-324, 1e-310, -3.3e-320]
+    special += [2.2250738585072014e-308, 2.2250738585e-308, 1e-307, 1.797e308, -1.797e308]
     special += [math.nan, math.inf, -math.inf]
     rng = np.random.default_rng(2024)
     randoms = rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(-300.0, 300.0, 2000)
@@ -576,7 +580,7 @@ def test_hand_built_columns_match_the_oracle(capsys, tmp_path, monkeypatch, colu
     tables = []
 
     def hand_built(spec, threads=None):
-        tables.append(dataclasses.replace(run_sweep(spec), columns=columns))
+        tables.append(run_sweep(spec)._replace(columns=columns))
         return tables[-1]
 
     monkeypatch.setattr("dimercorr.sweep.run_sweep", hand_built)

@@ -37,6 +37,14 @@ def test_axis_validation():
         with pytest.raises(ValueError, match="axis 'T' needs an integer number of points"):
             Axis("T", 0.5, 1.0, points)
     assert Axis("T", 0.5, 1.0, np.int64(3)).values().tolist() == [0.5, 0.75, 1.0]
+    axis = Axis("T", 0.5, 1.0, 3)
+    assert repr(axis) == "Axis(name='T', start=0.5, stop=1.0, points=3)"
+    assert hash(axis) == hash(Axis(name="T", start=0.5, stop=1.0, points=3))
+    assert len({axis, Axis("T", 0.5, 1.0, 3)}) == 1
+    with pytest.raises(AttributeError):
+        axis.points = 4
+    with pytest.raises(ValueError):
+        axis._replace(points=1)  # _replace validates as the constructor does
 
 
 def test_spec_validation():
@@ -51,6 +59,8 @@ def test_spec_validation():
         SweepSpec(base=XY, axis1=Axis("b1", 0.0, 1.0, 5))  # no temperature anywhere
     with pytest.raises(DomainError):
         SweepSpec(base=XY, axis1=Axis("b1", 0.0, 1.0, 5), temp=-2.0)
+    with pytest.raises(DomainError):
+        SweepSpec(base=XY, axis1=Axis("b1", 0.0, 1.0, 5), temp=0.5)._replace(temp=-2.0)
 
 
 def test_rows_follow_axis_values_row_major():
