@@ -1,8 +1,8 @@
 """Numpy-free input checks and grids.
 
 The closed form, sweeps, the threshold scan and the command line share
-these, so a call that only evaluates closed forms never loads numpy; an
-array handed to a check is the one case that imports it.  The rules of a
+these, and this module never imports numpy: a caller holding an array
+flattens it to a list of floats first.  The rules of a
 ``start:stop:points`` grid live here too (parse_grid, check_grid), for
 ``threshold``'s range and ``sweep``'s axes alike.
 """
@@ -13,29 +13,17 @@ import math
 
 from .exceptions import DomainError
 
-__all__ = ["as_floats", "check_grid", "check_positive_finite", "linspace", "parse_grid"]
-
-
-def as_floats(value) -> list[float]:
-    """A number, or any array-like flattened in C order, as a list of floats.
-
-    Only an array-like loads numpy.
-    """
-    if isinstance(value, (int, float)):
-        return [float(value)]
-    import numpy as np
-
-    return np.asarray(value, dtype=float).ravel().tolist()
+__all__ = ["check_grid", "check_positive_finite", "linspace", "parse_grid"]
 
 
 def check_positive_finite(value, name: str = "temperature") -> None:
     """Raise DomainError unless every entry of ``value`` is finite and positive.
 
-    ``value`` is a number, a list of floats (checked as is) or an array;
-    NaN and +-inf are rejected, so they never reach an exponent or an
-    eigensolver.
+    ``value`` is a list of floats (checked as is) or one number, taken
+    through ``float``; NaN and +-inf are rejected, so they never reach an
+    exponent or an eigensolver.
     """
-    for v in value if isinstance(value, list) else as_floats(value):
+    for v in value if isinstance(value, list) else [float(value)]:
         if not (math.isfinite(v) and v > 0.0):
             raise DomainError(f"{name} must be positive and finite, got {v}")
 

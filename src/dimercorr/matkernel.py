@@ -154,7 +154,7 @@ def gibbs(h: np.ndarray, temperature) -> np.ndarray:
     construction stays finite at any T > 0.
     """
     t = np.asarray(temperature, dtype=float)
-    check_positive_finite(t)
+    check_positive_finite(t.ravel().tolist())
     t = t[..., None]
     values, vectors = hermitian_eig(h)
     weights = np.exp(-(values - values[..., :1]) / t)

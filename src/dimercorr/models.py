@@ -93,7 +93,9 @@ def build_hamiltonian(gamma, b1, b2) -> np.ndarray:
     exchange_xy = kron(pauli("x"), pauli("x")) + kron(pauli("y"), pauli("y"))
     exchange_z = kron(pauli("z"), pauli("z"))
     field_1, field_2 = kron(pauli("z"), np.eye(2)), kron(np.eye(2), pauli("z"))
-    gamma, b1, b2 = (v[..., None, None] for v in _checked_arrays(gamma, b1, b2))
+    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (gamma, b1, b2)))
+    _check_params(*(a.ravel().tolist() for a in arrays))
+    gamma, b1, b2 = (a[..., None, None] for a in arrays)
     exchange = 0.5 * (1.0 - gamma) * exchange_xy + 0.5 * (1.0 + gamma) * exchange_z
     return exchange + (b1 * field_1 + b2 * field_2)
 
@@ -218,28 +220,26 @@ def _check_params(gamma: list, b1: list, b2: list) -> None:
                 raise DomainError(f"{name} must be finite, got {v}")
 
 
-def _correlation_columns(gamma: list, b1: list, b2: list, t: list) -> list[list[float]]:
-    """closed_form_correlations over equal-length lists of floats: one list per name of OUTPUTS."""
+def _kernel_columns(kernel, width: int, gamma: list, b1: list, b2: list, t: list) -> list[list[float]]:
+    """The scalar ``kernel`` over equal-length float lists, every point checked first: ``width`` output lists."""
     _check_params(gamma, b1, b2)
     check_positive_finite(t)
-    rows = list(map(_correlations, gamma, b1, b2, t))
-    return [list(column) for column in zip(*rows)] if rows else [[] for _ in OUTPUTS]
+    rows = list(map(kernel, gamma, b1, b2, t))
+    return [list(column) for column in zip(*rows)] if rows else [[] for _ in range(width)]
 
 
-def _broadcast(*values) -> list[np.ndarray]:
-    """The arguments as float arrays of their common broadcast shape; ValueError if they do not broadcast."""
+def _correlation_columns(gamma: list, b1: list, b2: list, t: list) -> list[list[float]]:
+    """closed_form_correlations over equal-length lists of floats: one list per name of OUTPUTS."""
+    return _kernel_columns(_correlations, len(OUTPUTS), gamma, b1, b2, t)
+
+
+def _map_kernel(kernel, width: int, gamma, b1, b2, t) -> list[np.ndarray]:
+    """_kernel_columns over arrays that broadcast (ValueError if not): one array of that shape per output."""
     import numpy as np
 
-    return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
-
-
-def _checked_arrays(gamma, b1, b2, *t) -> list[np.ndarray]:
-    """_broadcast of (gamma, b1, b2[, t]), every point checked as in _correlation_columns (DomainError)."""
-    arrays = _broadcast(gamma, b1, b2, *t)
-    _check_params(*(a.ravel().tolist() for a in arrays[:3]))
-    if t:
-        check_positive_finite(arrays[3])
-    return arrays
+    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (gamma, b1, b2, t)))
+    columns = _kernel_columns(kernel, width, *(a.ravel().tolist() for a in arrays))
+    return [np.array(column, dtype=float).reshape(arrays[0].shape) for column in columns]
 
 
 def analytic_eigensystem(p: ModelParams) -> EigenSystem:
@@ -289,10 +289,8 @@ def thermal_state_analytic(gamma, b1, b2, t) -> np.ndarray:
     """
     import numpy as np
 
-    gamma, b1, b2, t = _checked_arrays(gamma, b1, b2, t)
-    entries = np.frompyfunc(_gibbs_entries, 4, 5)(gamma, b1, b2, t)
-    rho11, rho44, rho22, rho33, rho23 = (np.asarray(e, dtype=float) for e in entries)
-    rho = np.zeros(t.shape + (4, 4), dtype=complex)
+    rho11, rho44, rho22, rho33, rho23 = _map_kernel(_gibbs_entries, 5, gamma, b1, b2, t)
+    rho = np.zeros(rho11.shape + (4, 4), dtype=complex)
     rho[..., 0, 0], rho[..., 3, 3] = rho11, rho44
     rho[..., 1, 1], rho[..., 2, 2] = rho22, rho33
     rho[..., 1, 2] = rho[..., 2, 1] = rho23
@@ -336,8 +334,4 @@ def closed_form_correlations(gamma, b1, b2, t) -> dict:
     if all(isinstance(a, (int, float)) for a in args):
         columns = _correlation_columns(*([float(a)] for a in args))
         return {name: column[0] for name, column in zip(OUTPUTS, columns)}
-    import numpy as np
-
-    arrays = _broadcast(*args)
-    columns = _correlation_columns(*(a.ravel().tolist() for a in arrays))
-    return {name: np.array(column, dtype=float).reshape(arrays[0].shape) for name, column in zip(OUTPUTS, columns)}
+    return dict(zip(OUTPUTS, _map_kernel(_correlations, len(OUTPUTS), *args)))

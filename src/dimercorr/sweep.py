@@ -4,14 +4,14 @@ A sweep evaluates the full correlation report on a one- or two-axis grid,
 running the closed-form kernel of closed_form_correlations point by point
 on plain float columns, so it loads no numpy.  Rows are produced in
 row-major order (axis 1 outer, axis 2 inner) and the output is
-deterministic for a fixed spec.  SweepTable.column, Axis.values and the
-two interval detectors build numpy arrays and import numpy when called;
-count_peaks walks the float lists and loads neither numpy nor scipy.
+deterministic for a fixed spec.  The analyses (count_peaks and the two
+interval detectors) walk the float lists too; only SweepTable.column
+imports numpy, when it is called.
 """
 
 from __future__ import annotations
 
-from itertools import takewhile
+from itertools import groupby, takewhile
 from typing import TYPE_CHECKING, NamedTuple
 
 from .domain import check_grid, check_positive_finite, linspace
@@ -60,11 +60,9 @@ class Axis(_AxisFields):
     def _make(cls, iterable) -> Axis:  # behind _replace too, which would otherwise skip the checks
         return cls(*iterable)
 
-    def values(self) -> np.ndarray:
-        """The grid np.linspace(start, stop, points) gives."""
-        import numpy as np
-
-        return np.array(linspace(self.start, self.stop, self.points))
+    def values(self) -> list[float]:
+        """The grid np.linspace(start, stop, points) gives, as a list of floats."""
+        return linspace(self.start, self.stop, self.points)
 
 
 class _SpecFields(NamedTuple):
@@ -110,19 +108,11 @@ class SweepTable(NamedTuple):
     """Sweep output: one list of floats per record column, in row-major grid order.
 
     ``columns`` maps each name of RECORD_COLUMNS to a list with one entry
-    per grid point, aligned with the axis value arrays.
+    per grid point, aligned with the axes' values().
     """
 
     spec: SweepSpec
     columns: dict[str, list[float]]
-
-    @property
-    def axis1_values(self) -> np.ndarray:
-        return self.spec.axis1.values()
-
-    @property
-    def axis2_values(self) -> np.ndarray | None:
-        return None if self.spec.axis2 is None else self.spec.axis2.values()
 
     @property
     def is_1d(self) -> bool:
@@ -130,8 +120,7 @@ class SweepTable(NamedTuple):
 
     def column(self, name: str) -> np.ndarray:
         """A new float array of one record column."""
-        if name not in RECORD_COLUMNS:
-            raise ValueError(f"unknown column {name!r}; choose from {', '.join(RECORD_COLUMNS)}")
+        _check_column(name)
         import numpy as np
 
         return np.array(self.columns[name], dtype=float)
@@ -147,7 +136,7 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepTable:
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     axes = [spec.axis1] + ([spec.axis2] if spec.axis2 is not None else [])
-    grids = [linspace(axis.start, axis.stop, axis.points) for axis in axes]
+    grids = [axis.values() for axis in axes]
     if len(grids) == 2:  # row-major: axis 1 outer, axis 2 inner
         grids = [[v for v in grids[0] for _ in grids[1]], grids[1] * len(grids[0])]
     n = len(grids[0])
@@ -162,30 +151,36 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepTable:
     return SweepTable(spec=spec, columns=columns)
 
 
-def _require_1d(table: SweepTable) -> None:
+def _check_column(name: str) -> None:
+    if name not in RECORD_COLUMNS:
+        raise ValueError(f"unknown column {name!r}; choose from {', '.join(RECORD_COLUMNS)}")
+
+
+def _series(table: SweepTable, column: str) -> list[float]:
+    """One record column of a one-axis sweep; ValueError for a two-axis sweep or an unknown column."""
     if not table.is_1d:
         raise ValueError("this analysis needs a one-axis sweep")
+    _check_column(column)
+    return table.columns[column]
 
 
-def _runs_to_intervals(axis_values: np.ndarray, mask: np.ndarray) -> list[tuple[float, float]]:
+def _intervals(table: SweepTable, mask: list[bool]) -> list[tuple[float, float]]:
+    """The first and last axis value of each maximal run of True in ``mask``."""
+    axis = table.spec.axis1.values()
     intervals = []
-    start = None
-    for i, flag in enumerate(mask):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            intervals.append((float(axis_values[start]), float(axis_values[i - 1])))
-            start = None
-    if start is not None:
-        intervals.append((float(axis_values[start]), float(axis_values[len(mask) - 1])))
+    start = 0
+    for flag, run in groupby(mask):
+        end = start + len(list(run))
+        if flag:
+            intervals.append((axis[start], axis[end - 1]))
+        start = end
     return intervals
 
 
 def detect_quantum_exceeds_classical(table: SweepTable) -> list[tuple[float, float]]:
     """Maximal axis intervals where quantum > classical + 1e-12."""
-    _require_1d(table)
-    mask = table.column("quantum") > table.column("classical") + 1e-12
-    return _runs_to_intervals(table.axis1_values, mask)
+    pairs = zip(_series(table, "quantum"), _series(table, "classical"))
+    return _intervals(table, [q > c + 1e-12 for q, c in pairs])
 
 
 def count_peaks(table: SweepTable, column: str) -> int:
@@ -194,8 +189,7 @@ def count_peaks(table: SweepTable, column: str) -> int:
     Counted as scipy.signal.find_peaks(y, prominence=0.01) counts them: a flat
     top counts once and the edges never do.  Plain Python: no numpy, no scipy.
     """
-    _require_1d(table)
-    y = table.columns[column] if column in RECORD_COLUMNS else table.column(column)  # column() rejects the name
+    y = _series(table, column)
     count = 0
     for i in range(1, len(y) - 1):
         if y[i - 1] < y[i]:  # a rise: a peak if what follows its flat top falls
@@ -214,6 +208,4 @@ def count_peaks(table: SweepTable, column: str) -> int:
 
 def detect_zero_plateau(table: SweepTable, column: str) -> list[tuple[float, float]]:
     """Maximal axis intervals where ``column`` stays at zero (<= 1e-10)."""
-    _require_1d(table)
-    mask = table.column(column) <= 1e-10
-    return _runs_to_intervals(table.axis1_values, mask)
+    return _intervals(table, [v <= 1e-10 for v in _series(table, column)])

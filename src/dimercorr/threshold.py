@@ -37,8 +37,6 @@ class ThresholdPoint(NamedTuple):
     """One point of a threshold curve; ``degenerate`` marks the gamma = 1 limit."""
 
     gamma: float
-    b1: float
-    b2: float
     t_th: float
     degenerate: bool = False
 
@@ -80,9 +78,7 @@ def threshold_curve(gammas: Sequence[float]) -> list[ThresholdPoint]:
     points = []
     for g in gammas:
         g = float(g)
-        points.append(
-            ThresholdPoint(gamma=g, b1=0.0, b2=0.0, t_th=tth_anisotropic(g), degenerate=g == 1.0)
-        )
+        points.append(ThresholdPoint(gamma=g, t_th=tth_anisotropic(g), degenerate=g == 1.0))
     return points
 
 
@@ -95,16 +91,16 @@ def tth_numeric(p: ModelParams, t_max: float) -> float | None:
     floats.  Returns None when no transition exists in the range.  Multiple
     transitions trigger a warning and the largest is returned.
     """
-    from .models import _correlation_columns  # imported here: the zero-field threshold needs no kernel
+    from .models import _correlations  # imported here: the zero-field threshold needs no kernel
 
     check_positive_finite(t_max, "t_max")
-
-    def entangled(grid: list[float]) -> list[bool]:
-        gamma, b1, b2 = ([v] * len(grid) for v in p)
-        return [c > _POSITIVE_C for c in _correlation_columns(gamma, b1, b2, grid)[3]]
-
     grid = linspace(t_max / _SCAN_POINTS, t_max, _SCAN_POINTS)
-    positive = entangled(grid)
+    check_positive_finite(grid)  # a subnormal t_max puts 0 on the grid; every later T lies above grid[0]
+
+    def entangled(t: float) -> bool:  # p was validated when it was built
+        return _correlations(*p, t)[3] > _POSITIVE_C
+
+    positive = [entangled(t) for t in grid]
     transitions = [k for k in range(_SCAN_POINTS - 1) if positive[k] and not positive[k + 1]]
     if not transitions:
         return None
@@ -119,7 +115,7 @@ def tth_numeric(p: ModelParams, t_max: float) -> float | None:
         mid = lo + 0.5 * (hi - lo)
         if mid in (lo, hi):  # the bracket is down to adjacent floats
             return mid
-        if entangled([mid])[0]:
+        if entangled(mid):
             lo = mid
         else:
             hi = mid

@@ -149,14 +149,17 @@ def run_suites(
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     wanted = SUITES if suite == "all" else (suite,)
+    drawn = {"seed": seed}
+    if samples is not None:  # otherwise each check keeps its own default
+        drawn["samples"] = samples
     results: list[CheckResult] = []
     for name in wanted:
         if name == "gibbs":
-            results.append(check_gibbs_equivalence(samples or 200, seed))
+            results.append(check_gibbs_equivalence(**drawn))
         elif name == "wootters":
             results.extend(check_wootters_closed_form())
         elif name == "ppt":
-            results.append(check_ppt_agreement(samples or 1000, seed))
+            results.append(check_ppt_agreement(**drawn))
         else:
-            results.append(check_ensemble_bound(samples or 10000, seed))
+            results.append(check_ensemble_bound(**drawn))
     return results

@@ -25,6 +25,7 @@ assert detect_zero_plateau(anti(2.5), "quantum") == [(-1.08, 1.08)]
 window = run_sweep(SweepSpec(base=ModelParams(-1.0, 1.05, 1.05), axis1=Axis("T", 0.01, 2.0, 400)))
 assert detect_quantum_exceeds_classical(window)
 assert tth_numeric(ModelParams(-1.0, 0.5, -0.5), 5.0) > 0.0
+assert "numpy" not in sys.modules  # the closed-form route and its analyses run on float lists
 for argv in (
     ["point", "--gamma", "0", "--b1", "0.7", "--b2", "-0.3", "--temp", "1.2"],
     ["sweep", "--model", "xy", "--temp", "0.3", "--axis", "b_anti=-3:3:61"],

@@ -36,7 +36,7 @@ def test_axis_validation():
     for points in (2.5, 3.0):  # linspace would fail deep inside with a bare TypeError
         with pytest.raises(ValueError, match="axis 'T' needs an integer number of points"):
             Axis("T", 0.5, 1.0, points)
-    assert Axis("T", 0.5, 1.0, np.int64(3)).values().tolist() == [0.5, 0.75, 1.0]
+    assert Axis("T", 0.5, 1.0, np.int64(3)).values() == [0.5, 0.75, 1.0]
     axis = Axis("T", 0.5, 1.0, 3)
     assert repr(axis) == "Axis(name='T', start=0.5, stop=1.0, points=3)"
     assert hash(axis) == hash(Axis(name="T", start=0.5, stop=1.0, points=3))
@@ -71,8 +71,8 @@ def test_rows_follow_axis_values_row_major():
     assert not table.is_1d
     assert len(table.column("b1")) == 12
     rows = list(zip(*(table.column(name).tolist() for name in ("b1", "b2", "T", "gamma"))))
-    for i, b1 in enumerate(table.axis1_values):
-        for j, b2 in enumerate(table.axis2_values):
+    for i, b1 in enumerate(spec.axis1.values()):
+        for j, b2 in enumerate(spec.axis2.values()):
             assert rows[i * 4 + j] == (b1, b2, 0.8, -1.0)
 
 
@@ -80,7 +80,7 @@ def test_temperature_axis_overrides_fixed_temp():
     spec = SweepSpec(base=ModelParams(gamma=0.2), axis1=Axis("T", 0.5, 2.0, 4))
     table = run_sweep(spec)
     assert table.is_1d
-    assert table.column("T").tolist() == list(table.axis1_values)
+    assert table.column("T").tolist() == spec.axis1.values()
 
 
 def test_thread_count_does_not_change_results():
@@ -184,7 +184,7 @@ def test_classical_correlation_dips_then_rebounds():
     spec = SweepSpec(base=ModelParams(gamma=0.9), axis1=Axis("T", 0.02, 1.0, 200))
     table = run_sweep(spec)
     classical = table.column("classical")
-    t = table.axis1_values
+    t = spec.axis1.values()
     minima, _ = find_peaks(-classical, prominence=1e-3)
     maxima, _ = find_peaks(classical, prominence=1e-3)
     assert len(minima) == 1 and len(maxima) == 1
@@ -210,7 +210,7 @@ def test_non_finite_axis_and_temperature_are_domain_errors():
     for start, stop in ((-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0)):
         with pytest.raises(DomainError, match="finite"):
             Axis("b1", start, stop, 5)
-    for temp in (np.nan, np.inf):
+    for temp in (np.nan, np.inf, np.array(np.nan)):
         with pytest.raises(DomainError, match="temperature"):
             SweepSpec(base=XY, axis1=Axis("b1", 0.0, 1.0, 5), temp=temp)
 
@@ -237,10 +237,10 @@ def test_columns_and_rows_agree():
     spec = SweepSpec(base=XY, axis1=Axis("T", 0.5, 1.0, 3), axis2=Axis("b_anti", -1.0, 1.0, 4))
     table = run_sweep(spec)
     assert all(len(table.column(name)) == 12 for name in RECORD_COLUMNS)
-    anti = table.axis2_values.tolist()
+    anti = spec.axis2.values()
     assert table.column("b1").tolist() == anti * 3
     assert table.column("b2").tolist() == [-v for v in anti] * 3
-    assert table.column("T").tolist() == [t for t in table.axis1_values.tolist() for _ in range(4)]
+    assert table.column("T").tolist() == [t for t in spec.axis1.values() for _ in range(4)]
     # each record's outputs belong to that record's own grid point
     points = closed_form_correlations(*(table.column(name) for name in ("gamma", "b1", "b2", "T")))
     for name in ("total", "quantum", "classical", "concurrence"):

@@ -105,10 +105,12 @@ def test_numeric_threshold_none_when_never_entangled():
 def test_numeric_threshold_argument_checks():
     with pytest.raises(DomainError):
         tth_numeric(ModelParams(gamma=0.0), 0.0)
+    with pytest.raises(DomainError, match="temperature"):  # t_max / 200 underflows to a 0 on the scan grid
+        tth_numeric(ModelParams(gamma=0.0), 5e-324)
 
 
 def test_numeric_threshold_rejects_non_finite_range():
-    for t_max in (math.nan, math.inf):
+    for t_max in (math.nan, math.inf, np.float64(np.inf)):
         with pytest.raises(DomainError, match="t_max"):
             tth_numeric(ModelParams(gamma=0.0), t_max)
 

@@ -43,6 +43,8 @@ def test_run_suites_all():
     results = run_suites("all", samples=50)
     assert {r.suite for r in results} == set(SUITES)
     assert all(r.passed for r in results)
+    drawn = [r.detail for r in results if r.suite != "wootters"]  # the override reaches each drawn suite
+    assert len(drawn) == 3 and all(" 50 " in detail for detail in drawn)
 
 
 def test_run_suites_single():
