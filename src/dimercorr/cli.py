@@ -62,9 +62,11 @@ def _parse_range(text: str) -> list[float]:
 
 # One record writer serves point, sweep (CSV and JSON) and threshold.  A
 # whole table is formatted by one "%" over a repeated record template, with
-# no Python call per value: "%.12g" is the C routine behind
+# no Python call per output value: "%.12g" is the C routine behind
 # format(x, ".12g"), and every number gets + 0.0 first, which folds -0.0
-# into 0.
+# into 0.  The parameter columns (T, gamma, b1, b2) repeat a few values
+# over a grid, so each distinct value is formatted once (_tokens) and its
+# string goes into the template's "%s".
 #
 # A JSON record holds the number json.dumps prints for the float of its CSV
 # digits, float(d), which is repr(float(d)).  For a normal float the digits
@@ -80,7 +82,9 @@ def _parse_range(text: str) -> list[float]:
 # - every other d is the token as it stands, since both formats switch to
 #   scientific notation below an exponent of -4 and write it the same way.
 _NUMBER = "%.12g"
-_NUMBERS = ",".join([_NUMBER] * len(RECORD_COLUMNS))  # one record's values
+_PARAMETERS = 4  # T, gamma, b1 and b2 lead each record; the outputs follow
+_OUTPUT_NUMBERS = ",".join([_NUMBER] * (len(RECORD_COLUMNS) - _PARAMETERS))  # one record's output values
+_CSV_RECORD = "%s," * _PARAMETERS + _OUTPUT_NUMBERS + "\n"
 # One record of json.dumps(payload, indent=2), nested in the "records" list.
 _JSON_RECORD = "    {\n" + ",\n".join(f'      "{name}": %s' for name in RECORD_COLUMNS) + "\n    }"
 _JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
@@ -90,11 +94,35 @@ def _json_token(digits: str) -> str:
     """The JSON number json.dumps prints for float(digits), where ``digits`` come from "%.12g"."""
     _, e, exponent = digits.partition("e")
     if not e:
+        if "." in digits:
+            return digits
         return _JSON_NON_FINITE.get(digits, digits + ".0")  # plain integers and non-finite values
     power = int(exponent)
     if 12 <= power <= 15 or power <= -308:
         return repr(float(digits))
     return digits
+
+
+def _json_number(value: float) -> str:
+    """The JSON token of one value, from its "%.12g" digits."""
+    return _json_token(_NUMBER % value)
+
+
+def _tokens(column: list[float], token) -> list[str]:
+    """token(v) for each value of ``column``, called once per distinct value.
+
+    One pass, each value looked up with memo.get: a NaN never equals
+    itself, so a NaN not seen before simply gets its own entry.  -0.0 and
+    0.0 share one key, so the column must have its -0.0 folded into 0.
+    """
+    memo = {}
+    out = []
+    for v in column:
+        text = memo.get(v)
+        if text is None:
+            text = memo[v] = token(v)
+        out.append(text)
+    return out
 
 
 def _record_columns(columns: dict) -> list[list[float]]:
@@ -112,7 +140,9 @@ def _fill(record: str, columns: list[list], sep: str = "") -> str:
 
 
 def _to_csv(columns: dict) -> str:
-    return CSV_HEADER + "\n" + _fill(_NUMBERS + "\n", _record_columns(columns))
+    columns = _record_columns(columns)
+    params = [_tokens(column, _NUMBER.__mod__) for column in columns[:_PARAMETERS]]
+    return CSV_HEADER + "\n" + _fill(_CSV_RECORD, params + columns[_PARAMETERS:])
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -161,10 +191,12 @@ def _table_to_json(table: SweepTable) -> str:
     )
     columns = _record_columns(table.columns)
     if columns[0]:
-        digits = _fill(_NUMBERS, columns, ",").split(",")
+        params = [_tokens(column, _json_number) for column in columns[:_PARAMETERS]]
+        digits = _fill(_OUTPUT_NUMBERS, columns[_PARAMETERS:], ",").split(",")
         # a positional number with a fraction is its own token: skip the call
         tokens = [d if "." in d and "e" not in d else _json_token(d) for d in digits]
-        records = ",\n".join([_JSON_RECORD] * len(columns[0])) % tuple(tokens)
+        width = len(columns) - _PARAMETERS
+        records = _fill(_JSON_RECORD, params + [tokens[k::width] for k in range(width)], ",\n")
         head, tail = text.rsplit("[]", 1)  # the records list comes last
         text = head + "[\n" + records + "\n  ]" + tail
     return text + "\n"

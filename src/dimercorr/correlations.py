@@ -133,7 +133,7 @@ def formation_from_concurrence(c):
     bad = ~((c >= 0.0) & (c <= 1.0))
     if bad.any():
         raise DomainError(f"concurrence must lie in [0, 1], got {c[bad].flat[0]}")
-    return _scalar(np.asarray(np.frompyfunc(_point_formation, 1, 1)(c), dtype=float))
+    return _scalar(np.array(list(map(_point_formation, c.ravel().tolist())), dtype=float).reshape(c.shape))
 
 
 def entanglement_of_formation(rho: np.ndarray) -> float:

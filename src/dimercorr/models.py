@@ -15,8 +15,14 @@ correlations for any (gamma, b1, b2) and any T > 0; the dense route
 
 The closed form is a scalar kernel in plain ``math``, so ``point`` and
 ``sweep`` never load numpy: numpy is imported only by the functions that
-take or return arrays, which map the kernel over their points.  A
-ModelParams is one validated point; build_hamiltonian,
+take or return arrays, which map the kernel over their points.  It runs
+once per sweep point, so it is written for the interpreter: _x_form works
+on named locals and returns one flat tuple of floats (populations, X-state
+entries, levels, mixing angle), which _correlations, _gibbs_entries,
+analytic_eigensystem and tth_numeric unpack; _correlations and _formation
+write their x log2 x terms out inline.
+
+A ModelParams is one validated point; build_hamiltonian,
 thermal_state_analytic and closed_form_correlations take (gamma, b1, b2)
 as numbers or as arrays that broadcast.
 """
@@ -24,6 +30,7 @@ as numbers or as arrays that broadcast.
 from __future__ import annotations
 
 import math
+from math import log2
 from operator import add, sub
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -100,20 +107,19 @@ def build_hamiltonian(gamma, b1, b2) -> np.ndarray:
     return exchange + (b1 * field_1 + b2 * field_2)
 
 
-class _XForm(NamedTuple):
-    """The Gibbs state of the dimer at one point as an X-state, in units of J."""
+def _x_form(gamma: float, b1: float, b2: float, t: float) -> tuple[float, ...]:
+    """Populations, X-state entries, levels and mixing angle of the Gibbs state at temperature t > 0.
 
-    levels: tuple  # |uu>, |dd>, upper and lower mixed level, above the lower mixed level
-    populations: tuple  # Boltzmann populations of those levels
-    one_minus_cos: float  # 1 - |cos(theta)| of the |ud>, |du> mixing angle
-    rho22: float  # <ud|rho|ud>
-    rho33: float  # <du|rho|du>
-    coherence: float  # |rho23| = -rho23; rho14 = 0
-    corners: float  # sqrt(rho11 rho44), formed without underflow
+    Returns, as one flat tuple in units of J:
 
-
-def _x_form(gamma: float, b1: float, b2: float, t: float) -> _XForm:
-    """Levels, populations and mixing angle of the Gibbs state at temperature t > 0.
+    - p_uu, p_dd, p_hi, p_lo: the Boltzmann populations of |uu>, |dd> and
+      the upper and lower mixed level;
+    - rho22, rho33: <ud|rho|ud> and <du|rho|du>;
+    - coherence: |rho23| = -rho23 (rho14 = 0);
+    - corners: sqrt(rho11 rho44), formed without underflow;
+    - level_uu, level_dd, twice_r: the levels of |uu>, |dd> and the upper
+      mixed level, above the lower mixed level;
+    - one_minus_cos: 1 - |cos(theta)| of the |ud>, |du> mixing angle.
 
     H conserves total S_z: |uu> and |dd> are eigenstates at
     J[(1+gamma)/2 +- (b1+b2)], and |ud>, |du> mix into levels at
@@ -137,14 +143,20 @@ def _x_form(gamma: float, b1: float, b2: float, t: float) -> _XForm:
     # overflows, the ratio is formed one factor at a time.
     square = delta * delta
     lift = 2.0 + (square / (r_safe + gap) if math.isfinite(square) else size * (size / (r_safe + gap)))
-    levels = (lift + sigma, lift - sigma, 2.0 * r, 0.0)
-    low = min(levels)
-    x = [(level - low) / t for level in levels]  # exp and expm1 map +inf to the right limits
-    split = 2.0 * r / t
-    weights = [math.exp(-v) for v in x]
-    z = weights[0] + weights[1] + weights[2] + weights[3]
-    populations = tuple(w / z for w in weights)
-    p_hi, p_lo = populations[2], populations[3]
+    level_uu = lift + sigma
+    level_dd = lift - sigma
+    twice_r = 2.0 * r
+    low = min(level_uu, level_dd, 0.0)  # the ground level; twice_r >= 0 never lies below 0
+    # nonpositive Boltzmann exponents; exp and expm1 map -inf to the right limits
+    e_uu = (low - level_uu) / t
+    e_dd = (low - level_dd) / t
+    w_uu = math.exp(e_uu)
+    w_dd = math.exp(e_dd)
+    w_hi = math.exp((low - twice_r) / t)
+    w_lo = math.exp(low / t)
+    z = w_uu + w_dd + w_hi + w_lo
+    p_hi = w_hi / z
+    p_lo = w_lo / z
 
     # 1 - |cos(theta)|; at gamma = 1 there is no mixing (and at r = 0 no angle)
     if gap > 0.0:
@@ -158,23 +170,18 @@ def _x_form(gamma: float, b1: float, b2: float, t: float) -> _XForm:
     # p_lo (1 - e^{-2r/T}), kept exact for small r / T; where 2r overflows
     # (|b1 - b2| past ~9e307) the numerator is divided by r and then halved,
     # which only there rounds a subnormal result twice
-    numerator = -p_lo * math.expm1(-split) * gap
-    twice_r = 2.0 * r_safe
-    coherence = numerator / twice_r if math.isfinite(twice_r) else numerator / r_safe * 0.5
-    return _XForm(
-        levels=levels,
-        populations=populations,
-        one_minus_cos=one_minus_cos,
-        rho22=upper_side if delta >= 0.0 else lower_side,
-        rho33=lower_side if delta >= 0.0 else upper_side,
-        coherence=coherence,
-        corners=math.exp(-0.5 * (x[0] + x[1])) / z,
+    numerator = -p_lo * math.expm1(-twice_r / t) * gap
+    twice_r_safe = 2.0 * r_safe
+    coherence = numerator / twice_r_safe if math.isfinite(twice_r_safe) else numerator / r_safe * 0.5
+    if delta >= 0.0:
+        rho22, rho33 = upper_side, lower_side
+    else:
+        rho22, rho33 = lower_side, upper_side
+    corners = math.exp(0.5 * (e_uu + e_dd)) / z
+    return (
+        w_uu / z, w_dd / z, p_hi, p_lo, rho22, rho33, coherence, corners,
+        level_uu, level_dd, twice_r, one_minus_cos,
     )
-
-
-def _xlog2x(x: float) -> float:
-    """x log2 x, with 0 log 0 = 0 (and x <= 0 counting as 0)."""
-    return x * math.log2(x) if x > 0.0 else 0.0
 
 
 def _formation(c: float) -> float:
@@ -186,20 +193,25 @@ def _formation(c: float) -> float:
     """
     root = math.sqrt((1.0 - c) * (1.0 + c))
     small = c * c / (2.0 * (1.0 + root))
-    # written as -a - b, since -(a + b) is -0.0 where C = 0
-    return -_xlog2x(small) - (1.0 - small) * math.log1p(-small) / _LN2
+    # written as -a - b, since -(a + b) is -0.0 where C = 0; 0 log 0 = 0
+    return -(small * log2(small) if small > 0.0 else 0.0) - (1.0 - small) * math.log1p(-small) / _LN2
 
 
 def _correlations(gamma: float, b1: float, b2: float, t: float) -> tuple[float, float, float, float]:
     """Total, quantum and classical correlation and concurrence at one point (see closed_form_correlations)."""
-    form = _x_form(gamma, b1, b2, t)
-    p_uu, p_dd, p_hi, p_lo = form.populations
-    rho22, rho33 = form.rho22, form.rho33
-    c = min(max(2.0 * (form.coherence - form.corners), 0.0), 1.0)
-
-    s12 = -(_xlog2x(p_uu) + _xlog2x(p_dd) + _xlog2x(p_hi) + _xlog2x(p_lo))
-    s1 = -(_xlog2x(p_uu + rho22) + _xlog2x(rho33 + p_dd))
-    s2 = -(_xlog2x(p_uu + rho33) + _xlog2x(rho22 + p_dd))
+    p_uu, p_dd, p_hi, p_lo, rho22, rho33, coherence, corners = _x_form(gamma, b1, b2, t)[:8]
+    c = min(max(2.0 * (coherence - corners), 0.0), 1.0)
+    # the entropies, each x log2 x (0 at x = 0) written out and summed left to right as a + b + c + d
+    s12 = -(
+        (p_uu * log2(p_uu) if p_uu > 0.0 else 0.0)
+        + (p_dd * log2(p_dd) if p_dd > 0.0 else 0.0)
+        + (p_hi * log2(p_hi) if p_hi > 0.0 else 0.0)
+        + (p_lo * log2(p_lo) if p_lo > 0.0 else 0.0)
+    )
+    up, down = p_uu + rho22, rho33 + p_dd
+    s1 = -((up * log2(up) if up > 0.0 else 0.0) + (down * log2(down) if down > 0.0 else 0.0))
+    up, down = p_uu + rho33, rho22 + p_dd
+    s2 = -((up * log2(up) if up > 0.0 else 0.0) + (down * log2(down) if down > 0.0 else 0.0))
     total = max(s1 + s2 - s12, 0.0)  # >= 0 by subadditivity; clamp the rounding
     quantum = _formation(c)
     return total, quantum, total - quantum, c
@@ -257,25 +269,25 @@ def analytic_eigensystem(p: ModelParams) -> EigenSystem:
     from .matkernel import EigenSystem
 
     gamma, b1, b2 = p
-    form = _x_form(gamma, b1, b2, 1.0)  # the populations are not used
-    # the lower mixed level sits at -(1+gamma)/2 - r, and levels[2] = 2r
-    shift = 0.5 * (1.0 + gamma) + 0.5 * form.levels[2]
-    small = math.sqrt(0.5 * form.one_minus_cos)
-    big = math.sqrt(1.0 - 0.5 * form.one_minus_cos)
+    level_uu, level_dd, twice_r, one_minus_cos = _x_form(gamma, b1, b2, 1.0)[8:]  # the populations are not used
+    # the lower mixed level sits at -(1+gamma)/2 - r
+    shift = 0.5 * (1.0 + gamma) + 0.5 * twice_r
+    small = math.sqrt(0.5 * one_minus_cos)
+    big = math.sqrt(1.0 - 0.5 * one_minus_cos)
     cos_phi, sin_phi = (big, small) if b1 >= b2 else (small, big)
     vectors = np.zeros((4, 4), dtype=complex)  # one eigenvector per column
     vectors[0, 0] = vectors[3, 1] = 1.0
     vectors[1:3, 2] = cos_phi, sin_phi
     vectors[1:3, 3] = -sin_phi, cos_phi
-    values = np.array(form.levels) - shift
+    values = np.array([level_uu, level_dd, twice_r, 0.0]) - shift
     order = np.argsort(values, kind="stable")
     return EigenSystem(values[order], vectors[:, order])
 
 
 def _gibbs_entries(gamma: float, b1: float, b2: float, t: float) -> tuple[float, ...]:
     """rho11, rho44, rho22, rho33 and rho23 of the closed-form Gibbs state at one point."""
-    form = _x_form(gamma, b1, b2, t)
-    return form.populations[0], form.populations[1], form.rho22, form.rho33, -form.coherence
+    p_uu, p_dd, _, _, rho22, rho33, coherence = _x_form(gamma, b1, b2, t)[:7]
+    return p_uu, p_dd, rho22, rho33, -coherence
 
 
 def thermal_state_analytic(gamma, b1, b2, t) -> np.ndarray:

@@ -91,14 +91,17 @@ def tth_numeric(p: ModelParams, t_max: float) -> float | None:
     floats.  Returns None when no transition exists in the range.  Multiple
     transitions trigger a warning and the largest is returned.
     """
-    from .models import _correlations  # imported here: the zero-field threshold needs no kernel
+    from .models import _x_form  # imported here: the zero-field threshold needs no kernel
 
     check_positive_finite(t_max, "t_max")
     grid = linspace(t_max / _SCAN_POINTS, t_max, _SCAN_POINTS)
     check_positive_finite(grid)  # a subnormal t_max puts 0 on the grid; every later T lies above grid[0]
 
     def entangled(t: float) -> bool:  # p was validated when it was built
-        return _correlations(*p, t)[3] > _POSITIVE_C
+        # the concurrence 2 (coherence - corners), clamped to [0, 1], exceeds 1e-12
+        # exactly when its unclamped value does, NaN included; no entropies needed
+        coherence, corners = _x_form(*p, t)[6:8]
+        return 2.0 * (coherence - corners) > _POSITIVE_C
 
     positive = [entangled(t) for t in grid]
     transitions = [k for k in range(_SCAN_POINTS - 1) if positive[k] and not positive[k + 1]]

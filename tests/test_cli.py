@@ -370,7 +370,7 @@ def test_import_does_not_load_scipy_signal():
         (["point", "--gamma", "0", "--b1", "0.7", "--b2", "-0.3", "--temp", "0.3"], ["numpy"]),
         (
             ["sweep", "--model", "heisenberg", "--gamma", "0.3", "--axis", "T=0.02:4:150"],
-            ["numpy", "dataclasses", "inspect"],
+            ["numpy", "dataclasses", "inspect", "json"],
         ),
         (
             ["sweep", "--model", "xy", "--temp", "0.3", "--axis", "b1=-3:3:61", "--axis", "b2=-3:3:61", "--format", "json"],
@@ -567,13 +567,35 @@ def _awkward_columns():
     return dict(zip(RECORD_COLUMNS, values))
 
 
+def _repeated_parameter_columns():
+    """Parameter columns that repeat awkward values, which the writer formats once per distinct value.
+
+    A NaN never equals itself, so a memo keyed on values cannot count on
+    finding one; -0.0 and 0.0 are one dict key, yet -0.0 must print as 0
+    whichever of the two comes first.
+    """
+    repeated = [math.nan, float("nan"), -0.0, 0.0, -0.0, math.inf, -math.inf, math.inf, 3.0, -7.0, 3.0]
+    repeated += [5e-324, -5e-324, 1e-310, 5e-324, 2.2250738585072014e-308, 1e15, 1e15, 0.1, 0.1]
+    n = len(repeated)
+    columns = {
+        "T": repeated,
+        "gamma": repeated[::-1],
+        "b1": [math.nan] * n,
+        "b2": [-0.0] * (n // 2) + [0.0] * (n - n // 2),
+    }
+    rng = np.random.default_rng(19)
+    columns.update({name: rng.uniform(-1.0, 1.0, n) for name in RECORD_COLUMNS[4:]})
+    return columns
+
+
 @pytest.mark.parametrize(
     "columns",
     [
         _awkward_columns(),
         {name: np.array([]) for name in RECORD_COLUMNS},
+        _repeated_parameter_columns(),
     ],
-    ids=["awkward", "empty"],
+    ids=["awkward", "empty", "repeated-parameters"],
 )
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_hand_built_columns_match_the_oracle(capsys, tmp_path, monkeypatch, columns, fmt):

@@ -5,6 +5,7 @@ Pauli-matrix Hamiltonian, the dense eigen-pipeline (report(thermal_state)),
 and physical invariants over the full parameter box.
 """
 
+import hashlib
 import itertools
 import warnings
 
@@ -234,6 +235,46 @@ def test_arrays_map_the_scalar_kernel_bit_for_bit():
             for name in OUTPUTS:
                 assert type(one[name]) is float
                 assert one[name].hex() == float(out[name][k, m]).hex(), (point, scale, name)
+
+
+# The r = 0 point, fields whose difference is 2e300, extreme temperatures and
+# a negative zero field, each at three anisotropies; then KERNEL_CORNERS.
+DIGEST_EDGES = [
+    (gamma, b1, b2, t)
+    for gamma in (-1.0, 0.4, 1.0)
+    for b1, b2 in ((0.0, 0.0), (1.0, 1.0), (-0.0, 0.5), (-0.0, -0.0), (1e300, -1e300), (-1e300, 1e300))
+    for t in (1e-300, 0.3, 1e300)
+] + list(KERNEL_CORNERS)
+
+# sha256 of the float.hex of every output over 2,000 box points and
+# DIGEST_EDGES, recorded from the closed form as it stood before the kernel
+# moved onto flat locals.  Any change to the kernel's arithmetic moves them:
+# a deliberate accuracy fix must re-record them, and a refactor must not.
+KERNEL_DIGESTS = {
+    "closed_form_correlations": "e042bd25950d2ba7b275ee58335c04476a22c82e10c19dc08c6066e2a883462d",
+    "thermal_state_analytic": "d7e9f4be25fe3841bf5deca9d3f2d8bb3c191a8d20c3b80f1ae1eac05bb09320",
+}
+
+
+def _digest(arrays):
+    text = " ".join(v.hex() for a in arrays for v in np.asarray(a, dtype=float).ravel().tolist())
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _kernel_digests():
+    points = [np.concatenate([v, edge]) for v, edge in zip(_box(n=2000, seed=19), zip(*DIGEST_EDGES))]
+    out = closed_form_correlations(*points)
+    rho = thermal_state_analytic(*points)
+    return {
+        "closed_form_correlations": _digest(out[name] for name in OUTPUTS),
+        "thermal_state_analytic": _digest([rho.real, rho.imag]),
+    }
+
+
+def test_kernel_bits_are_pinned():
+    # the other tests here hold the kernel to references within bounds; this
+    # one holds every bit of it, over 2,000 box points and the edges above
+    assert _kernel_digests() == KERNEL_DIGESTS
 
 
 def test_results_broadcast():

@@ -115,6 +115,27 @@ def test_numeric_threshold_rejects_non_finite_range():
             tth_numeric(ModelParams(gamma=0.0), t_max)
 
 
+@pytest.mark.parametrize(
+    ("params", "expected"),
+    [
+        ((0.4, 0.3, -0.6), "0x1.9370c4d9ecc4ap+0"),
+        ((0.0, 0.0, 0.0), "0x1.d20ae03bc8706p+0"),
+        ((-1.0, 1.05, 1.05), "0x1.2274aa148b002p+1"),
+        ((0.9, 0.0, 0.0), "0x1.c0a48b11deadap-1"),
+        ((-0.5, 2.0, -1.0), "0x1.3b178fbb737eap+1"),
+        ((-1.0, 1.0, -1.0), "0x1.3bdb078ec6c1ap+1"),
+        ((0.3, 0.7, 0.7), "0x1.9d741a91f6a60p+0"),
+        ((1.0, 0.0, 0.0), None),
+    ],
+)
+def test_numeric_threshold_bits_are_pinned(params, expected):
+    # recorded when the scan still took the clamped concurrence from the full
+    # correlation kernel; the scan's predicate on the bare X-state entries must
+    # land on the same float
+    found = tth_numeric(ModelParams(*params), 5.0)
+    assert (None if found is None else found.hex()) == expected
+
+
 def test_numeric_threshold_with_fields_off_the_xy_point():
     # no closed-form threshold here: check the sign change against the dense route
     p = ModelParams(gamma=0.4, b1=0.3, b2=-0.6)
