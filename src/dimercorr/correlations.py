@@ -11,7 +11,7 @@ never drop below the entanglement of formation.
 Every state function takes one 4x4 state or a (..., 4, 4) stack; a stack
 makes one eigensolver call per stage and returns arrays where a single
 state returns a float or a bool.  Public functions validate their input
-once; the private helpers behind them trust it.
+once and decompose each state once; the private helpers behind them trust it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import DomainError
-from .matkernel import _partial_trace, _partial_transpose, check_density_matrix
+from .matkernel import _density_eigh, _partial_trace, _partial_transpose, check_density_matrix
 from .models import _formation as _point_formation
 
 __all__ = [
@@ -119,8 +119,7 @@ def concurrence(rho: np.ndarray) -> float:
     The l_i are the decreasing square roots of the eigenvalues of
     rho (sy x sy) rho* (sy x sy), taken as singular values (see _concurrence).
     """
-    rho = check_density_matrix(rho, 4)
-    return _scalar(_concurrence(*np.linalg.eigh(rho)))
+    return _scalar(_concurrence(*_density_eigh(rho, 4)[1:]))
 
 
 def formation_from_concurrence(c):
@@ -157,8 +156,7 @@ def report(rho: np.ndarray) -> CorrelationReport:
     reused for the quantum part, and classical = total - quantum holds
     exactly by construction.  For a (..., 4, 4) stack every field is an array.
     """
-    rho = check_density_matrix(rho, 4)
-    values, vectors = np.linalg.eigh(rho)
+    rho, values, vectors = _density_eigh(rho, 4)
     total = _mutual_information(rho, values)
     c = _concurrence(values, vectors)
     quantum = _formation(c)
@@ -224,8 +222,8 @@ def random_density_matrix(rng: np.random.Generator, dim: int = 4, size: int | No
     return rho
 
 
-def _weighted_eigenrows(rho: np.ndarray, size: int) -> tuple[np.ndarray, int]:
-    """Rows sqrt(mu_i) e_i^T over the support of each validated state, and the largest rank.
+def _weighted_eigenrows(values: np.ndarray, vectors: np.ndarray, size: int) -> tuple[np.ndarray, int]:
+    """Rows sqrt(mu_i) e_i^T over each state's support, from its eigenpairs, and the largest rank.
 
     Support eigenpairs (mu_i > 1e-10) come first, in ascending order, and
     the rest are zero rows, so a stack of states of different rank shares
@@ -234,7 +232,6 @@ def _weighted_eigenrows(rho: np.ndarray, size: int) -> tuple[np.ndarray, int]:
     """
     if not 1 <= size <= MAX_ENSEMBLE:
         raise ValueError(f"ensemble size must lie in 1..{MAX_ENSEMBLE}, got {size}")
-    values, vectors = np.linalg.eigh(rho)
     kept = values > 1e-10
     rank = int(kept.sum(axis=-1).max())
     if size < rank:
@@ -300,10 +297,10 @@ def sample_decomposition_average(
     _concurrence.  u^T tau u is one product of tau's coefficients, for
     every state at once, against the pair products u_k u_l (k <= l).
     """
-    rho = check_density_matrix(rho, 4)
+    rho, values, vectors = _density_eigh(rho, 4)
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    basis, rank = _weighted_eigenrows(rho, ensemble_size)
+    basis, rank = _weighted_eigenrows(values, vectors, ensemble_size)
     rows = basis.reshape(-1, rank, 4)
     norms = (rows.real * rows.real + rows.imag * rows.imag).sum(axis=-1)  # (states, rank)
     first, second = np.triu_indices(rank)

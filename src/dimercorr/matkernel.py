@@ -82,10 +82,6 @@ def _hermitian_mask(m: np.ndarray, tol: float) -> np.ndarray:
     return np.abs(m - _adjoint(m)).max(axis=(-2, -1)) <= tol  # NaN entries fail
 
 
-def _trace(m: np.ndarray) -> np.ndarray:
-    return np.asarray(np.einsum("...ii->...", m))
-
-
 def _member(bad: np.ndarray) -> str:
     """Where the first failing matrix of a stack sits; empty for a single matrix."""
     if bad.ndim == 0:
@@ -99,10 +95,21 @@ def _check_hermitian_unit_trace(m: np.ndarray, what: str) -> None:
     bad = ~_hermitian_mask(m, HERMITIAN_TOL)
     if bad.any():
         raise ValidationError(f"{what} is not Hermitian within tolerance" + _member(bad))
-    trace = _trace(m)
+    trace = np.asarray(np.einsum("...ii->...", m))
     bad = ~(np.abs(trace - 1.0) <= TRACE_TOL)
     if bad.any():
         raise ValidationError(f"{what} trace is {trace[bad].flat[0]:.6g}, expected 1" + _member(bad))
+
+
+def _density_eigh(m: np.ndarray, dim: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """check_density_matrix, returning (m, values, vectors) with the eigh its positivity test reads."""
+    m = _as_square(m, (dim,) if dim is not None else (2, 4))
+    _check_hermitian_unit_trace(m, "density matrix")
+    values, vectors = np.linalg.eigh(m)
+    bad = ~(values[..., 0] >= -PSD_TOL)
+    if bad.any():
+        raise ValidationError(f"density matrix has an eigenvalue below {-PSD_TOL:g}" + _member(bad))
+    return m, values, vectors
 
 
 def check_density_matrix(m: np.ndarray, dim: int | None = None) -> np.ndarray:
@@ -114,13 +121,7 @@ def check_density_matrix(m: np.ndarray, dim: int | None = None) -> np.ndarray:
     A stack costs one eigensolver call.  Raises ValidationError on the first
     failed contract, naming the first failing member of a stack.
     """
-    dims = (dim,) if dim is not None else (2, 4)
-    m = _as_square(m, dims)
-    _check_hermitian_unit_trace(m, "density matrix")
-    bad = ~(np.linalg.eigvalsh(m)[..., 0] >= -PSD_TOL)
-    if bad.any():
-        raise ValidationError(f"density matrix has an eigenvalue below {-PSD_TOL:g}" + _member(bad))
-    return m
+    return _density_eigh(m, dim)[0]
 
 
 class EigenSystem(NamedTuple):

@@ -117,8 +117,8 @@ def _x_form(gamma: float, b1: float, b2: float, t: float) -> tuple[float, ...]:
     - rho22, rho33: <ud|rho|ud> and <du|rho|du>;
     - coherence: |rho23| = -rho23 (rho14 = 0);
     - corners: sqrt(rho11 rho44), formed without underflow;
-    - level_uu, level_dd, twice_r: the levels of |uu>, |dd> and the upper
-      mixed level, above the lower mixed level;
+    - level_uu, level_dd: the levels of |uu> and |dd> above the lower
+      mixed level, and r, half the mixed levels' splitting;
     - one_minus_cos: 1 - |cos(theta)| of the |ud>, |du> mixing angle.
 
     H conserves total S_z: |uu> and |dd> are eigenstates at
@@ -180,7 +180,7 @@ def _x_form(gamma: float, b1: float, b2: float, t: float) -> tuple[float, ...]:
     corners = math.exp(0.5 * (e_uu + e_dd)) / z
     return (
         w_uu / z, w_dd / z, p_hi, p_lo, rho22, rho33, coherence, corners,
-        level_uu, level_dd, twice_r, one_minus_cos,
+        level_uu, level_dd, r, one_minus_cos,
     )
 
 
@@ -269,9 +269,10 @@ def analytic_eigensystem(p: ModelParams) -> EigenSystem:
     from .matkernel import EigenSystem
 
     gamma, b1, b2 = p
-    level_uu, level_dd, twice_r, one_minus_cos = _x_form(gamma, b1, b2, 1.0)[8:]  # the populations are not used
-    # the lower mixed level sits at -(1+gamma)/2 - r
-    shift = 0.5 * (1.0 + gamma) + 0.5 * twice_r
+    level_uu, level_dd, r, one_minus_cos = _x_form(gamma, b1, b2, 1.0)[8:]  # the populations are not used
+    # the lower mixed level sits at -(1+gamma)/2 - r; the upper one, 2 (r - shift / 2), rounds
+    # as 2r - shift wherever 2r is finite and stays finite where 2r overflows (|b1 - b2| > ~9e307)
+    shift = 0.5 * (1.0 + gamma) + r
     small = math.sqrt(0.5 * one_minus_cos)
     big = math.sqrt(1.0 - 0.5 * one_minus_cos)
     cos_phi, sin_phi = (big, small) if b1 >= b2 else (small, big)
@@ -279,7 +280,7 @@ def analytic_eigensystem(p: ModelParams) -> EigenSystem:
     vectors[0, 0] = vectors[3, 1] = 1.0
     vectors[1:3, 2] = cos_phi, sin_phi
     vectors[1:3, 3] = -sin_phi, cos_phi
-    values = np.array([level_uu, level_dd, twice_r, 0.0]) - shift
+    values = np.array([level_uu - shift, level_dd - shift, 2.0 * (r - 0.5 * shift), -shift])
     order = np.argsort(values, kind="stable")
     return EigenSystem(values[order], vectors[:, order])
 

@@ -22,7 +22,7 @@ from .correlations import (
     random_density_matrix,
     sample_decomposition_average,
 )
-from .matkernel import check_density_matrix, gibbs
+from .matkernel import _density_eigh, gibbs
 from .models import build_hamiltonian, closed_form_correlations, thermal_state_analytic
 from .names import SUITES
 
@@ -100,10 +100,9 @@ def check_wootters_closed_form() -> list[CheckResult]:
 
 def check_ppt_agreement(samples: int = 1000, seed: int = 7) -> CheckResult:
     """Concurrence positivity must coincide with partial-transpose negativity."""
-    # one validation for the stack: the public concurrence and
-    # is_separable_ppt would each repeat it
-    rho = check_density_matrix(random_density_matrix(np.random.default_rng(seed), size=samples), 4)
-    entangled_c = _concurrence(*np.linalg.eigh(rho)) > 1e-9
+    # one validation, whose eigh the concurrence reads: concurrence and is_separable_ppt would each repeat it
+    rho, values, vectors = _density_eigh(random_density_matrix(np.random.default_rng(seed), size=samples), 4)
+    entangled_c = _concurrence(values, vectors) > 1e-9
     entangled_ppt = ~_separable_ppt(rho)
     disagreements = int(np.count_nonzero(entangled_c != entangled_ppt))
     return CheckResult(

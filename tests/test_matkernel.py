@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dimercorr.correlations import concurrence, entanglement_of_formation, report, sample_decomposition_average
 from dimercorr.exceptions import DomainError, ValidationError
 from dimercorr.matkernel import (
     check_density_matrix,
@@ -230,14 +231,35 @@ def test_partial_transpose_input_contract():
         assert np.array_equal(partial_transpose(partial_transpose(pt, sub), sub), pt)
 
 
+# The dense entry points that validate a state: each must reject a bad one
+# with check_density_matrix's own message.
+DENSITY_ENTRY_POINTS = (
+    check_density_matrix,
+    report,
+    concurrence,
+    entanglement_of_formation,
+    lambda rho: sample_decomposition_average(rho, 4, 10, seed=1),
+)
+
+
 def test_check_density_matrix_rejects_bad_input():
     good = np.eye(4, dtype=complex) / 4.0
     assert np.array_equal(check_density_matrix(good), good)
-    with pytest.raises(ValidationError):
-        check_density_matrix(np.triu(np.ones((4, 4))) / 4.0)
-    with pytest.raises(ValidationError):
-        check_density_matrix(np.eye(4, dtype=complex))
-    with pytest.raises(ValidationError):
-        check_density_matrix(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
-    with pytest.raises(ValueError):
-        check_density_matrix(np.eye(3, dtype=complex) / 3.0)
+    skewed = good.copy()
+    skewed[0, 1] = 0.1j  # its mirror entry stays 0
+    negative = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
+    rejected = (
+        (np.triu(np.ones((4, 4))) / 4.0, "density matrix is not Hermitian within tolerance"),
+        (np.eye(4, dtype=complex), "density matrix trace is 4+0j, expected 1"),
+        (negative, "density matrix has an eigenvalue below -1e-10"),
+        (skewed, "density matrix is not Hermitian within tolerance"),
+        (0.5 * good, "density matrix trace is 0.5+0j, expected 1"),
+        (np.stack([good, negative, good]), "density matrix has an eigenvalue below -1e-10 (stack member 1)"),
+    )
+    for fn in DENSITY_ENTRY_POINTS:
+        for bad, message in rejected:
+            with pytest.raises(ValidationError) as caught:
+                fn(bad)
+            assert str(caught.value) == message
+        with pytest.raises(ValueError):
+            fn(np.eye(3, dtype=complex) / 3.0)

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -17,7 +18,7 @@ from dimercorr.models import (
     thermal_state,
     thermal_state_analytic,
 )
-from test_kernel import OUTPUTS, assert_gibbs_matches_dense_and_reference
+from test_kernel import KERNEL_CORNERS, OUTPUTS, assert_gibbs_matches_dense_and_reference
 
 SINGLET_RHO = np.diag([0.0, 0.5, 0.5, 0.0]).astype(complex)
 SINGLET_RHO[1, 2] = SINGLET_RHO[2, 1] = -0.5
@@ -125,6 +126,28 @@ def test_analytic_eigensystem_contract_at_degenerate_points(p):
     for k in range(4):
         v = system.vectors[:, k]
         assert np.max(np.abs(h @ v - system.values[k] * v)) < 1e-10
+
+
+def test_analytic_eigensystem_where_twice_r_overflows():
+    # r ~ 1e308 is finite but 2r is not: the shift and the upper mixed level are formed from r
+    gamma, b1, b2 = 0.0, 5e307, -5e307
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = analytic_eigensystem(ModelParams(gamma, b1, b2)).values
+    assert np.all(np.isfinite(values)) and np.all(np.diff(values) >= 0.0)
+    half, sigma = mp.mpf(1 + gamma) / 2, mp.mpf(b1) + mp.mpf(b2)
+    r = mp.sqrt((mp.mpf(b1) - mp.mpf(b2)) ** 2 + (1 - mp.mpf(gamma)) ** 2)
+    exact = sorted([half + sigma, half - sigma, -half + r, -half - r])
+    worst = max(abs(mp.mpf(float(v)) - e) for v, e in zip(values, exact))
+    assert worst <= 4 * np.spacing(np.max(np.abs(values)))
+
+
+def test_analytic_eigensystem_has_no_nan_at_the_kernel_corners():
+    # a level measured from the lower mixed level may itself overflow: at
+    # (-1, 1e308, 0), |uu> sits 2e308 above it and its value stays +inf
+    for gamma, b1, b2, _ in KERNEL_CORNERS:
+        values, vectors = analytic_eigensystem(ModelParams(gamma, b1, b2))
+        assert not np.isnan(values).any() and not np.isnan(vectors).any(), (gamma, b1, b2)
 
 
 def test_fields_away_from_the_xy_point_match_dense_and_reference():

@@ -30,7 +30,7 @@ for argv in (
     ["point", "--gamma", "0", "--b1", "0.7", "--b2", "-0.3", "--temp", "1.2"],
     ["sweep", "--model", "xy", "--temp", "0.3", "--axis", "b_anti=-3:3:61"],
     ["threshold", "--gamma", "-1:0.99:100"],
-    ["verify", "--suite", "ppt"],
+    ["verify", "--suite", "all"],
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv

@@ -28,7 +28,7 @@ SAMPLER_TOL = 1e-14
 
 def member_stack_sampler(rho, ensemble_size, samples, seed):
     """The former sample_decomposition_average: one (block, m, 4) member stack per state."""
-    basis, rank = _weighted_eigenrows(rho, ensemble_size)
+    basis, rank = _weighted_eigenrows(*np.linalg.eigh(rho), ensemble_size)
     rows = basis.reshape(-1, rank, 4)
     rng = np.random.default_rng(seed)
     best = np.full(len(rows), np.inf)

@@ -37,6 +37,7 @@ from dimercorr.models import (
 from dimercorr.sweep import Axis, SweepSpec, run_sweep
 from dimercorr.threshold import tth_numeric
 from test_kernel import assert_gibbs_matches_dense_and_reference
+from test_matkernel import DENSITY_ENTRY_POINTS
 
 STACK_TOL = 1e-14
 
@@ -182,14 +183,14 @@ def _spoil(rho, index, kind):
 
 @pytest.mark.parametrize("kind", ["hermitian", "trace", "positive"])
 def test_one_bad_member_rejects_the_stack(kind):
-    bad = _spoil(_states(), 7, kind)
-    with pytest.raises(ValidationError, match="stack member 7"):
-        check_density_matrix(bad)
-    for fn in (concurrence, is_separable_ppt, report):
-        with pytest.raises(ValidationError):
-            fn(bad)
-    with pytest.raises(ValidationError):
-        sample_decomposition_average(bad, 4, 10, seed=1)
+    for index in (7, 1):
+        bad = _spoil(_states(), index, kind)
+        with pytest.raises(ValidationError, match=f"stack member {index}") as caught:
+            check_density_matrix(bad)
+        for fn in (*DENSITY_ENTRY_POINTS, is_separable_ppt):
+            with pytest.raises(ValidationError) as rejected:
+                fn(bad)
+            assert str(rejected.value) == str(caught.value)
 
 
 def test_one_bad_parameter_rejects_the_array():

@@ -1,10 +1,18 @@
 """Cross-check suites used by the verify subcommand."""
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from dimercorr.correlations import (
+    concurrence,
+    entanglement_of_formation,
+    random_density_matrix,
+    report,
+    sample_decomposition_average,
+)
 from dimercorr.verify import (
     SUITES,
     check_ensemble_bound,
@@ -110,7 +118,9 @@ LAPACK_BACKED = (
 )
 
 
-def test_run_suites_makes_few_lapack_calls(monkeypatch):
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Names of the LAPACK-backed numpy.linalg functions called during the test, in call order."""
     calls = []
     for name in LAPACK_BACKED:
         original = getattr(np.linalg, name)
@@ -120,22 +130,46 @@ def test_run_suites_makes_few_lapack_calls(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+# each state is validated and decomposed by one eigh, which the concurrence,
+# the entropies and the sampler read
+SUITE_CALLS = {
+    "gibbs": {"eigh": 1},
+    "wootters": {"eigh": 2, "svd": 1},
+    "ppt": {"eigh": 1, "eigvalsh": 1, "svd": 1},
+    "ensemble": {"eigh": 2, "svd": 1},
+}
+
+
+def test_run_suites_makes_few_lapack_calls(lapack_calls):
     results = run_suites("all")
     assert all(r.passed for r in results)
-    assert len(calls) <= 30, sorted(set(calls))
+    assert Counter(lapack_calls) == {"eigh": 6, "svd": 3, "eigvalsh": 1}
+    for suite, expected in SUITE_CALLS.items():
+        lapack_calls.clear()
+        run_suites(suite)
+        assert Counter(lapack_calls) == expected, suite
 
 
-def test_ppt_suite_validates_its_stack_once(monkeypatch):
-    calls = []
-    for name in LAPACK_BACKED:
-        original = getattr(np.linalg, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
+def test_ppt_suite_validates_its_stack_once(lapack_calls):
     (result,) = run_suites("ppt")
     assert result.passed
-    # one check_density_matrix (eigvalsh), the concurrence (eigh + svd), the partial transpose (eigvalsh)
-    assert sorted(calls) == ["eigh", "eigvalsh", "eigvalsh", "svd"]
+    # one validation whose eigh the concurrence reads (eigh + svd), the partial transpose (eigvalsh)
+    assert sorted(lapack_calls) == ["eigh", "eigvalsh", "svd"]
+
+
+@pytest.mark.parametrize(
+    "fn,expected",
+    [
+        (report, ["eigh", "eigvalsh", "svd"]),  # the marginals' entropies take the eigvalsh
+        (concurrence, ["eigh", "svd"]),
+        (entanglement_of_formation, ["eigh", "svd"]),
+        (lambda rho: sample_decomposition_average(rho, 4, 10, seed=1), ["eigh"]),
+    ],
+    ids=["report", "concurrence", "entanglement_of_formation", "sample_decomposition_average"],
+)
+def test_dense_functions_decompose_each_state_once(fn, expected, lapack_calls):
+    fn(random_density_matrix(np.random.default_rng(3), size=5))
+    assert sorted(lapack_calls) == expected
