@@ -81,8 +81,7 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     Eigenvalues in [-1e-10, 0) count as zero (0 log 0 = 0); anything more
     negative is a validation error.  The result is clamped to >= 0.
     """
-    rho = check_density_matrix(rho)
-    return _scalar(_entropy_bits(np.linalg.eigvalsh(rho)))
+    return _scalar(_entropy_bits(_density_eigh(rho)[1]))
 
 
 def _mutual_information(rho: np.ndarray, spectrum: np.ndarray) -> np.ndarray:

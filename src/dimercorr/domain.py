@@ -1,6 +1,6 @@
 """Numpy-free input checks and grids.
 
-The closed form, sweeps, the threshold scan and the command line share
+The closed form, sweeps, the threshold solver and the command line share
 these, and this module never imports numpy: a caller holding an array
 flattens it to a list of floats first.  The rules of a
 ``start:stop:points`` grid live here too (parse_grid, check_grid), for

@@ -98,7 +98,7 @@ def _check_hermitian_unit_trace(m: np.ndarray, what: str) -> None:
     trace = np.asarray(np.einsum("...ii->...", m))
     bad = ~(np.abs(trace - 1.0) <= TRACE_TOL)
     if bad.any():
-        raise ValidationError(f"{what} trace is {trace[bad].flat[0]:.6g}, expected 1" + _member(bad))
+        raise ValidationError(f"{what} trace is {trace.real[bad].flat[0]:.6g}, expected 1" + _member(bad))
 
 
 def _density_eigh(m: np.ndarray, dim: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -18,9 +18,9 @@ The closed form is a scalar kernel in plain ``math``, so ``point`` and
 take or return arrays, which map the kernel over their points.  It runs
 once per sweep point, so it is written for the interpreter: _x_form works
 on named locals and returns one flat tuple of floats (populations, X-state
-entries, levels, mixing angle), which _correlations, _gibbs_entries,
-analytic_eigensystem and tth_numeric unpack; _correlations and _formation
-write their x log2 x terms out inline.
+entries, levels, mixing angle), which _correlations, _gibbs_entries and
+analytic_eigensystem unpack; _correlations and _formation write their
+x log2 x terms out inline.
 
 A ModelParams is one validated point; build_hamiltonian,
 thermal_state_analytic and closed_form_correlations take (gamma, b1, b2)

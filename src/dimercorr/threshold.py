@@ -1,20 +1,24 @@
 """Threshold temperatures where the thermal concurrence vanishes.
 
-At zero field the concurrence of the anisotropic dimer dies at the
-temperature solving  gamma = (T/2) ln(e^{2/T} - 2)  (temperatures in units
-of J).  The right-hand side decreases strictly from 1 toward -infinity on
-(0, 2/ln 2), so a bracketed bisection is enough.  For arbitrary parameters
-the threshold is located numerically from the closed-form concurrence.
+Every Gibbs state of the dimer is an X-state, and the field sum b1 + b2
+cancels from rho11 rho44, so the concurrence is positive exactly where
+
+    g(u) = (1+gamma) u + ln sinh(r u) + ln((1-gamma) / r) > 0,
+
+with u = 1/T and r = sqrt((b1-b2)^2 + (1-gamma)^2) (temperatures in units
+of J).  g' = (1+gamma) + r coth(r u) > 0, so for gamma < 1 there is exactly
+one threshold, and it depends on (gamma, |b1 - b2|) alone; at b1 = b2 it
+solves the paper's gamma = (T/2) ln(e^{2/T} - 2).  One solver bisects the
+sign of g to adjacent floats for both tth_anisotropic and tth_numeric.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, NamedTuple
 
-from .domain import check_positive_finite, linspace
+from .domain import check_positive_finite
 from .exceptions import DomainError
 
 if TYPE_CHECKING:
@@ -27,10 +31,7 @@ __all__ = [
     "tth_numeric",
 ]
 
-_T_SUPPORT = 2.0 / math.log(2.0)  # e^{2/T} - 2 changes sign here
-_RESIDUAL_TOL = 1e-10
-_POSITIVE_C = 1e-12
-_SCAN_POINTS = 200  # temperatures of the coarse scan in tth_numeric
+_LN2 = math.log(2.0)
 
 
 class ThresholdPoint(NamedTuple):
@@ -41,36 +42,49 @@ class ThresholdPoint(NamedTuple):
     degenerate: bool = False
 
 
-def _vanishing_rhs(t: float) -> float:
-    """(t/2) ln(e^{2/t} - 2), via log1p so it is finite and overflow-free."""
-    if t >= _T_SUPPORT:
-        return -math.inf
-    return 1.0 + 0.5 * t * math.log1p(-2.0 * math.exp(-2.0 / t))
+def _threshold(gamma: float, delta: float) -> float:
+    """The one root in T of g(1/T) for gamma < 1 and field difference |b1 - b2| = ``delta``.
+
+    ln sinh x is written as x + ln(-expm1(-2x) / 2) and ln((1-gamma) / r)
+    as ln(1-gamma) - ln r, so g stays finite for every finite delta.  T is
+    doubled or halved from 1 until g changes sign, and that bracket is
+    bisected until its ends are adjacent floats.
+    """
+    gap = 1.0 - gamma
+    r = math.hypot(delta, gap)
+    offset = math.log(gap) - math.log(r) - _LN2
+
+    def entangled(t: float) -> bool:  # g(1/t) > 0
+        x = r / t
+        return (1.0 + gamma) / t + x + math.log(-math.expm1(-2.0 * x)) + offset > 0.0
+
+    lo = hi = 1.0  # entangled at lo, not at hi; one of the two loops does nothing
+    while entangled(hi):
+        lo, hi = hi, 2.0 * hi
+    while not entangled(lo):
+        lo, hi = 0.5 * lo, lo
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if mid in (lo, hi):  # the bracket is down to adjacent floats
+            return mid
+        if entangled(mid):
+            lo = mid
+        else:
+            hi = mid
 
 
 def tth_anisotropic(gamma: float) -> float:
-    """Zero-field threshold temperature, in units of J.
+    """Zero-field threshold temperature, in units of J, to the last bit.
 
-    Solves gamma = (T/2) ln(e^{2/T} - 2) by bisection on [1e-3, 10] until
-    the residual drops below 1e-10.  gamma = 1 is the degenerate limit and
-    returns 0 directly (the state never entangles there).
+    The root of gamma = (T/2) ln(e^{2/T} - 2), the b1 = b2 case of the
+    solver.  gamma = 1 is the degenerate limit and returns 0 directly (the
+    state never entangles there).
     """
     if not -1.0 <= gamma <= 1.0:
         raise DomainError(f"gamma must lie in [-1, 1], got {gamma}")
     if gamma == 1.0:
         return 0.0
-    lo, hi = 1e-3, 10.0
-    mid = 0.5 * (lo + hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        residual = _vanishing_rhs(mid) - gamma
-        if abs(residual) < _RESIDUAL_TOL:
-            return mid
-        if residual > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return mid
+    return _threshold(gamma, 0.0)
 
 
 def threshold_curve(gammas: Sequence[float]) -> list[ThresholdPoint]:
@@ -83,42 +97,16 @@ def threshold_curve(gammas: Sequence[float]) -> list[ThresholdPoint]:
 
 
 def tth_numeric(p: ModelParams, t_max: float) -> float | None:
-    """Largest temperature in (0, t_max] where the concurrence at one point ``p`` turns off.
+    """Temperature at which the concurrence at one point ``p`` turns off, if it is <= t_max.
 
-    A coarse scan over 200 temperatures locates positive-to-zero
-    transitions of the thermal concurrence.  The bracket of the largest one
-    is bisected with the closed-form kernel until its ends are adjacent
-    floats.  Returns None when no transition exists in the range.  Multiple
-    transitions trigger a warning and the largest is returned.
+    Below the threshold the state is entangled, above it never.  Returns
+    None when the threshold exceeds t_max, and at gamma = 1, where the
+    state never entangles.  Uniform fields do not move it: equal b1 and b2
+    give tth_anisotropic(gamma), bit for bit.
     """
-    from .models import _x_form  # imported here: the zero-field threshold needs no kernel
-
     check_positive_finite(t_max, "t_max")
-    grid = linspace(t_max / _SCAN_POINTS, t_max, _SCAN_POINTS)
-    check_positive_finite(grid)  # a subnormal t_max puts 0 on the grid; every later T lies above grid[0]
-
-    def entangled(t: float) -> bool:  # p was validated when it was built
-        # the concurrence 2 (coherence - corners), clamped to [0, 1], exceeds 1e-12
-        # exactly when its unclamped value does, NaN included; no entropies needed
-        coherence, corners = _x_form(*p, t)[6:8]
-        return 2.0 * (coherence - corners) > _POSITIVE_C
-
-    positive = [entangled(t) for t in grid]
-    transitions = [k for k in range(_SCAN_POINTS - 1) if positive[k] and not positive[k + 1]]
-    if not transitions:
+    gamma, b1, b2 = p  # p was validated when it was built
+    if gamma == 1.0:
         return None
-    if len(transitions) > 1:
-        warnings.warn(
-            "concurrence turns off more than once in the scan range; "
-            "returning the largest transition temperature",
-            stacklevel=2,
-        )
-    lo, hi = grid[transitions[-1]], grid[transitions[-1] + 1]
-    while True:
-        mid = lo + 0.5 * (hi - lo)
-        if mid in (lo, hi):  # the bracket is down to adjacent floats
-            return mid
-        if entangled(mid):
-            lo = mid
-        else:
-            hi = mid
+    t = _threshold(gamma, abs(b1 - b2))
+    return t if t <= t_max else None

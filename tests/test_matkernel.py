@@ -250,10 +250,10 @@ def test_check_density_matrix_rejects_bad_input():
     negative = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
     rejected = (
         (np.triu(np.ones((4, 4))) / 4.0, "density matrix is not Hermitian within tolerance"),
-        (np.eye(4, dtype=complex), "density matrix trace is 4+0j, expected 1"),
+        (np.eye(4, dtype=complex), "density matrix trace is 4, expected 1"),
         (negative, "density matrix has an eigenvalue below -1e-10"),
         (skewed, "density matrix is not Hermitian within tolerance"),
-        (0.5 * good, "density matrix trace is 0.5+0j, expected 1"),
+        (0.5 * good, "density matrix trace is 0.5, expected 1"),
         (np.stack([good, negative, good]), "density matrix has an eigenvalue below -1e-10 (stack member 1)"),
     )
     for fn in DENSITY_ENTRY_POINTS:

@@ -1,16 +1,47 @@
-"""Threshold temperatures: closed-form inversion and numeric scanning."""
+"""Threshold temperatures: the one root of the sign equation, against 60-digit roots and the dense route."""
 
 import math
 import subprocess
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from dimercorr.correlations import concurrence
 from dimercorr.exceptions import DomainError
-from dimercorr.models import ModelParams, closed_form_correlations, thermal_state, thermal_state_analytic
+from dimercorr.matkernel import gibbs, partial_transpose
+from dimercorr.models import (
+    ModelParams,
+    build_hamiltonian,
+    closed_form_correlations,
+    thermal_state,
+    thermal_state_analytic,
+)
 from dimercorr.threshold import threshold_curve, tth_anisotropic, tth_numeric
+
+ROOT_TOL = 4.4e-16  # two units of 2^-52 relative: the root to its last bit or two
+
+
+def mp_threshold(gamma, delta):
+    """The threshold at 60 digits: the root in u = 1/T of (1+gamma) u + ln sinh(r u) + ln((1-gamma) / r)."""
+    with mp.workdps(60):
+        gamma, delta = mp.mpf(gamma), mp.mpf(delta)
+        r = mp.sqrt(delta**2 + (1 - gamma) ** 2)
+
+        def g(u):
+            return (1 + gamma) * u + mp.log(mp.sinh(r * u)) + mp.log((1 - gamma) / r)
+
+        lo = hi = mp.mpf(1)  # g increases: widen one side until the sign changes
+        while g(lo) > 0:
+            lo /= 2
+        while g(hi) <= 0:
+            hi *= 2
+        return 1 / mp.findroot(g, (lo, hi), solver="anderson")
+
+
+def relative_error(t, root):
+    return float(abs(mp.mpf(t) - root) / root)
 
 
 def test_isotropic_threshold():
@@ -103,10 +134,11 @@ def test_numeric_threshold_none_when_never_entangled():
 
 
 def test_numeric_threshold_argument_checks():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="t_max"):
         tth_numeric(ModelParams(gamma=0.0), 0.0)
-    with pytest.raises(DomainError, match="temperature"):  # t_max / 200 underflows to a 0 on the scan grid
-        tth_numeric(ModelParams(gamma=0.0), 5e-324)
+    # the smallest positive t_max is valid; the threshold, 2 / ln 3, lies above it
+    assert tth_numeric(ModelParams(gamma=0.0), 5e-324) is None
+    assert tth_numeric(ModelParams(gamma=0.0), 2.0) == tth_anisotropic(0.0)
 
 
 def test_numeric_threshold_rejects_non_finite_range():
@@ -118,20 +150,19 @@ def test_numeric_threshold_rejects_non_finite_range():
 @pytest.mark.parametrize(
     ("params", "expected"),
     [
-        ((0.4, 0.3, -0.6), "0x1.9370c4d9ecc4ap+0"),
-        ((0.0, 0.0, 0.0), "0x1.d20ae03bc8706p+0"),
-        ((-1.0, 1.05, 1.05), "0x1.2274aa148b002p+1"),
-        ((0.9, 0.0, 0.0), "0x1.c0a48b11deadap-1"),
-        ((-0.5, 2.0, -1.0), "0x1.3b178fbb737eap+1"),
-        ((-1.0, 1.0, -1.0), "0x1.3bdb078ec6c1ap+1"),
-        ((0.3, 0.7, 0.7), "0x1.9d741a91f6a60p+0"),
+        ((0.4, 0.3, -0.6), "0x1.9370c4d9f033ep+0"),
+        ((0.0, 0.0, 0.0), "0x1.d20ae03bcc152p+0"),
+        ((-1.0, 1.05, 1.05), "0x1.2274aa148de08p+1"),
+        ((0.9, 0.0, 0.0), "0x1.c0a48b11e4a16p-1"),
+        ((-0.5, 2.0, -1.0), "0x1.3b178fbb764b2p+1"),
+        ((-1.0, 1.0, -1.0), "0x1.3bdb078ec9658p+1"),
+        ((0.3, 0.7, 0.7), "0x1.9d741a91fa4f8p+0"),
         ((1.0, 0.0, 0.0), None),
     ],
 )
 def test_numeric_threshold_bits_are_pinned(params, expected):
-    # recorded when the scan still took the clamped concurrence from the full
-    # correlation kernel; the scan's predicate on the bare X-state entries must
-    # land on the same float
+    # recorded from the sign-of-g solver; each lies within 1.2e-16 relative of
+    # its 60-digit root, so a change that moves one bit must say why
     found = tth_numeric(ModelParams(*params), 5.0)
     assert (None if found is None else found.hex()) == expected
 
@@ -166,11 +197,110 @@ def test_numeric_threshold_loads_no_numpy():
     ids=["gamma=-1", "gamma=0", "gamma=0.5", "off-xy", "fields=1e10"],
 )
 def test_numeric_threshold_stops_at_float_resolution(params, t_max):
-    # the bisection stops only when the bracket ends are adjacent floats, so
-    # the concurrence crosses 1e-12 within one ulp of the result
+    # the root of g and the closed-form kernel's own sign change of C agree to
+    # a few ulps: C > 0 four ulps below the result and C = 0 four ulps above
     t = tth_numeric(params, t_max)
-    step = math.ulp(t)
+    step = 4.0 * math.ulp(t)
     below, above = (
         closed_form_correlations(params.gamma, params.b1, params.b2, t + d)["concurrence"] for d in (-step, step)
     )
-    assert below > 1e-12 >= above
+    assert below > 0.0 == above
+
+
+ZERO_FIELD_GAMMAS = (-1.0, 0.0, 0.5, 0.9, 0.99999, 1.0 - 1e-9, 1.0 - 1e-15)
+
+
+def _box_points(n, seed, gamma_max):
+    rng = np.random.default_rng(seed)
+    gamma = rng.uniform(-1.0, gamma_max, n)
+    b1, b2 = rng.uniform(-5.0, 5.0, (2, n))
+    return [ModelParams(*point) for point in zip(gamma.tolist(), b1.tolist(), b2.tolist())]
+
+
+def test_thresholds_match_sixty_digit_roots():
+    for gamma in ZERO_FIELD_GAMMAS:
+        t = tth_anisotropic(gamma)
+        assert relative_error(t, mp_threshold(gamma, 0.0)) <= ROOT_TOL, gamma
+    for p in _box_points(60, seed=2101, gamma_max=0.999):
+        t = tth_numeric(p, 50.0)
+        assert relative_error(t, mp_threshold(p.gamma, abs(p.b1 - p.b2))) <= ROOT_TOL, p
+
+
+def test_thresholds_at_the_edges_of_the_domain():
+    # gamma = -1, gamma -> 1, and field differences up to the largest finite
+    # b1 - b2 that ModelParams accepts, where the threshold nears 1e305
+    big = sys.float_info.max
+    points = [
+        ModelParams(-1.0),
+        ModelParams(1.0 - 2.0**-53),
+        ModelParams(1.0 - 2.0**-53, 1.0, -1.0),
+        ModelParams(-1.0, big, 0.0),
+        ModelParams(0.0, big / 2.0, -big / 2.0),
+        ModelParams(1.0 - 2.0**-53, big / 2.0, -big / 2.0),
+        ModelParams(0.0, 1e10, -1e10),
+        ModelParams(0.5, 1e-300, -1e-300),
+    ]
+    for p in points:
+        t = tth_numeric(p, big)
+        assert math.isfinite(t) and t > 0.0, p
+        assert relative_error(t, mp_threshold(p.gamma, abs(p.b1 - p.b2))) <= ROOT_TOL, p
+
+
+def test_uniform_fields_give_the_zero_field_threshold_bit_for_bit():
+    # the threshold depends on (gamma, |b1 - b2|) only, so equal fields change nothing
+    for gamma in (-1.0, -0.3, 0.0, 0.6, 0.999):
+        for b in (0.0, -0.0, 0.5, -1.5, 5.0, 1e300):
+            assert tth_numeric(ModelParams(gamma, b, b), 10.0) == tth_anisotropic(gamma)
+
+
+# the dense eigenvalue's absolute rounding moves its sign change by about
+# 2^-53 / |T d(lambda_min)/dT| relative; the worst of 165 points (gamma in
+# [-1, 0.9], |b| <= 5, seeds 21-24, plus zero-field gammas) measured 6.7
+# times that, the strongest uniform fields where lambda_min is flattest
+DENSE_ROUNDING_UNITS = 8.0
+
+
+def _dense_min_eigenvalue(h, t):
+    """Smallest eigenvalue of the partial transpose of the dense Gibbs state: negative iff entangled."""
+    return float(np.linalg.eigvalsh(partial_transpose(gibbs(h, t), 2))[0])
+
+
+def _dense_threshold(p, lo=0.5, hi=8.0):
+    """Bisect the Peres-Horodecki sign of the dense route to adjacent floats; shares no formula with g."""
+    h = build_hamiltonian(*p)
+    assert _dense_min_eigenvalue(h, lo) < 0.0 <= _dense_min_eigenvalue(h, hi)
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if mid in (lo, hi):
+            return mid, h
+        if _dense_min_eigenvalue(h, mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def test_dense_partial_transpose_route_finds_the_same_threshold():
+    panel = [ModelParams(g) for g in (-1.0, -0.5, 0.0, 0.5, 0.9)] + _box_points(12, seed=2102, gamma_max=0.9)
+    for p in panel:
+        dense, h = _dense_threshold(p)
+        root = mp_threshold(p.gamma, abs(p.b1 - p.b2))
+        t = float(root)
+        step = 1e-6 * t
+        lever = abs(t * (_dense_min_eigenvalue(h, t + step) - _dense_min_eigenvalue(h, t - step)) / (2.0 * step))
+        assert relative_error(dense, root) <= DENSE_ROUNDING_UNITS * 2.0**-53 / lever, p
+        assert relative_error(tth_numeric(p, 10.0), root) <= ROOT_TOL, p
+
+
+def test_cli_prints_the_rounded_roots():
+    # every t_th printed is the 60-digit root rounded to 12 significant digits
+    proc = subprocess.run(
+        [sys.executable, "-m", "dimercorr", "threshold", "--gamma", "-1:0.99:100"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+    gammas = np.linspace(-1.0, 0.99, 100).tolist()
+    assert len(rows) == len(gammas)
+    for gamma, (_, printed, _) in zip(gammas, rows):
+        assert printed == f"{float(mp.nstr(mp_threshold(gamma, 0.0), 12)):.12g}", gamma
