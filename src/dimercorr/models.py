@@ -14,22 +14,22 @@ correlations for any (gamma, b1, b2) and any T > 0; the dense route
 (thermal_state) is the independent check.
 
 The closed form is a scalar kernel in plain ``math``, so ``point`` and
-``sweep`` never load numpy: numpy is imported only by the functions that
-take or return arrays, which map the kernel over their points.  It runs
-once per sweep point, so it is written for the interpreter: _x_form works
-on named locals and returns one flat tuple of floats (populations, X-state
-entries, levels, mixing angle), which _correlations, _gibbs_entries and
-analytic_eigensystem unpack; _correlations and _formation write their
-x log2 x terms out inline.
+``sweep`` never load numpy.  It runs once per sweep point, so it is
+written for the interpreter: _x_form works on named locals and returns one
+flat tuple of floats (populations, X-state entries, levels, mixing angle),
+which _correlations, thermal_state_analytic and analytic_eigensystem
+unpack; _correlations and _formation write their x log2 x terms out inline.
 
-A ModelParams is one validated point; build_hamiltonian,
-thermal_state_analytic and closed_form_correlations take (gamma, b1, b2)
-as numbers or as arrays that broadcast.
+Every input reaches the kernel as checked Python floats, through
+ModelParams for one point (thermal_state, analytic_eigensystem,
+threshold.tth_numeric, a SweepSpec's base) or _kernel_columns for float
+columns (run_sweep, and _map_kernel, the one mapping of numbers or arrays).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from math import log2
 from operator import add, sub
 from typing import TYPE_CHECKING, NamedTuple
@@ -240,22 +240,27 @@ def _kernel_columns(kernel, width: int, gamma: list, b1: list, b2: list, t: list
     return [list(column) for column in zip(*rows)] if rows else [[] for _ in range(width)]
 
 
-def _correlation_columns(gamma: list, b1: list, b2: list, t: list) -> list[list[float]]:
-    """closed_form_correlations over equal-length lists of floats: one list per name of OUTPUTS."""
-    return _kernel_columns(_correlations, len(OUTPUTS), gamma, b1, b2, t)
+def _map_kernel(kernel, width: int, gamma, b1, b2, t) -> list:
+    """_kernel_columns at one point or over arrays that broadcast (ValueError if not): one result per output.
 
-
-def _map_kernel(kernel, width: int, gamma, b1, b2, t) -> list[np.ndarray]:
-    """_kernel_columns over arrays that broadcast (ValueError if not): one array of that shape per output."""
+    Numbers (Python or numpy scalars) give floats, with numpy left unloaded
+    for Python numbers; arrays, a 0-d one included, give arrays of the
+    broadcast shape.
+    """
+    args = (gamma, b1, b2, t)
+    numpy = sys.modules.get("numpy")  # a numpy scalar exists only once numpy is loaded
+    scalars = (int, float) if numpy is None else (int, float, numpy.generic)
+    if all(isinstance(a, scalars) for a in args):
+        return [column[0] for column in _kernel_columns(kernel, width, *([float(a)] for a in args))]
     import numpy as np
 
-    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (gamma, b1, b2, t)))
+    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in args))
     columns = _kernel_columns(kernel, width, *(a.ravel().tolist() for a in arrays))
     return [np.array(column, dtype=float).reshape(arrays[0].shape) for column in columns]
 
 
 def analytic_eigensystem(p: ModelParams) -> EigenSystem:
-    """Closed-form eigensystem of the dimer at one point ``p``, any (gamma, b1, b2).
+    """Closed-form eigensystem of the dimer at one point ``p``, checked as a ModelParams.
 
     |uu> and |dd> at J[(1+gamma)/2 +- (b1+b2)], then the upper and lower
     mixed levels at J[-(1+gamma)/2 +- r]: the upper one is
@@ -268,7 +273,7 @@ def analytic_eigensystem(p: ModelParams) -> EigenSystem:
 
     from .matkernel import EigenSystem
 
-    gamma, b1, b2 = p
+    gamma, b1, b2 = ModelParams(*p)
     level_uu, level_dd, r, one_minus_cos = _x_form(gamma, b1, b2, 1.0)[8:]  # the populations are not used
     # the lower mixed level sits at -(1+gamma)/2 - r; the upper one, 2 (r - shift / 2), rounds
     # as 2r - shift wherever 2r is finite and stays finite where 2r overflows (|b1 - b2| > ~9e307)
@@ -285,48 +290,43 @@ def analytic_eigensystem(p: ModelParams) -> EigenSystem:
     return EigenSystem(values[order], vectors[:, order])
 
 
-def _gibbs_entries(gamma: float, b1: float, b2: float, t: float) -> tuple[float, ...]:
-    """rho11, rho44, rho22, rho33 and rho23 of the closed-form Gibbs state at one point."""
-    p_uu, p_dd, _, _, rho22, rho33, coherence = _x_form(gamma, b1, b2, t)[:7]
-    return p_uu, p_dd, rho22, rho33, -coherence
-
-
 def thermal_state_analytic(gamma, b1, b2, t) -> np.ndarray:
     """Closed-form Gibbs state, any (gamma, b1, b2) and any T > 0.
 
     An X-state: the populations of |uu> and |dd> in the corners, and the
     |ud>, |du> block split by the mixing angle with rho23 = rho32 =
-    -(p_lo - p_hi) sin(theta) / 2 (see _x_form).  Numbers give one 4x4
-    state, and arrays that broadcast a (..., 4, 4) stack; the inputs are
-    validated as in closed_form_correlations.
+    -(p_lo - p_hi) sin(theta) / 2, all read from _x_form.  Numbers give one
+    4x4 state, and arrays that broadcast a (..., 4, 4) stack; the inputs
+    are validated as in closed_form_correlations.
     """
     import numpy as np
 
-    rho11, rho44, rho22, rho33, rho23 = _map_kernel(_gibbs_entries, 5, gamma, b1, b2, t)
-    rho = np.zeros(rho11.shape + (4, 4), dtype=complex)
-    rho[..., 0, 0], rho[..., 3, 3] = rho11, rho44
+    p_uu, p_dd, _, _, rho22, rho33, coherence = _map_kernel(_x_form, 12, gamma, b1, b2, t)[:7]
+    rho = np.zeros(np.shape(p_uu) + (4, 4), dtype=complex)
+    rho[..., 0, 0], rho[..., 3, 3] = p_uu, p_dd
     rho[..., 1, 1], rho[..., 2, 2] = rho22, rho33
-    rho[..., 1, 2] = rho[..., 2, 1] = rho23
+    rho[..., 1, 2] = rho[..., 2, 1] = -coherence
     return rho
 
 
 def thermal_state(p: ModelParams, t) -> np.ndarray:
-    """Gibbs state of the dimer at one point ``p`` by the dense route, for any T > 0.
+    """Gibbs state of the dimer at one point ``p``, checked as a ModelParams, by the dense route.
 
-    An array of temperatures gives a (..., 4, 4) stack, built with one
-    eigensolver call; a stack over parameters is
+    Any T > 0; an array of temperatures gives a (..., 4, 4) stack, built
+    with one eigensolver call.  A stack over parameters is
     gibbs(build_hamiltonian(gamma, b1, b2), t).
     """
     from .matkernel import gibbs
 
-    return gibbs(build_hamiltonian(*p), t)
+    return gibbs(build_hamiltonian(*ModelParams(*p)), t)
 
 
 def closed_form_correlations(gamma, b1, b2, t) -> dict:
     """Total, quantum and classical correlation (bits) and concurrence of the Gibbs state.
 
-    Numbers give floats.  Arrays broadcast against each other, and every
-    result is an array of the broadcast shape, the kernel's value at each
+    Numbers (Python or numpy scalars) give floats.  Arrays, a 0-d array
+    included, broadcast against each other, and every result is an array
+    of the broadcast shape, the kernel's value at each
     point.  From the X-state of _x_form, built on the ground-shifted
     Boltzmann populations of the four levels:
 
@@ -343,8 +343,4 @@ def closed_form_correlations(gamma, b1, b2, t) -> dict:
     Nothing overflows at any T > 0, and no result is -0.0.
     Non-finite inputs, gamma outside [-1, 1] and T <= 0 raise DomainError.
     """
-    args = (gamma, b1, b2, t)
-    if all(isinstance(a, (int, float)) for a in args):
-        columns = _correlation_columns(*([float(a)] for a in args))
-        return {name: column[0] for name, column in zip(OUTPUTS, columns)}
-    return dict(zip(OUTPUTS, _map_kernel(_correlations, len(OUTPUTS), *args)))
+    return dict(zip(OUTPUTS, _map_kernel(_correlations, len(OUTPUTS), gamma, b1, b2, t)))

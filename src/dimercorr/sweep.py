@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .domain import check_grid, check_positive_finite, linspace
 from .exceptions import DomainError
-from .models import OUTPUTS, ModelParams, _correlation_columns
+from .models import OUTPUTS, ModelParams, _correlations, _kernel_columns
 from .names import AXIS_NAMES, AXIS_WRITES, RECORD_COLUMNS
 
 if TYPE_CHECKING:
@@ -61,8 +61,8 @@ class Axis(_AxisFields):
         return cls(*iterable)
 
     def values(self) -> list[float]:
-        """The grid np.linspace(start, stop, points) gives, as a list of floats."""
-        return linspace(self.start, self.stop, self.points)
+        """The grid np.linspace(float(start), float(stop), points) gives, as a list of floats."""
+        return linspace(float(self.start), float(self.stop), self.points)
 
 
 class _SpecFields(NamedTuple):
@@ -73,7 +73,7 @@ class _SpecFields(NamedTuple):
 
 
 class SweepSpec(_SpecFields):
-    """One base parameter point plus one or two axes to scan.
+    """One base parameter point, checked and stored as a ModelParams, plus one or two axes to scan.
 
     ``temp`` is the fixed temperature used when no T axis is present; when
     given, it must be positive and finite whether or not a T axis is.
@@ -84,6 +84,7 @@ class SweepSpec(_SpecFields):
     def __new__(
         cls, base: ModelParams, axis1: Axis, axis2: Axis | None = None, temp: float | None = None
     ) -> SweepSpec:
+        base = ModelParams(*base)
         axes = [axis1] + ([axis2] if axis2 is not None else [])
         if axis2 is not None:
             if axis1.name == axis2.name:
@@ -146,7 +147,7 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepTable:
     for axis, values in zip(axes, grids):
         for name, sign in AXIS_WRITES[axis.name]:
             columns[name] = [sign * v for v in values]
-    outputs = _correlation_columns(columns["gamma"], columns["b1"], columns["b2"], columns["T"])
+    outputs = _kernel_columns(_correlations, len(OUTPUTS), *(columns[k] for k in ("gamma", "b1", "b2", "T")))
     columns.update(zip(OUTPUTS, outputs))
     return SweepTable(spec=spec, columns=columns)
 

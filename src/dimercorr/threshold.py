@@ -80,6 +80,7 @@ def tth_anisotropic(gamma: float) -> float:
     solver.  gamma = 1 is the degenerate limit and returns 0 directly (the
     state never entangles there).
     """
+    gamma = float(gamma)  # a numpy float32 would otherwise keep float32 arithmetic
     if not -1.0 <= gamma <= 1.0:
         raise DomainError(f"gamma must lie in [-1, 1], got {gamma}")
     if gamma == 1.0:
@@ -89,11 +90,7 @@ def tth_anisotropic(gamma: float) -> float:
 
 def threshold_curve(gammas: Sequence[float]) -> list[ThresholdPoint]:
     """tth_anisotropic applied pointwise; strictly decreasing for ascending gammas."""
-    points = []
-    for g in gammas:
-        g = float(g)
-        points.append(ThresholdPoint(gamma=g, t_th=tth_anisotropic(g), degenerate=g == 1.0))
-    return points
+    return [ThresholdPoint(gamma=g, t_th=tth_anisotropic(g), degenerate=g == 1.0) for g in map(float, gammas)]
 
 
 def tth_numeric(p: ModelParams, t_max: float) -> float | None:
@@ -102,10 +99,12 @@ def tth_numeric(p: ModelParams, t_max: float) -> float | None:
     Below the threshold the state is entangled, above it never.  Returns
     None when the threshold exceeds t_max, and at gamma = 1, where the
     state never entangles.  Uniform fields do not move it: equal b1 and b2
-    give tth_anisotropic(gamma), bit for bit.
+    give tth_anisotropic(gamma), bit for bit.  ``p`` is checked as a ModelParams.
     """
+    from .models import ModelParams
+
     check_positive_finite(t_max, "t_max")
-    gamma, b1, b2 = p  # p was validated when it was built
+    gamma, b1, b2 = ModelParams(*p)
     if gamma == 1.0:
         return None
     t = _threshold(gamma, abs(b1 - b2))

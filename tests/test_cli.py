@@ -1,8 +1,10 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -663,3 +665,38 @@ def test_unwritable_output_is_a_clean_error(capsys, tmp_path, argv):
     assert out == ""
     assert err.startswith(f"error: cannot write {target}: ")
     assert "Traceback" not in err
+
+
+# sha256 of repr((stdout, stderr, exit code)) of cli.main for each command
+# line: points, the 61x61 JSON map, T scans, an antisymmetric-field JSON
+# sweep, extreme fields and temperatures, a threshold range and two domain
+# errors.  A refactor must leave every byte; a deliberate change of output
+# re-records them.  verify is left out: its residual digits come from LAPACK,
+# which varies from one build to another.
+CLI_DIGESTS = {
+    "point --model xy --b1 0.7 --b2 -1.1 --temp 0.3": "442d769102cb4677b081d762ed8e7f3c0219907e2a3b93734856e28125a47a40",
+    "point --gamma 0.816 --temp 1.0456180777492812": "473af40a81188903e0c184b8c12f8911d925b283bdfb12ea86307c85a9fe2727",
+    "point --model xy --b1 1e160 --b2 0 --temp 1": "f8126f4d418e3980a5fca2bc93a998fb526b589db18813be73d51ee9b7a21b92",
+    "sweep --model xy --temp 0.3 --axis b1=-3:3:61 --axis b2=-3:3:61 --format json": (
+        "c056a3d994f93d0caa02c5572406b7f9c7b035549f680b09cfc2f8c333505579"
+    ),
+    "sweep --model heisenberg --axis gamma=-1:0.9:10 --axis T=0.02:4:150": (
+        "398a488dd11c6b4490d63fcdb6ca88c074ff250f1762de8d25b550abaf6bdc6a"
+    ),
+    "sweep --model xy --b1 1.05 --b2 1.05 --axis T=0.02:3:600": (
+        "5185b6a179c2068d88e4303e82080a5450c225b576e57706564c8360017c3b08"
+    ),
+    "sweep --temp 1 --axis b_anti=-1:1:3 --format json": "a6dcb156c7cc1c46441560f3e108aacdcc4abca48227a5509d47d9a6d0e17482",
+    "sweep --model xy --temp 1e-300 --axis b1=1e13:1.5e15:50": (
+        "85910952b5ec8eef4d481aff88cf7b7a2cd4aba19d33e8dce7a35e01e3949ecf"
+    ),
+    "threshold --gamma -1:0.99:100": "716f76fda1993452b04a61ec9540240b607a931aac6f06a08d273a9271c2613a",
+    "point --temp 0": "20b9c0be37136b569cb235973881c762f1494b3f72bdbd4720aa88358c92b027",
+    "sweep --temp 1 --axis gamma=-1:2:3": "c86b22706b3afa48febeda47744297f930878467b5889e9303e2c3989a4c0f38",
+}
+
+
+@pytest.mark.parametrize("line", list(CLI_DIGESTS))
+def test_cli_bytes_are_pinned(capsys, line):
+    code, out, err = run_cli(capsys, *shlex.split(line))
+    assert hashlib.sha256(repr((out, err, code)).encode()).hexdigest() == CLI_DIGESTS[line]

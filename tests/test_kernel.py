@@ -303,6 +303,27 @@ def test_results_broadcast():
     assert float(one["total"]) == out["total"][4, 1]
 
 
+def test_numpy_scalars_are_numbers():
+    args = (np.float32(0.25), np.int64(1), np.float64(-0.5), np.float32(0.5))
+    floats = [float(a) for a in args]
+    out, expected = closed_form_correlations(*args), closed_form_correlations(*floats)
+    for name in OUTPUTS:
+        assert type(out[name]) is float
+        assert out[name].hex() == expected[name].hex(), name
+    assert np.array_equal(thermal_state_analytic(*args), thermal_state_analytic(*floats))
+    # a 0-d array is an array, not a number
+    held = closed_form_correlations(*floats[:3], np.array(0.5))
+    assert all(type(held[name]) is np.ndarray and held[name].shape == () for name in OUTPUTS)
+
+
+def test_empty_inputs_give_empty_arrays():
+    out = closed_form_correlations(np.array([]), 0.0, 0.0, 1.0)
+    for name in OUTPUTS:
+        assert out[name].dtype == float and out[name].shape == (0,)
+    rho = thermal_state_analytic([], [], [], [])
+    assert rho.dtype == complex and rho.shape == (0, 4, 4)
+
+
 # --- input domain --------------------------------------------------------------
 
 

@@ -5,6 +5,9 @@ loop over its members gives, a single input keeps its scalar return type,
 and one bad member rejects the whole stack.
 """
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -245,7 +248,7 @@ def test_model_params_is_one_point(n):
         p._replace(gamma=1.5)
 
 
-@pytest.mark.parametrize(
+single_point_calls = pytest.mark.parametrize(
     "call",
     [
         lambda p: thermal_state(p, 0.02),  # the cold dense state that stands in for the ground-state limit
@@ -255,13 +258,29 @@ def test_model_params_is_one_point(n):
     ],
     ids=["ground_state_limit", "analytic_eigensystem", "tth_numeric", "SweepSpec"],
 )
+
+
+@single_point_calls
 @pytest.mark.parametrize("n", [2, 4])
 def test_single_point_functions_reject_a_parameter_stack(call, n):
-    # a single-point function takes a ModelParams, so a stack is stopped on its way in
+    # a single-point function checks its point as a ModelParams, so a stack is
+    # stopped on its way in, whether it comes wrapped or as a plain tuple
     for args in ((np.linspace(-0.5, 0.5, n),), (0.0, np.zeros(n), 0.5)):
         with pytest.raises(ValueError, match="one parameter point"):
             call(ModelParams(*args))
+        with pytest.raises(ValueError, match="one parameter point"):
+            call(args)
     call(ModelParams(np.array(0.3), np.array(0.1), 0.0))  # one point, held in 0-d arrays
+    call((np.array(0.3), np.array(0.1), 0.0))
+
+
+@single_point_calls
+@pytest.mark.parametrize("args", [(2.0, 0, 0), (0, math.nan, 0), (0, 1e308, -1e308)], ids=["gamma", "nan", "b1-b2"])
+def test_single_point_functions_check_a_plain_tuple(call, args):
+    with pytest.raises(DomainError) as refused:
+        ModelParams(*args)
+    with pytest.raises(DomainError, match=f"^{re.escape(str(refused.value))}$"):
+        call(args)
 
 
 def _family_points(n=40, seed=9):

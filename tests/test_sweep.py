@@ -47,6 +47,16 @@ def test_axis_validation():
         axis._replace(points=1)  # _replace validates as the constructor does
 
 
+def test_float32_endpoints_give_the_float_grid():
+    axis = Axis("T", np.float32(0.05), np.float32(2.0), 200)
+    as_floats = Axis("T", float(np.float32(0.05)), float(np.float32(2.0)), 200)
+    assert all(type(v) is float for v in axis.values())
+    assert axis.values() == as_floats.values()
+    tables = [run_sweep(SweepSpec(base=XY, axis1=a)) for a in (axis, as_floats)]
+    for name in RECORD_COLUMNS:
+        assert [v.hex() for v in tables[0].columns[name]] == [v.hex() for v in tables[1].columns[name]], name
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(base=XY, axis1=Axis("T", 0.1, 1.0, 5), axis2=Axis("T", 2.0, 3.0, 5))

@@ -73,6 +73,13 @@ def test_threshold_rejects_out_of_range_gamma():
         tth_anisotropic(-1.01)
 
 
+def test_numpy_scalar_gamma_is_a_float():
+    # float32 arithmetic would move the root in its eighth digit
+    gamma = np.float32(0.3)
+    assert tth_anisotropic(gamma) == tth_anisotropic(float(gamma))
+    assert type(tth_anisotropic(gamma)) is float
+
+
 def test_threshold_roundtrip():
     # feeding the solved T back through the defining equation recovers gamma
     for gamma in np.linspace(-1.0, 0.99, 50):
