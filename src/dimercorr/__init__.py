@@ -13,7 +13,8 @@ __version__ = "0.1.0"
 
 # Each public name -> the submodule that defines it.  ``import dimercorr``
 # loads none of these submodules (and so no numpy): a name's submodule is
-# imported on its first access, through __getattr__ below (PEP 562).
+# imported on its first access, through __getattr__ below (PEP 562).  No
+# name is cached here, so dimercorr.X is always the submodule's current X.
 _SUBMODULE = {
     "CorrelationReport": "correlations",
     "concurrence": "correlations",
@@ -25,8 +26,9 @@ _SUBMODULE = {
     "report": "correlations",
     "sample_decomposition_average": "correlations",
     "von_neumann_entropy": "correlations",
-    "DomainError": "exceptions",
-    "ValidationError": "exceptions",
+    "DomainError": "domain",
+    "ModelParams": "domain",
+    "ValidationError": "domain",
     "EigenSystem": "matkernel",
     "check_density_matrix": "matkernel",
     "gibbs": "matkernel",
@@ -35,7 +37,6 @@ _SUBMODULE = {
     "partial_trace": "matkernel",
     "partial_transpose": "matkernel",
     "pauli": "matkernel",
-    "ModelParams": "models",
     "analytic_eigensystem": "models",
     "build_hamiltonian": "models",
     "closed_form_correlations": "models",
@@ -63,9 +64,7 @@ def __getattr__(name: str):
     module = _SUBMODULE.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
-    globals()[name] = value  # later lookups skip __getattr__
-    return value
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
 
 
 def __dir__() -> list[str]:

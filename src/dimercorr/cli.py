@@ -5,10 +5,12 @@ not fit in memory included), 3 for domain or validation errors, 4 when a
 verification suite fails, and 1, with no traceback, when the reader of
 stdout goes away.
 
-The module loads per subcommand: at import it needs only the parser's name
-tables, and each subcommand imports the modules it runs when it runs.  So
-``point`` and ``sweep`` (the pure-``math`` closed-form kernel) and
-``threshold`` (a pure-``math`` bisection) never load numpy; ``verify`` does.
+The module loads per subcommand: at import it needs only domain, the
+numpy-free boundary that holds the parser's name tables, the grid rules and
+the exceptions behind the exit codes, and each subcommand imports the
+modules it runs when it runs.  So ``point`` and ``sweep`` (the pure-``math``
+closed-form kernel) and ``threshold`` (a pure-``math`` bisection) never
+load numpy; ``verify`` does.
 """
 
 from __future__ import annotations
@@ -18,9 +20,7 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from .domain import check_grid, linspace, parse_grid
-from .exceptions import DomainError, ValidationError
-from .names import AXIS_NAMES, RECORD_COLUMNS, SUITES
+from .domain import AXIS_NAMES, RECORD_COLUMNS, SUITES, DomainError, ValidationError, check_grid, linspace, parse_grid
 
 if TYPE_CHECKING:
     from .sweep import Axis, SweepTable
@@ -203,7 +203,7 @@ def _table_to_json(table: SweepTable) -> str:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .models import ModelParams
+    from .domain import ModelParams
     from .sweep import SweepSpec, run_sweep
 
     axes = [_parse_axis(text) for text in args.axis]

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DomainError
+from .domain import DomainError
 from .matkernel import _density_eigh, _partial_trace, _partial_transpose, check_density_matrix
 from .models import _formation as _point_formation
 

@@ -1,19 +1,104 @@
-"""Numpy-free input checks and grids.
+"""The numpy-free boundary: the input rules, types and names all layers share.
 
-The closed form, sweeps, the threshold solver and the command line share
-these, and this module never imports numpy: a caller holding an array
-flattens it to a list of floats first.  The rules of a
-``start:stop:points`` grid live here too (parse_grid, check_grid), for
-``threshold``'s range and ``sweep``'s axes alike.
+The command line, the closed-form kernel, sweeps and the threshold solver
+share these, and this module never imports numpy, so every subcommand
+loads it: a caller holding an array flattens it to a list of floats first.
+Here are the two exceptions, the name tables (record columns and outputs,
+sweep axes, verify suites) the parser offers as choices, ModelParams (the
+one checked parameter point) and _check_params (its rule over float
+columns), and the rules of a ``start:stop:points`` grid (parse_grid,
+check_grid, linspace), for ``threshold``'s range and ``sweep``'s axes alike.
 """
 
 from __future__ import annotations
 
 import math
+from operator import add, sub
+from typing import NamedTuple
 
-from .exceptions import DomainError
+__all__ = [
+    "AXIS_NAMES", "AXIS_WRITES", "OUTPUTS", "RECORD_COLUMNS", "SUITES",
+    "DomainError", "ModelParams", "ValidationError",
+    "check_grid", "check_positive_finite", "linspace", "parse_grid",
+]
 
-__all__ = ["check_grid", "check_positive_finite", "linspace", "parse_grid"]
+
+# Both derive from ValueError, so a caller that only cares about "bad input"
+# can catch one class; the command line maps them to distinct exit codes.
+class ValidationError(ValueError):
+    """A matrix failed a physical-contract check (Hermiticity, trace, positivity)."""
+
+
+class DomainError(ValueError):
+    """A parameter lies outside the supported physical domain."""
+
+
+# The columns of every point, sweep and JSON record, in output order: the
+# parameters, then the outputs of the closed form.
+RECORD_COLUMNS = ("T", "gamma", "b1", "b2", "total", "quantum", "classical", "concurrence")
+OUTPUTS = RECORD_COLUMNS[4:]
+
+# (column, sign) pairs each sweep axis writes; two axes must not share a column.
+AXIS_WRITES = {
+    "T": (("T", 1.0),),
+    "gamma": (("gamma", 1.0),),
+    "b1": (("b1", 1.0),),
+    "b2": (("b2", 1.0),),
+    "b_uniform": (("b1", 1.0), ("b2", 1.0)),
+    "b_anti": (("b1", 1.0), ("b2", -1.0)),
+}
+AXIS_NAMES = tuple(AXIS_WRITES)
+
+# The verification suites, in the order ``verify --suite all`` runs them.
+SUITES = ("gibbs", "wootters", "ppt", "ensemble")
+
+
+class _Point(NamedTuple):
+    gamma: float
+    b1: float = 0.0
+    b2: float = 0.0
+
+
+class ModelParams(_Point):
+    """One parameter point selecting a dimer Hamiltonian, held as three floats.
+
+    gamma : anisotropy in [-1, 1]; -1 is the XY point, +1 the Ising point.
+    b1, b2 : local z fields on qubits 1 and 2, in units of J.
+
+    Each value may be a real number, a numpy scalar or a 0-d array.  An
+    array of one or more dimensions is a ValueError, and a value outside
+    the domain a DomainError.  Arrays of points go to build_hamiltonian,
+    thermal_state_analytic and closed_form_correlations instead.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, gamma: float, b1: float = 0.0, b2: float = 0.0) -> ModelParams:
+        for name, value in zip(cls._fields, (gamma, b1, b2)):
+            if getattr(value, "ndim", 0):
+                raise ValueError(f"ModelParams holds one parameter point, got {name} of shape {value.shape}")
+        point = super().__new__(cls, float(gamma), float(b1), float(b2))
+        _check_params(*([v] for v in point))
+        return point
+
+    @classmethod
+    def _make(cls, iterable) -> ModelParams:  # behind _replace too, which would otherwise skip the checks
+        return cls(*iterable)
+
+
+def _check_params(gamma: list, b1: list, b2: list) -> None:
+    """Raise DomainError unless gamma lies in [-1, 1] and b1, b2 and b1 +- b2 are finite.
+
+    Each argument is a list of floats, all of one length; each rule
+    is checked over every point before the next.
+    """
+    for g in gamma:
+        if not -1.0 <= g <= 1.0:  # NaN fails both comparisons
+            raise DomainError(f"gamma must lie in [-1, 1], got {g}")
+    for name, values in (("b1", b1), ("b2", b2), ("b1 + b2", map(add, b1, b2)), ("b1 - b2", map(sub, b1, b2))):
+        for v in values:
+            if not math.isfinite(v):
+                raise DomainError(f"{name} must be finite, got {v}")
 
 
 def check_positive_finite(value, name: str = "temperature") -> None:

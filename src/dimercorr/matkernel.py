@@ -14,8 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import check_positive_finite
-from .exceptions import ValidationError
+from .domain import ValidationError, check_positive_finite
 
 __all__ = [
     "HERMITIAN_TOL",

@@ -20,10 +20,12 @@ flat tuple of floats (populations, X-state entries, levels, mixing angle),
 which _correlations, thermal_state_analytic and analytic_eigensystem
 unpack; _correlations and _formation write their x log2 x terms out inline.
 
-Every input reaches the kernel as checked Python floats, through
-ModelParams for one point (thermal_state, analytic_eigensystem,
-threshold.tth_numeric, a SweepSpec's base) or _kernel_columns for float
-columns (run_sweep, and _map_kernel, the one mapping of numbers or arrays).
+Every input reaches the kernel and the threshold solver as checked Python
+floats, through one of two gates that both apply domain._check_params:
+domain.ModelParams for one point (thermal_state, analytic_eigensystem,
+threshold's tth_anisotropic and tth_numeric, a SweepSpec's base), and
+_kernel_columns for float columns (run_sweep, and _map_kernel, the one
+mapping of numbers or arrays).
 """
 
 from __future__ import annotations
@@ -31,11 +33,9 @@ from __future__ import annotations
 import math
 import sys
 from math import log2
-from operator import add, sub
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
-from .domain import check_positive_finite
-from .exceptions import DomainError
+from .domain import OUTPUTS, ModelParams, _check_params, check_positive_finite
 
 if TYPE_CHECKING:
     import numpy as np
@@ -51,41 +51,7 @@ __all__ = [
     "thermal_state_analytic",
 ]
 
-OUTPUTS = ("total", "quantum", "classical", "concurrence")
 _LN2 = math.log(2.0)
-
-
-class _Point(NamedTuple):
-    gamma: float
-    b1: float = 0.0
-    b2: float = 0.0
-
-
-class ModelParams(_Point):
-    """One parameter point selecting a dimer Hamiltonian, held as three floats.
-
-    gamma : anisotropy in [-1, 1]; -1 is the XY point, +1 the Ising point.
-    b1, b2 : local z fields on qubits 1 and 2, in units of J.
-
-    Each value may be a real number, a numpy scalar or a 0-d array.  An
-    array of one or more dimensions is a ValueError, and a value outside
-    the domain a DomainError.  Arrays of points go to build_hamiltonian,
-    thermal_state_analytic and closed_form_correlations instead.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, gamma: float, b1: float = 0.0, b2: float = 0.0) -> ModelParams:
-        for name, value in zip(cls._fields, (gamma, b1, b2)):
-            if getattr(value, "ndim", 0):
-                raise ValueError(f"ModelParams holds one parameter point, got {name} of shape {value.shape}")
-        point = super().__new__(cls, float(gamma), float(b1), float(b2))
-        _check_params(*([v] for v in point))
-        return point
-
-    @classmethod
-    def _make(cls, iterable) -> ModelParams:  # behind _replace too, which would otherwise skip the checks
-        return cls(*iterable)
 
 
 def build_hamiltonian(gamma, b1, b2) -> np.ndarray:
@@ -215,21 +181,6 @@ def _correlations(gamma: float, b1: float, b2: float, t: float) -> tuple[float, 
     total = max(s1 + s2 - s12, 0.0)  # >= 0 by subadditivity; clamp the rounding
     quantum = _formation(c)
     return total, quantum, total - quantum, c
-
-
-def _check_params(gamma: list, b1: list, b2: list) -> None:
-    """Raise DomainError unless gamma lies in [-1, 1] and b1, b2 and b1 +- b2 are finite.
-
-    Each argument is a list of floats, all of one length; each rule
-    is checked over every point before the next.
-    """
-    for g in gamma:
-        if not -1.0 <= g <= 1.0:  # NaN fails both comparisons
-            raise DomainError(f"gamma must lie in [-1, 1], got {g}")
-    for name, values in (("b1", b1), ("b2", b2), ("b1 + b2", map(add, b1, b2)), ("b1 - b2", map(sub, b1, b2))):
-        for v in values:
-            if not math.isfinite(v):
-                raise DomainError(f"{name} must be finite, got {v}")
 
 
 def _kernel_columns(kernel, width: int, gamma: list, b1: list, b2: list, t: list) -> list[list[float]]:

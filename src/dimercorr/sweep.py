@@ -14,10 +14,9 @@ from __future__ import annotations
 from itertools import groupby, takewhile
 from typing import TYPE_CHECKING, NamedTuple
 
+from .domain import AXIS_NAMES, AXIS_WRITES, OUTPUTS, RECORD_COLUMNS, DomainError, ModelParams
 from .domain import check_grid, check_positive_finite, linspace
-from .exceptions import DomainError
-from .models import OUTPUTS, ModelParams, _correlations, _kernel_columns
-from .names import AXIS_NAMES, AXIS_WRITES, RECORD_COLUMNS
+from .models import _correlations, _kernel_columns
 
 if TYPE_CHECKING:
     import numpy as np

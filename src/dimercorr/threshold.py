@@ -9,20 +9,17 @@ with u = 1/T and r = sqrt((b1-b2)^2 + (1-gamma)^2) (temperatures in units
 of J).  g' = (1+gamma) + r coth(r u) > 0, so for gamma < 1 there is exactly
 one threshold, and it depends on (gamma, |b1 - b2|) alone; at b1 = b2 it
 solves the paper's gamma = (T/2) ln(e^{2/T} - 2).  One solver bisects the
-sign of g to adjacent floats for both tth_anisotropic and tth_numeric.
+sign of g to adjacent floats for both tth_anisotropic and tth_numeric, and
+both check their point through domain.ModelParams, which loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from .domain import check_positive_finite
-from .exceptions import DomainError
-
-if TYPE_CHECKING:
-    from .models import ModelParams
+from .domain import ModelParams, check_positive_finite
 
 __all__ = [
     "ThresholdPoint",
@@ -78,11 +75,9 @@ def tth_anisotropic(gamma: float) -> float:
 
     The root of gamma = (T/2) ln(e^{2/T} - 2), the b1 = b2 case of the
     solver.  gamma = 1 is the degenerate limit and returns 0 directly (the
-    state never entangles there).
+    state never entangles there).  ``gamma`` is checked as a ModelParams.
     """
-    gamma = float(gamma)  # a numpy float32 would otherwise keep float32 arithmetic
-    if not -1.0 <= gamma <= 1.0:
-        raise DomainError(f"gamma must lie in [-1, 1], got {gamma}")
+    gamma = ModelParams(gamma).gamma
     if gamma == 1.0:
         return 0.0
     return _threshold(gamma, 0.0)
@@ -101,8 +96,6 @@ def tth_numeric(p: ModelParams, t_max: float) -> float | None:
     state never entangles.  Uniform fields do not move it: equal b1 and b2
     give tth_anisotropic(gamma), bit for bit.  ``p`` is checked as a ModelParams.
     """
-    from .models import ModelParams
-
     check_positive_finite(t_max, "t_max")
     gamma, b1, b2 = ModelParams(*p)
     if gamma == 1.0:

@@ -22,9 +22,9 @@ from .correlations import (
     random_density_matrix,
     sample_decomposition_average,
 )
+from .domain import SUITES
 from .matkernel import _density_eigh, gibbs
 from .models import build_hamiltonian, closed_form_correlations, thermal_state_analytic
-from .names import SUITES
 
 __all__ = [
     "CheckResult",
@@ -147,18 +147,11 @@ def run_suites(
         raise ValueError(f"samples must be at least 1, got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    wanted = SUITES if suite == "all" else (suite,)
-    drawn = {"seed": seed}
-    if samples is not None:  # otherwise each check keeps its own default
-        drawn["samples"] = samples
-    results: list[CheckResult] = []
-    for name in wanted:
-        if name == "gibbs":
-            results.append(check_gibbs_equivalence(**drawn))
-        elif name == "wootters":
-            results.extend(check_wootters_closed_form())
-        elif name == "ppt":
-            results.append(check_ppt_agreement(**drawn))
-        else:
-            results.append(check_ensemble_bound(**drawn))
-    return results
+    draws = {"seed": seed} if samples is None else {"seed": seed, "samples": samples}  # None: each check's own count
+    suites = {  # built per call, so each check is looked up at call time
+        "gibbs": lambda: [check_gibbs_equivalence(**draws)],
+        "wootters": check_wootters_closed_form,
+        "ppt": lambda: [check_ppt_agreement(**draws)],
+        "ensemble": lambda: [check_ensemble_bound(**draws)],
+    }
+    return [result for name in (SUITES if suite == "all" else (suite,)) for result in suites[name]()]

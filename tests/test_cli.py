@@ -394,6 +394,51 @@ def test_subcommand_does_not_load(argv, absent):
     assert proc.returncode == 0, proc.stderr
 
 
+# The package modules each subcommand loads: the numpy-free boundary, then what it runs.
+_BOUNDARY = {"dimercorr", "dimercorr.cli", "dimercorr.domain"}
+_LOADED = {
+    "point": (["point", "--gamma", "0", "--b1", "0.7", "--b2", "-0.3", "--temp", "0.3"], {"models"}),
+    "sweep-csv": (["sweep", "--model", "heisenberg", "--axis", "T=0.02:4:150"], {"models", "sweep"}),
+    "sweep-json": (
+        ["sweep", "--model", "xy", "--temp", "0.3", "--axis", "b1=-3:3:61", "--axis", "b2=-3:3:61", "--format", "json"],
+        {"models", "sweep"},
+    ),
+    "threshold": (["threshold", "--gamma", "-1:0.99:100"], {"threshold"}),
+    "verify": (["verify", "--suite", "gibbs", "--samples", "2"], {"models", "matkernel", "correlations", "verify"}),
+}
+
+
+def test_each_subcommand_loads_exactly_its_modules():
+    import importlib
+
+    import dimercorr
+
+    for name, (argv, runs) in _LOADED.items():
+        code = (
+            "import contextlib, io, sys; from dimercorr import cli\n"
+            f"with contextlib.redirect_stdout(io.StringIO()): assert cli.main({argv!r}) == 0\n"
+            "print(*(name for name in sys.modules if name.partition('.')[0] == 'dimercorr'))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert set(proc.stdout.split()) == _BOUNDARY | {f"dimercorr.{module}" for module in runs}, name
+    # each public name is listed where the package looks it up, the names moved into domain too
+    for name, module in dimercorr._SUBMODULE.items():
+        assert name in importlib.import_module(f"dimercorr.{module}").__all__, name
+
+
+def test_lazy_namespace_reads_the_submodule_at_every_lookup(monkeypatch):
+    import dimercorr
+    import dimercorr.correlations
+
+    original = dimercorr.report
+    sentinel = object()
+    monkeypatch.setattr(dimercorr.correlations, "report", sentinel)
+    assert dimercorr.report is sentinel  # a first lookup cached nothing
+    monkeypatch.undo()
+    assert dimercorr.report is original
+
+
 def test_lazy_namespace_resolves_every_public_name():
     import importlib
 

@@ -18,7 +18,7 @@ from dimercorr.correlations import (
     sample_decomposition_average,
     von_neumann_entropy,
 )
-from dimercorr.exceptions import DomainError, ValidationError
+from dimercorr.domain import DomainError, ValidationError
 from dimercorr.models import thermal_state_analytic
 
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)

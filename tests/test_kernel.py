@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from dimercorr.correlations import formation_from_concurrence, report
-from dimercorr.exceptions import DomainError
+from dimercorr.domain import DomainError
 from dimercorr.matkernel import gibbs
 from dimercorr.models import (
     ModelParams,

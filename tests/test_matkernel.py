@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dimercorr.correlations import concurrence, entanglement_of_formation, report, sample_decomposition_average
-from dimercorr.exceptions import DomainError, ValidationError
+from dimercorr.domain import DomainError, ValidationError
 from dimercorr.matkernel import (
     check_density_matrix,
     gibbs,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dimercorr.correlations import concurrence, report
-from dimercorr.exceptions import DomainError
+from dimercorr.domain import DomainError
 from dimercorr.matkernel import EigenSystem, check_density_matrix, gibbs, hermitian_eig
 from dimercorr.models import (
     ModelParams,

@@ -21,7 +21,7 @@ from dimercorr.correlations import (
     sample_decomposition_average,
     von_neumann_entropy,
 )
-from dimercorr.exceptions import DomainError, ValidationError
+from dimercorr.domain import DomainError, ValidationError
 from dimercorr.matkernel import (
     check_density_matrix,
     gibbs,

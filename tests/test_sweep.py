@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.signal import find_peaks
 
-from dimercorr.exceptions import DomainError
+from dimercorr.domain import DomainError
 from dimercorr.models import ModelParams, closed_form_correlations
 from dimercorr.sweep import (
     RECORD_COLUMNS,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dimercorr.correlations import concurrence
-from dimercorr.exceptions import DomainError
+from dimercorr.domain import DomainError
 from dimercorr.matkernel import gibbs, partial_transpose
 from dimercorr.models import (
     ModelParams,
@@ -78,6 +78,16 @@ def test_numpy_scalar_gamma_is_a_float():
     gamma = np.float32(0.3)
     assert tth_anisotropic(gamma) == tth_anisotropic(float(gamma))
     assert type(tth_anisotropic(gamma)) is float
+
+
+@pytest.mark.parametrize("gamma", [np.array([0.1]), np.zeros((2, 1)), 2.0, -1.01, math.nan])
+def test_gamma_passes_the_point_gate(gamma):
+    # tth_anisotropic checks its gamma as ModelParams does: the same error, word for word
+    with pytest.raises(ValueError) as gate:
+        ModelParams(gamma)
+    with pytest.raises(ValueError) as raised:
+        tth_anisotropic(gamma)
+    assert (type(raised.value), str(raised.value)) == (type(gate.value), str(gate.value))
 
 
 def test_threshold_roundtrip():
