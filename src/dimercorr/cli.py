@@ -9,8 +9,11 @@ The module loads per subcommand: at import it needs only domain, the
 numpy-free boundary that holds the parser's name tables, the grid rules and
 the exceptions behind the exit codes, and each subcommand imports the
 modules it runs when it runs.  So ``point`` and ``sweep`` (the pure-``math``
-closed-form kernel) and ``threshold`` (a pure-``math`` bisection) never
-load numpy; ``verify`` does.
+closed-form kernel) and ``threshold`` (a pure-``math`` root finder) never
+load numpy; ``verify`` does.  ``entry``, the process entry point, defaults
+OPENBLAS_NUM_THREADS to 1 before numpy loads, so verify's BLAS runs
+single-threaded unless the caller's environment says otherwise; ``main``
+leaves the environment alone.
 """
 
 from __future__ import annotations
@@ -364,6 +367,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    # verify's 4x4 BLAS work never splits across threads, and starting OpenBLAS's worker costs about what its suites do
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         code = main()
         sys.stdout.flush()

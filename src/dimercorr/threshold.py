@@ -8,8 +8,9 @@ cancels from rho11 rho44, so the concurrence is positive exactly where
 with u = 1/T and r = sqrt((b1-b2)^2 + (1-gamma)^2) (temperatures in units
 of J).  g' = (1+gamma) + r coth(r u) > 0, so for gamma < 1 there is exactly
 one threshold, and it depends on (gamma, |b1 - b2|) alone; at b1 = b2 it
-solves the paper's gamma = (T/2) ln(e^{2/T} - 2).  One solver bisects the
-sign of g to adjacent floats for both tth_anisotropic and tth_numeric, and
+solves the paper's gamma = (T/2) ln(e^{2/T} - 2).  One solver finds the
+sign change of g between adjacent floats (Newton steps on u = 1/T, then a
+float-by-float walk) for both tth_anisotropic and tth_numeric, and
 both check their point through domain.ModelParams, which loads no numpy.
 """
 
@@ -44,8 +45,12 @@ def _threshold(gamma: float, delta: float) -> float:
 
     ln sinh x is written as x + ln(-expm1(-2x) / 2) and ln((1-gamma) / r)
     as ln(1-gamma) - ln r, so g stays finite for every finite delta.  T is
-    doubled or halved from 1 until g changes sign, and that bracket is
-    bisected until its ends are adjacent floats.
+    doubled or halved from 1 until g changes sign.  g is increasing and
+    concave in u = 1/T, so Newton steps from the bracket's cold end stay
+    at or below the root; each is taken as (g/r) / ((1+gamma)/r + coth(r u)),
+    which cannot overflow.  Stepping float by float from where they stop
+    finds the adjacent pair (entangled, not entangled), and the result is
+    the float a bisection of the bracket down to that pair returns.
     """
     gap = 1.0 - gamma
     r = math.hypot(delta, gap)
@@ -60,14 +65,26 @@ def _threshold(gamma: float, delta: float) -> float:
         lo, hi = hi, 2.0 * hi
     while not entangled(lo):
         lo, hi = 0.5 * lo, lo
+    slope = (1.0 + gamma) / r
+    u, u_max = 1.0 / hi, 1.0 / lo  # powers of two, so 1/u stays inside [lo, hi]
     while True:
-        mid = lo + 0.5 * (hi - lo)
-        if mid in (lo, hi):  # the bracket is down to adjacent floats
-            return mid
-        if entangled(mid):
-            lo = mid
-        else:
-            hi = mid
+        x = r * u
+        em = -math.expm1(-2.0 * x)  # coth x = (2 - em) / em
+        step = ((1.0 + gamma) * u + x + math.log(em) + offset) / r / (slope + (2.0 - em) / em)
+        nxt = min(u - step, u_max)
+        if not nxt > u:  # at the root, to rounding
+            break
+        u = nxt
+    t = 1.0 / u
+    if entangled(t):
+        while entangled(up := math.nextafter(t, math.inf)):
+            t = up
+        lo, hi = t, up
+    else:
+        while not entangled(down := math.nextafter(t, 0.0)):
+            t = down
+        lo, hi = down, t
+    return lo + 0.5 * (hi - lo)
 
 
 def tth_anisotropic(gamma: float) -> float:

@@ -232,6 +232,54 @@ def test_console_script_entry_point():
     assert proc.stdout.startswith(CSV_HEADER)
 
 
+def _without_blas_threads(monkeypatch):
+    # set, then delete, so that undo removes whatever entry() adds
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "unset")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset, seen", [(None, "1"), ("3", "3")])
+def test_entry_defaults_blas_to_one_thread(monkeypatch, preset, seen):
+    from dimercorr import cli
+
+    _without_blas_threads(monkeypatch)
+    if preset is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    observed = []
+
+    def main():
+        observed.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+        return 0
+
+    monkeypatch.setattr(cli, "main", main)
+    with pytest.raises(SystemExit) as exit_:
+        cli.entry()
+    assert exit_.value.code == 0
+    assert observed == [seen]  # the caller's value wins over the default
+
+
+def test_main_leaves_the_environment_alone(monkeypatch, capsys):
+    _without_blas_threads(monkeypatch)
+    before = dict(os.environ)
+    code, _, _ = run_cli(capsys, "verify", "--suite", "gibbs", "--samples", "2")
+    assert code == 0
+    assert dict(os.environ) == before
+
+
+def test_verify_output_does_not_depend_on_blas_threads():
+    # the verdicts and residual digits on this build, whatever they are, with one BLAS thread or two
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "dimercorr", "verify", "--suite", "all"], env=env, capture_output=True, text=True
+        )
+        for env in (base, dict(base, OPENBLAS_NUM_THREADS="2"))
+    ]
+    for proc in runs:
+        assert (proc.returncode, proc.stderr) == (0, "")
+    assert runs[0].stdout == runs[1].stdout
+
+
 @pytest.mark.parametrize(
     "argv",
     [

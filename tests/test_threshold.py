@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -261,6 +262,90 @@ def test_thresholds_at_the_edges_of_the_domain():
         t = tth_numeric(p, big)
         assert math.isfinite(t) and t > 0.0, p
         assert relative_error(t, mp_threshold(p.gamma, abs(p.b1 - p.b2))) <= ROOT_TOL, p
+
+
+def bisection_threshold(gamma, delta):
+    """The former solver: bisect the sign of g in T from its doubling bracket down to adjacent floats."""
+    gap = 1.0 - gamma
+    r = math.hypot(delta, gap)
+    offset = math.log(gap) - math.log(r) - math.log(2.0)
+
+    def entangled(t):
+        x = r / t
+        return (1.0 + gamma) / t + x + math.log(-math.expm1(-2.0 * x)) + offset > 0.0
+
+    lo = hi = 1.0
+    while entangled(hi):
+        lo, hi = hi, 2.0 * hi
+    while not entangled(lo):
+        lo, hi = 0.5 * lo, lo
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if mid in (lo, hi):
+            return mid
+        if entangled(mid):
+            lo = mid
+        else:
+            hi = mid
+
+
+def _bisection_panel():
+    """(gamma, b1, b2) points: the CLI's grid, the zero-field list, the domain's edges and a seeded box."""
+    big = sys.float_info.max
+    gammas = np.linspace(-1.0, 0.99, 100).tolist() + list(ZERO_FIELD_GAMMAS)
+    points = [(g, 0.0, 0.0) for g in gammas]
+    points += [
+        (-1.0, 0.0, 0.0),
+        (1.0 - 2.0**-53, 0.0, 0.0),
+        (1.0 - 2.0**-53, 1.0, -1.0),
+        (-1.0, big, 0.0),
+        (0.0, big / 2.0, -big / 2.0),
+        (1.0 - 2.0**-53, big / 2.0, -big / 2.0),
+        (0.0, 1e10, -1e10),
+        (0.5, 1e-300, -1e-300),
+    ]
+    rng = np.random.default_rng(2401)
+    gamma = rng.uniform(-1.0, 1.0, 2000)
+    b1, b2 = rng.uniform(-5.0, 5.0, (2, 2000))
+    points += zip(gamma.tolist(), b1.tolist(), b2.tolist())
+    # field differences log-uniform from 1e-300 out to big, as +-half on each spin
+    half = 0.5 * 10.0 ** rng.uniform(-300.0, math.log10(big), 200)
+    points += zip(rng.uniform(-1.0, 1.0, 200).tolist(), half.tolist(), (-half).tolist())
+    return points
+
+
+def test_solver_returns_the_bisection_float():
+    # Newton steps and a float-by-float walk land on the same adjacent pair
+    # as bisection, so every threshold keeps its bits
+    big = sys.float_info.max
+    for gamma, b1, b2 in _bisection_panel():
+        expected = bisection_threshold(gamma, abs(b1 - b2)).hex()
+        assert tth_numeric(ModelParams(gamma, b1, b2), big).hex() == expected, (gamma, b1, b2)
+        if b1 == b2:
+            assert tth_anisotropic(gamma).hex() == expected, gamma
+
+
+# the most float-by-float steps the solver may take after its Newton steps;
+# the panel above needs at most 4
+WALK_STEPS = 8
+
+
+def test_newton_stops_a_few_floats_from_the_root(monkeypatch):
+    from dimercorr import threshold
+
+    steps = []
+
+    def nextafter(x, y):
+        steps.append(x)
+        assert len(steps) <= WALK_STEPS, steps  # fails fast where a bad start would walk for ever
+        return math.nextafter(x, y)
+
+    monkeypatch.setattr(threshold, "math", SimpleNamespace(**{**vars(math), "nextafter": nextafter}))
+    big = sys.float_info.max
+    for gamma, b1, b2 in _bisection_panel():
+        steps.clear()
+        tth_numeric(ModelParams(gamma, b1, b2), big)
+        assert steps, (gamma, b1, b2)
 
 
 def test_uniform_fields_give_the_zero_field_threshold_bit_for_bit():
