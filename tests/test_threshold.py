@@ -244,22 +244,24 @@ def test_thresholds_match_sixty_digit_roots():
         assert relative_error(t, mp_threshold(p.gamma, abs(p.b1 - p.b2))) <= ROOT_TOL, p
 
 
+_BIG = sys.float_info.max
+# gamma = -1, gamma -> 1, and field differences up to the largest finite
+# b1 - b2 that ModelParams accepts, where the threshold nears 1e305
+EDGE_POINTS = [
+    ModelParams(-1.0),
+    ModelParams(1.0 - 2.0**-53),
+    ModelParams(1.0 - 2.0**-53, 1.0, -1.0),
+    ModelParams(-1.0, _BIG, 0.0),
+    ModelParams(0.0, _BIG / 2.0, -_BIG / 2.0),
+    ModelParams(1.0 - 2.0**-53, _BIG / 2.0, -_BIG / 2.0),
+    ModelParams(0.0, 1e10, -1e10),
+    ModelParams(0.5, 1e-300, -1e-300),
+]
+
+
 def test_thresholds_at_the_edges_of_the_domain():
-    # gamma = -1, gamma -> 1, and field differences up to the largest finite
-    # b1 - b2 that ModelParams accepts, where the threshold nears 1e305
-    big = sys.float_info.max
-    points = [
-        ModelParams(-1.0),
-        ModelParams(1.0 - 2.0**-53),
-        ModelParams(1.0 - 2.0**-53, 1.0, -1.0),
-        ModelParams(-1.0, big, 0.0),
-        ModelParams(0.0, big / 2.0, -big / 2.0),
-        ModelParams(1.0 - 2.0**-53, big / 2.0, -big / 2.0),
-        ModelParams(0.0, 1e10, -1e10),
-        ModelParams(0.5, 1e-300, -1e-300),
-    ]
-    for p in points:
-        t = tth_numeric(p, big)
+    for p in EDGE_POINTS:
+        t = tth_numeric(p, _BIG)
         assert math.isfinite(t) and t > 0.0, p
         assert relative_error(t, mp_threshold(p.gamma, abs(p.b1 - p.b2))) <= ROOT_TOL, p
 
@@ -291,25 +293,14 @@ def bisection_threshold(gamma, delta):
 
 def _bisection_panel():
     """(gamma, b1, b2) points: the CLI's grid, the zero-field list, the domain's edges and a seeded box."""
-    big = sys.float_info.max
     gammas = np.linspace(-1.0, 0.99, 100).tolist() + list(ZERO_FIELD_GAMMAS)
-    points = [(g, 0.0, 0.0) for g in gammas]
-    points += [
-        (-1.0, 0.0, 0.0),
-        (1.0 - 2.0**-53, 0.0, 0.0),
-        (1.0 - 2.0**-53, 1.0, -1.0),
-        (-1.0, big, 0.0),
-        (0.0, big / 2.0, -big / 2.0),
-        (1.0 - 2.0**-53, big / 2.0, -big / 2.0),
-        (0.0, 1e10, -1e10),
-        (0.5, 1e-300, -1e-300),
-    ]
+    points = [(g, 0.0, 0.0) for g in gammas] + EDGE_POINTS
     rng = np.random.default_rng(2401)
     gamma = rng.uniform(-1.0, 1.0, 2000)
     b1, b2 = rng.uniform(-5.0, 5.0, (2, 2000))
     points += zip(gamma.tolist(), b1.tolist(), b2.tolist())
-    # field differences log-uniform from 1e-300 out to big, as +-half on each spin
-    half = 0.5 * 10.0 ** rng.uniform(-300.0, math.log10(big), 200)
+    # field differences log-uniform from 1e-300 out to the largest float, as +-half on each spin
+    half = 0.5 * 10.0 ** rng.uniform(-300.0, math.log10(_BIG), 200)
     points += zip(rng.uniform(-1.0, 1.0, 200).tolist(), half.tolist(), (-half).tolist())
     return points
 
@@ -317,10 +308,9 @@ def _bisection_panel():
 def test_solver_returns_the_bisection_float():
     # Newton steps and a float-by-float walk land on the same adjacent pair
     # as bisection, so every threshold keeps its bits
-    big = sys.float_info.max
     for gamma, b1, b2 in _bisection_panel():
         expected = bisection_threshold(gamma, abs(b1 - b2)).hex()
-        assert tth_numeric(ModelParams(gamma, b1, b2), big).hex() == expected, (gamma, b1, b2)
+        assert tth_numeric(ModelParams(gamma, b1, b2), _BIG).hex() == expected, (gamma, b1, b2)
         if b1 == b2:
             assert tth_anisotropic(gamma).hex() == expected, gamma
 
@@ -341,10 +331,9 @@ def test_newton_stops_a_few_floats_from_the_root(monkeypatch):
         return math.nextafter(x, y)
 
     monkeypatch.setattr(threshold, "math", SimpleNamespace(**{**vars(math), "nextafter": nextafter}))
-    big = sys.float_info.max
     for gamma, b1, b2 in _bisection_panel():
         steps.clear()
-        tth_numeric(ModelParams(gamma, b1, b2), big)
+        tth_numeric(ModelParams(gamma, b1, b2), _BIG)
         assert steps, (gamma, b1, b2)
 
 
