@@ -9,9 +9,9 @@ with u = 1/T and r = sqrt((b1-b2)^2 + (1-gamma)^2) (temperatures in units
 of J).  g' = (1+gamma) + r coth(r u) > 0, so for gamma < 1 there is exactly
 one threshold, and it depends on (gamma, |b1 - b2|) alone; at b1 = b2 it
 solves the paper's gamma = (T/2) ln(e^{2/T} - 2).  One solver finds the
-sign change of g between adjacent floats (Newton steps on u = 1/T, then a
-float-by-float walk) for both tth_anisotropic and tth_numeric, and
-both check their point through domain.ModelParams, which loads no numpy.
+sign change of g between adjacent floats (Newton steps on u = 1/T from a
+closed-form start, then a float-by-float walk) for tth_anisotropic and
+tth_numeric; both check their point through numpy-free domain.ModelParams.
 """
 
 from __future__ import annotations
@@ -43,14 +43,15 @@ class ThresholdPoint(NamedTuple):
 def _threshold(gamma: float, delta: float) -> float:
     """The one root in T of g(1/T) for gamma < 1 and field difference |b1 - b2| = ``delta``.
 
-    ln sinh x is written as x + ln(-expm1(-2x) / 2) and ln((1-gamma) / r)
-    as ln(1-gamma) - ln r, so g stays finite for every finite delta.  T is
-    doubled or halved from 1 until g changes sign.  g is increasing and
-    concave in u = 1/T, so Newton steps from the bracket's cold end stay
-    at or below the root; each is taken as (g/r) / ((1+gamma)/r + coth(r u)),
-    which cannot overflow.  Stepping float by float from where they stop
-    finds the adjacent pair (entangled, not entangled), and the result is
-    the float a bisection of the bracket down to that pair returns.
+    g is written as (1+gamma) u + x + ln(-expm1(-2x)) + offset, with x = r u
+    and offset = ln((1-gamma) / (2r)) < 0, so it is finite for every finite
+    delta.  ln(-expm1(-2x)) < 0, so g < 0 at u0 = -offset / (1+gamma+r), the
+    root's large-r asymptote.  g is increasing and concave in u = 1/T, so
+    Newton steps (g/r) / ((1+gamma)/r + coth(r u)), which cannot overflow,
+    climb from u0 to the root without passing it: at most 11 evaluations of
+    g, measured.  A walk of a few floats from where they stop finds the
+    adjacent pair (entangled, not entangled); the result is its midpoint,
+    the float that bisecting down to that pair returns.
     """
     gap = 1.0 - gamma
     r = math.hypot(delta, gap)
@@ -60,18 +61,13 @@ def _threshold(gamma: float, delta: float) -> float:
         x = r / t
         return (1.0 + gamma) / t + x + math.log(-math.expm1(-2.0 * x)) + offset > 0.0
 
-    lo = hi = 1.0  # entangled at lo, not at hi; one of the two loops does nothing
-    while entangled(hi):
-        lo, hi = hi, 2.0 * hi
-    while not entangled(lo):
-        lo, hi = 0.5 * lo, lo
     slope = (1.0 + gamma) / r
-    u, u_max = 1.0 / hi, 1.0 / lo  # powers of two, so 1/u stays inside [lo, hi]
+    u = -offset / (1.0 + gamma + r)  # g < 0 here, for every gamma < 1 and finite delta
     while True:
         x = r * u
         em = -math.expm1(-2.0 * x)  # coth x = (2 - em) / em
         step = ((1.0 + gamma) * u + x + math.log(em) + offset) / r / (slope + (2.0 - em) / em)
-        nxt = min(u - step, u_max)
+        nxt = u - step
         if not nxt > u:  # at the root, to rounding
             break
         u = nxt

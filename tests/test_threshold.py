@@ -292,9 +292,14 @@ def bisection_threshold(gamma, delta):
 
 
 def _bisection_panel():
-    """(gamma, b1, b2) points: the CLI's grid, the zero-field list, the domain's edges and a seeded box."""
+    """(gamma, b1, b2) points: the CLI's grid, the zero-field list, the domain's edges, gamma ladders and a seeded box."""
     gammas = np.linspace(-1.0, 0.99, 100).tolist() + list(ZERO_FIELD_GAMMAS)
     points = [(g, 0.0, 0.0) for g in gammas] + EDGE_POINTS
+    # gamma = +-(1 - 2^-k): at delta = 0 the solver starts at u = ln2 / 2 for
+    # every gamma while the root runs out to u ≈ 18, its farthest start
+    ladder = [s * (1.0 - 2.0**-k) for k in range(1, 54) for s in (1.0, -1.0)]
+    for half in (0.0, 0.5e-300, 0.5, 0.5e10, _BIG / 2.0):
+        points += [(g, half, -half) for g in ladder]
     rng = np.random.default_rng(2401)
     gamma = rng.uniform(-1.0, 1.0, 2000)
     b1, b2 = rng.uniform(-5.0, 5.0, (2, 2000))
@@ -315,26 +320,34 @@ def test_solver_returns_the_bisection_float():
             assert tth_anisotropic(gamma).hex() == expected, gamma
 
 
-# the most float-by-float steps the solver may take after its Newton steps;
-# the panel above needs at most 4
+# the most float-by-float steps the solver may take after its Newton steps,
+# and the most evaluations of g per root; the panel above needs at most 4 and 11
 WALK_STEPS = 8
+EVALUATIONS = 16
 
 
 def test_newton_stops_a_few_floats_from_the_root(monkeypatch):
     from dimercorr import threshold
 
-    steps = []
+    steps, evaluations = [], []
 
     def nextafter(x, y):
         steps.append(x)
         assert len(steps) <= WALK_STEPS, steps  # fails fast where a bad start would walk for ever
         return math.nextafter(x, y)
 
-    monkeypatch.setattr(threshold, "math", SimpleNamespace(**{**vars(math), "nextafter": nextafter}))
+    def expm1(x):  # called once per evaluation of g, in the sign test and in the Newton step
+        evaluations.append(x)
+        return math.expm1(x)
+
+    patched = {**vars(math), "nextafter": nextafter, "expm1": expm1}
+    monkeypatch.setattr(threshold, "math", SimpleNamespace(**patched))
     for gamma, b1, b2 in _bisection_panel():
         steps.clear()
+        evaluations.clear()
         tth_numeric(ModelParams(gamma, b1, b2), _BIG)
         assert steps, (gamma, b1, b2)
+        assert len(evaluations) <= EVALUATIONS, (gamma, b1, b2, len(evaluations))
 
 
 def test_uniform_fields_give_the_zero_field_threshold_bit_for_bit():
