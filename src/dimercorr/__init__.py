@@ -22,22 +22,16 @@ _SUBMODULE = {
     "formation_from_concurrence": "correlations",
     "is_separable_ppt": "correlations",
     "random_density_matrix": "correlations",
-    "random_unitary": "correlations",
     "report": "correlations",
     "sample_decomposition_average": "correlations",
-    "von_neumann_entropy": "correlations",
     "DomainError": "domain",
     "ModelParams": "domain",
     "ValidationError": "domain",
-    "EigenSystem": "matkernel",
     "check_density_matrix": "matkernel",
     "gibbs": "matkernel",
-    "hermitian_eig": "matkernel",
     "kron": "matkernel",
-    "partial_trace": "matkernel",
     "partial_transpose": "matkernel",
     "pauli": "matkernel",
-    "analytic_eigensystem": "models",
     "build_hamiltonian": "models",
     "closed_form_correlations": "models",
     "thermal_state": "models",

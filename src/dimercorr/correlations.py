@@ -32,10 +32,8 @@ __all__ = [
     "formation_from_concurrence",
     "is_separable_ppt",
     "random_density_matrix",
-    "random_unitary",
     "report",
     "sample_decomposition_average",
-    "von_neumann_entropy",
 ]
 
 # sy x sy is the antidiagonal matrix with entries -1, 1, 1, -1: as a right
@@ -73,15 +71,6 @@ def _formation(c: np.ndarray) -> np.ndarray:
 def _entropy_bits(eigenvalues: np.ndarray) -> np.ndarray:
     """-sum p log2 p over the last axis (0 log 0 = 0, p <= 0 counts as 0), clamped to >= 0."""
     return np.maximum(0.0, -_xlog2x(eigenvalues).sum(axis=-1))
-
-
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Entropy -tr(rho log2 rho) of a 2x2 or 4x4 density matrix (or a stack), in bits.
-
-    Eigenvalues in [-1e-10, 0) count as zero (0 log 0 = 0); anything more
-    negative is a validation error.  The result is clamped to >= 0.
-    """
-    return _scalar(_entropy_bits(_density_eigh(rho)[1]))
 
 
 def _mutual_information(rho: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
@@ -197,12 +186,6 @@ def _orthonormal_columns(z: np.ndarray, k: int) -> np.ndarray:
             v = v - (q[:i] * coeffs[:, None]).sum(axis=0)
         q[i] = v / np.sqrt((v.real * v.real + v.imag * v.imag).sum(axis=0))
     return q
-
-
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary: the phase-fixed Q factor of a complex Ginibre matrix."""
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    return _orthonormal_columns(z.T / math.sqrt(2.0), dim).T
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int = 4, size: int | None = None) -> np.ndarray:

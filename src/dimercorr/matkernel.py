@@ -10,8 +10,6 @@ wrapping arrays in a dedicated class.  Every matrix function also takes a
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .domain import ValidationError, check_positive_finite
@@ -20,12 +18,9 @@ __all__ = [
     "HERMITIAN_TOL",
     "PSD_TOL",
     "TRACE_TOL",
-    "EigenSystem",
     "check_density_matrix",
     "gibbs",
-    "hermitian_eig",
     "kron",
-    "partial_trace",
     "partial_transpose",
     "pauli",
 ]
@@ -123,27 +118,6 @@ def check_density_matrix(m: np.ndarray, dim: int | None = None) -> np.ndarray:
     return _density_eigh(m, dim)[0]
 
 
-class EigenSystem(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-
-    values: np.ndarray
-    vectors: np.ndarray  # column k pairs with values[k]
-
-
-def hermitian_eig(m: np.ndarray) -> EigenSystem:
-    """Full eigendecomposition of a Hermitian matrix, or of a (..., d, d) stack in one call.
-
-    Eigenvalues are real and ascending; eigenvectors form an orthonormal
-    set of columns.  The input must be Hermitian within 1e-10.
-    """
-    m = _as_square(m)
-    bad = ~_hermitian_mask(m, HERMITIAN_TOL)
-    if bad.any():
-        raise ValidationError("matrix is not Hermitian within 1e-10" + _member(bad))
-    values, vectors = np.linalg.eigh(m)
-    return EigenSystem(values, vectors)
-
-
 def gibbs(h: np.ndarray, temperature) -> np.ndarray:
     """Thermal state exp(-h/T) / Z built from the spectral decomposition.
 
@@ -151,12 +125,17 @@ def gibbs(h: np.ndarray, temperature) -> np.ndarray:
     broadcast against each other (one Hamiltonian at many temperatures, or
     a stack at one), with one eigensolver call for the stack.  Boltzmann
     weights are shifted by the ground energy before exponentiating, so the
-    construction stays finite at any T > 0.
+    construction stays finite at any T > 0.  ``h`` must be Hermitian within
+    1e-10; ValidationError names the first failing member of a stack.
     """
     t = np.asarray(temperature, dtype=float)
     check_positive_finite(t.ravel().tolist())
     t = t[..., None]
-    values, vectors = hermitian_eig(h)
+    h = _as_square(h)
+    bad = ~_hermitian_mask(h, HERMITIAN_TOL)
+    if bad.any():
+        raise ValidationError("matrix is not Hermitian within 1e-10" + _member(bad))
+    values, vectors = np.linalg.eigh(h)
     weights = np.exp(-(values - values[..., :1]) / t)
     weights /= weights.sum(axis=-1, keepdims=True)
     rho = (vectors * weights[..., None, :]) @ _adjoint(vectors)
@@ -164,15 +143,9 @@ def gibbs(h: np.ndarray, temperature) -> np.ndarray:
 
 
 def _partial_trace(rho: np.ndarray, keep: int) -> np.ndarray:
+    """Reduced 2x2 state of qubit ``keep`` (1 or 2) of a validated two-qubit state (or stack)."""
     blocks = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2)  # (row q1, row q2, col q1, col q2)
     return np.einsum("...ikjk->...ij" if keep == 1 else "...kikj->...ij", blocks)
-
-
-def partial_trace(rho: np.ndarray, keep: int) -> np.ndarray:
-    """Reduced 2x2 state of qubit ``keep`` (1 or 2) of a two-qubit density matrix (or stack)."""
-    if keep not in (1, 2):
-        raise ValueError(f"keep must be 1 or 2, got {keep}")
-    return _partial_trace(check_density_matrix(rho, 4), keep)
 
 
 def _partial_transpose(rho: np.ndarray, subsystem: int) -> np.ndarray:

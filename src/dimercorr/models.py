@@ -8,22 +8,22 @@ The model is
 with anisotropy gamma in [-1, 1], exchange J > 0 (antiferromagnetic) and
 local fields b1, b2 measured in units of J.  Boltzmann's constant is 1, so
 temperatures are energies.  The Hamiltonian conserves total S_z, so every
-thermal state is an X-state.  One closed form for its levels, populations
-and mixing angle (_x_form) gives the eigenpairs, the Gibbs state and the
+thermal state is an X-state.  One closed form (_x_form), built from its
+levels, populations and mixing angle, gives the Gibbs state and the
 correlations for any (gamma, b1, b2) and any T > 0; the dense route
 (thermal_state) is the independent check.
 
 The closed form is a scalar kernel in plain ``math``, so ``point`` and
 ``sweep`` never load numpy.  It runs once per sweep point, so it is
 written for the interpreter: _x_form works on named locals and returns one
-flat tuple of floats (populations, X-state entries, levels, mixing angle),
-which _correlations, thermal_state_analytic and analytic_eigensystem
-unpack; _correlations and _formation write their x log2 x terms out inline.
+flat tuple of floats (populations and X-state entries), which _correlations
+and thermal_state_analytic unpack; _correlations and _formation write their
+x log2 x terms out inline.
 
 Every input reaches the kernel and the threshold solver as checked Python
 floats, through one of two gates that both apply domain._check_params:
-domain.ModelParams for one point (thermal_state, analytic_eigensystem,
-threshold's tth_anisotropic and tth_numeric, a SweepSpec's base), and
+domain.ModelParams for one point (thermal_state, threshold's
+tth_anisotropic and tth_numeric, a SweepSpec's base), and
 _kernel_columns for float columns (run_sweep, and _map_kernel, the one
 mapping of numbers or arrays).
 """
@@ -40,11 +40,8 @@ from .domain import OUTPUTS, ModelParams, _check_params, check_positive_finite
 if TYPE_CHECKING:
     import numpy as np
 
-    from .matkernel import EigenSystem
-
 __all__ = [
     "ModelParams",
-    "analytic_eigensystem",
     "build_hamiltonian",
     "closed_form_correlations",
     "thermal_state",
@@ -74,18 +71,15 @@ def build_hamiltonian(gamma, b1, b2) -> np.ndarray:
 
 
 def _x_form(gamma: float, b1: float, b2: float, t: float) -> tuple[float, ...]:
-    """Populations, X-state entries, levels and mixing angle of the Gibbs state at temperature t > 0.
+    """Populations and X-state entries of the Gibbs state at temperature t > 0.
 
-    Returns, as one flat tuple in units of J:
+    Returns, as one flat tuple:
 
     - p_uu, p_dd, p_hi, p_lo: the Boltzmann populations of |uu>, |dd> and
       the upper and lower mixed level;
     - rho22, rho33: <ud|rho|ud> and <du|rho|du>;
     - coherence: |rho23| = -rho23 (rho14 = 0);
-    - corners: sqrt(rho11 rho44), formed without underflow;
-    - level_uu, level_dd: the levels of |uu> and |dd> above the lower
-      mixed level, and r, half the mixed levels' splitting;
-    - one_minus_cos: 1 - |cos(theta)| of the |ud>, |du> mixing angle.
+    - corners: sqrt(rho11 rho44), formed without underflow.
 
     H conserves total S_z: |uu> and |dd> are eigenstates at
     J[(1+gamma)/2 +- (b1+b2)], and |ud>, |du> mix into levels at
@@ -144,10 +138,7 @@ def _x_form(gamma: float, b1: float, b2: float, t: float) -> tuple[float, ...]:
     else:
         rho22, rho33 = lower_side, upper_side
     corners = math.exp(0.5 * (e_uu + e_dd)) / z
-    return (
-        w_uu / z, w_dd / z, p_hi, p_lo, rho22, rho33, coherence, corners,
-        level_uu, level_dd, r, one_minus_cos,
-    )
+    return w_uu / z, w_dd / z, p_hi, p_lo, rho22, rho33, coherence, corners
 
 
 def _formation(c: float) -> float:
@@ -165,7 +156,7 @@ def _formation(c: float) -> float:
 
 def _correlations(gamma: float, b1: float, b2: float, t: float) -> tuple[float, float, float, float]:
     """Total, quantum and classical correlation and concurrence at one point (see closed_form_correlations)."""
-    p_uu, p_dd, p_hi, p_lo, rho22, rho33, coherence, corners = _x_form(gamma, b1, b2, t)[:8]
+    p_uu, p_dd, p_hi, p_lo, rho22, rho33, coherence, corners = _x_form(gamma, b1, b2, t)
     c = min(max(2.0 * (coherence - corners), 0.0), 1.0)
     # the entropies, each x log2 x (0 at x = 0) written out and summed left to right as a + b + c + d
     s12 = -(
@@ -210,37 +201,6 @@ def _map_kernel(kernel, width: int, gamma, b1, b2, t) -> list:
     return [np.array(column, dtype=float).reshape(arrays[0].shape) for column in columns]
 
 
-def analytic_eigensystem(p: ModelParams) -> EigenSystem:
-    """Closed-form eigensystem of the dimer at one point ``p``, checked as a ModelParams.
-
-    |uu> and |dd> at J[(1+gamma)/2 +- (b1+b2)], then the upper and lower
-    mixed levels at J[-(1+gamma)/2 +- r]: the upper one is
-    cos(phi)|ud> + sin(phi)|du> and the lower one -sin(phi)|ud> + cos(phi)|du>,
-    with 2 phi = theta.  The half-angle components come from 1 - |cos(theta)|
-    without cancellation.  As from hermitian_eig, the values ascend (a
-    stable sort of that level order) and column k belongs to values[k].
-    """
-    import numpy as np
-
-    from .matkernel import EigenSystem
-
-    gamma, b1, b2 = ModelParams(*p)
-    level_uu, level_dd, r, one_minus_cos = _x_form(gamma, b1, b2, 1.0)[8:]  # the populations are not used
-    # the lower mixed level sits at -(1+gamma)/2 - r; the upper one, 2 (r - shift / 2), rounds
-    # as 2r - shift wherever 2r is finite and stays finite where 2r overflows (|b1 - b2| > ~9e307)
-    shift = 0.5 * (1.0 + gamma) + r
-    small = math.sqrt(0.5 * one_minus_cos)
-    big = math.sqrt(1.0 - 0.5 * one_minus_cos)
-    cos_phi, sin_phi = (big, small) if b1 >= b2 else (small, big)
-    vectors = np.zeros((4, 4), dtype=complex)  # one eigenvector per column
-    vectors[0, 0] = vectors[3, 1] = 1.0
-    vectors[1:3, 2] = cos_phi, sin_phi
-    vectors[1:3, 3] = -sin_phi, cos_phi
-    values = np.array([level_uu - shift, level_dd - shift, 2.0 * (r - 0.5 * shift), -shift])
-    order = np.argsort(values, kind="stable")
-    return EigenSystem(values[order], vectors[:, order])
-
-
 def thermal_state_analytic(gamma, b1, b2, t) -> np.ndarray:
     """Closed-form Gibbs state, any (gamma, b1, b2) and any T > 0.
 
@@ -252,7 +212,7 @@ def thermal_state_analytic(gamma, b1, b2, t) -> np.ndarray:
     """
     import numpy as np
 
-    p_uu, p_dd, _, _, rho22, rho33, coherence = _map_kernel(_x_form, 12, gamma, b1, b2, t)[:7]
+    p_uu, p_dd, _, _, rho22, rho33, coherence = _map_kernel(_x_form, 8, gamma, b1, b2, t)[:7]
     rho = np.zeros(np.shape(p_uu) + (4, 4), dtype=complex)
     rho[..., 0, 0], rho[..., 3, 3] = p_uu, p_dd
     rho[..., 1, 1], rho[..., 2, 2] = rho22, rho33

@@ -10,7 +10,7 @@ of J).  g' = (1+gamma) + r coth(r u) > 0, so for gamma < 1 there is exactly
 one threshold, and it depends on (gamma, |b1 - b2|) alone; at b1 = b2 it
 solves the paper's gamma = (T/2) ln(e^{2/T} - 2).  One solver finds the
 sign change of g between adjacent floats (Newton steps on u = 1/T from a
-closed-form start, then a float-by-float walk) for tth_anisotropic and
+closed-form start, then a walk of at most 64 floats) for tth_anisotropic and
 tth_numeric; both check their point through numpy-free domain.ModelParams.
 """
 
@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_WALK_LIMIT = 64  # floats walked after the Newton steps; the test panel needs at most 4
 
 
 class ThresholdPoint(NamedTuple):
@@ -51,7 +52,8 @@ def _threshold(gamma: float, delta: float) -> float:
     climb from u0 to the root without passing it: at most 11 evaluations of
     g, measured.  A walk of a few floats from where they stop finds the
     adjacent pair (entangled, not entangled); the result is its midpoint,
-    the float that bisecting down to that pair returns.
+    the float that bisecting down to that pair returns.  A walk longer than
+    _WALK_LIMIT floats raises RuntimeError rather than run on.
     """
     gap = 1.0 - gamma
     r = math.hypot(delta, gap)
@@ -72,15 +74,18 @@ def _threshold(gamma: float, delta: float) -> float:
             break
         u = nxt
     t = 1.0 / u
-    if entangled(t):
-        while entangled(up := math.nextafter(t, math.inf)):
-            t = up
-        lo, hi = t, up
-    else:
-        while not entangled(down := math.nextafter(t, 0.0)):
-            t = down
-        lo, hi = down, t
-    return lo + 0.5 * (hi - lo)
+    side = entangled(t)
+    toward = math.inf if side else 0.0  # up to the first float past the root, or down to the last before it
+    for _ in range(_WALK_LIMIT):
+        nxt = math.nextafter(t, toward)
+        if entangled(nxt) != side:
+            lo, hi = (t, nxt) if side else (nxt, t)
+            return lo + 0.5 * (hi - lo)
+        t = nxt
+    raise RuntimeError(
+        f"threshold not found within {_WALK_LIMIT} floats of the Newton steps' end"
+        f" at gamma = {gamma!r}, |b1 - b2| = {delta!r}"
+    )
 
 
 def tth_anisotropic(gamma: float) -> float:

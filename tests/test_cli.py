@@ -498,13 +498,11 @@ def test_lazy_namespace_resolves_every_public_name():
         "CheckResult",
         "CorrelationReport",
         "DomainError",
-        "EigenSystem",
         "ModelParams",
         "SweepSpec",
         "SweepTable",
         "ThresholdPoint",
         "ValidationError",
-        "analytic_eigensystem",
         "build_hamiltonian",
         "check_density_matrix",
         "closed_form_correlations",
@@ -515,14 +513,11 @@ def test_lazy_namespace_resolves_every_public_name():
         "entanglement_of_formation",
         "formation_from_concurrence",
         "gibbs",
-        "hermitian_eig",
         "is_separable_ppt",
         "kron",
-        "partial_trace",
         "partial_transpose",
         "pauli",
         "random_density_matrix",
-        "random_unitary",
         "report",
         "run_suites",
         "run_sweep",
@@ -532,7 +527,6 @@ def test_lazy_namespace_resolves_every_public_name():
         "threshold_curve",
         "tth_anisotropic",
         "tth_numeric",
-        "von_neumann_entropy",
     ]
     for name in dimercorr.__all__:
         module = importlib.import_module(f"dimercorr.{dimercorr._SUBMODULE[name]}")

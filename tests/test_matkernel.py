@@ -4,11 +4,10 @@ import pytest
 from dimercorr.correlations import concurrence, entanglement_of_formation, report, sample_decomposition_average
 from dimercorr.domain import DomainError, ValidationError
 from dimercorr.matkernel import (
+    _partial_trace,
     check_density_matrix,
     gibbs,
-    hermitian_eig,
     kron,
-    partial_trace,
     partial_transpose,
     pauli,
 )
@@ -71,43 +70,14 @@ def test_kron_rejects_wrong_shapes():
         kron(np.eye(2), np.eye(4))
 
 
-def test_hermitian_eig_pauli_z():
-    values, vectors = hermitian_eig(pauli("z"))
-    assert np.allclose(values, [-1.0, 1.0])
-    assert np.allclose(vectors.conj().T @ vectors, np.eye(2), atol=1e-12)
-
-
-def test_hermitian_eig_dimer_spectrum():
-    # isotropic point: one singlet at -3J/2 below a threefold level at J/2
-    h = np.array(
-        [
-            [0.5, 0, 0, 0],
-            [0, -0.5, 1.0, 0],
-            [0, 1.0, -0.5, 0],
-            [0, 0, 0, 0.5],
-        ],
-        dtype=complex,
-    )
-    values, _ = hermitian_eig(h)
-    assert np.allclose(values, [-1.5, 0.5, 0.5, 0.5], atol=1e-12)
-
-
-def test_hermitian_eig_reconstructs_input():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        m = rand_hermitian(rng)
-        values, vectors = hermitian_eig(m)
-        rebuilt = (vectors * values) @ vectors.conj().T
-        assert np.max(np.abs(rebuilt - m)) < 1e-10
-        assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(4))) < 1e-10
-        assert np.all(np.diff(values) >= 0)
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    m = np.eye(4, dtype=complex)
-    m[0, 1] = 1.0
-    with pytest.raises(ValidationError):
-        hermitian_eig(m)
+def test_gibbs_rejects_non_hermitian():
+    h = np.eye(4, dtype=complex)
+    h[0, 1] = 1.0
+    with pytest.raises(ValidationError, match=r"^matrix is not Hermitian within 1e-10$"):
+        gibbs(h, 1.0)
+    stack = np.stack([np.eye(4, dtype=complex), h, np.eye(4, dtype=complex)])
+    with pytest.raises(ValidationError, match=r"^matrix is not Hermitian within 1e-10 \(stack member 1\)$"):
+        gibbs(stack, 1.0)
 
 
 def test_gibbs_matches_hyperbolic_form():
@@ -170,7 +140,7 @@ def test_gibbs_rejects_nonpositive_temperature():
 
 def test_partial_trace_of_singlet_is_maximally_mixed():
     for keep in (1, 2):
-        assert np.max(np.abs(partial_trace(SINGLET_RHO, keep) - np.eye(2) / 2.0)) < 1e-12
+        assert np.max(np.abs(_partial_trace(SINGLET_RHO, keep) - np.eye(2) / 2.0)) < 1e-12
 
 
 def test_partial_trace_of_products():
@@ -178,15 +148,8 @@ def test_partial_trace_of_products():
     for _ in range(100):
         a, b = rand_rho(rng, 2), rand_rho(rng, 2)
         product = np.kron(a, b)
-        assert np.max(np.abs(partial_trace(product, 1) - a)) < 1e-12
-        assert np.max(np.abs(partial_trace(product, 2) - b)) < 1e-12
-
-
-def test_partial_trace_validates_input():
-    with pytest.raises(ValueError):
-        partial_trace(SINGLET_RHO, 3)
-    with pytest.raises(ValidationError):
-        partial_trace(np.eye(4, dtype=complex), 1)  # trace 4
+        assert np.max(np.abs(_partial_trace(product, 1) - a)) < 1e-12
+        assert np.max(np.abs(_partial_trace(product, 2) - b)) < 1e-12
 
 
 def test_partial_transpose_is_an_involution():

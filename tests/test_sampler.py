@@ -19,7 +19,6 @@ from dimercorr.correlations import (
     _orthonormal_columns,
     _weighted_eigenrows,
     random_density_matrix,
-    random_unitary,
     sample_decomposition_average,
 )
 
@@ -102,14 +101,6 @@ def test_orthonormal_columns_is_the_phase_fixed_qr():
     want = q * phases[:, None, :]  # R's diagonal made positive
     got = _orthonormal_columns(z.transpose(2, 1, 0), 3)  # columns on the leading axis
     assert np.max(np.abs(got.transpose(2, 1, 0) - want[..., :3])) < 1e-13
-
-
-def test_random_unitary_is_the_phase_fixed_qr_of_its_draws():
-    rng = np.random.default_rng(8)
-    z = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    want = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    assert np.max(np.abs(random_unitary(4, np.random.default_rng(8)) - want)) < 1e-13
 
 
 @pytest.mark.parametrize("size", [None, 7])

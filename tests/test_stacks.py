@@ -19,19 +19,16 @@ from dimercorr.correlations import (
     random_density_matrix,
     report,
     sample_decomposition_average,
-    von_neumann_entropy,
 )
 from dimercorr.domain import DomainError, ValidationError
 from dimercorr.matkernel import (
+    _partial_trace,
     check_density_matrix,
     gibbs,
-    hermitian_eig,
-    partial_trace,
     partial_transpose,
 )
 from dimercorr.models import (
     ModelParams,
-    analytic_eigensystem,
     build_hamiltonian,
     closed_form_correlations,
     thermal_state,
@@ -71,7 +68,6 @@ def test_random_density_matrix_stack_draws_like_single_calls():
         (concurrence, float),
         (mutual_information, float),
         (entanglement_of_formation, float),
-        (von_neumann_entropy, float),
         (is_separable_ppt, bool),
     ],
 )
@@ -118,17 +114,11 @@ def test_matrix_helpers_on_a_stack_match_a_loop():
     rho = _states()
     assert np.array_equal(check_density_matrix(rho), rho)
     for keep in (1, 2):
-        stacked = partial_trace(rho, keep)
+        stacked = _partial_trace(rho, keep)
         assert stacked.shape == (len(rho), 2, 2)
         for i, member in enumerate(rho):
-            assert np.max(np.abs(stacked[i] - partial_trace(member, keep))) < STACK_TOL
+            assert np.max(np.abs(stacked[i] - _partial_trace(member, keep))) < STACK_TOL
             assert np.array_equal(partial_transpose(rho, keep)[i], partial_transpose(member, keep))
-    values, vectors = hermitian_eig(rho)
-    for i, member in enumerate(rho):
-        single = hermitian_eig(member)
-        assert np.max(np.abs(values[i] - single.values)) < STACK_TOL
-        rebuilt = (vectors[i] * values[i]) @ vectors[i].conj().T
-        assert np.max(np.abs(rebuilt - member)) < 1e-13
 
 
 def test_hamiltonian_and_thermal_state_on_parameter_arrays():
@@ -252,11 +242,10 @@ single_point_calls = pytest.mark.parametrize(
     "call",
     [
         lambda p: thermal_state(p, 0.02),  # the cold dense state that stands in for the ground-state limit
-        analytic_eigensystem,
         lambda p: tth_numeric(p, 5.0),
         lambda p: run_sweep(SweepSpec(p, Axis("T", 0.1, 1.0, 3))),
     ],
-    ids=["ground_state_limit", "analytic_eigensystem", "tth_numeric", "SweepSpec"],
+    ids=["ground_state_limit", "tth_numeric", "SweepSpec"],
 )
 
 

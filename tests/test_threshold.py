@@ -333,7 +333,7 @@ def test_newton_stops_a_few_floats_from_the_root(monkeypatch):
 
     def nextafter(x, y):
         steps.append(x)
-        assert len(steps) <= WALK_STEPS, steps  # fails fast where a bad start would walk for ever
+        assert len(steps) <= WALK_STEPS, steps  # fails fast where a bad start would walk far
         return math.nextafter(x, y)
 
     def expm1(x):  # called once per evaluation of g, in the sign test and in the Newton step
@@ -348,6 +348,21 @@ def test_newton_stops_a_few_floats_from_the_root(monkeypatch):
         tth_numeric(ModelParams(gamma, b1, b2), _BIG)
         assert steps, (gamma, b1, b2)
         assert len(evaluations) <= EVALUATIONS, (gamma, b1, b2, len(evaluations))
+
+
+def test_a_walk_that_finds_no_sign_change_fails_fast(monkeypatch):
+    from dimercorr import threshold
+
+    calls = []
+
+    def nextafter(x, y):  # a walk that never moves, as if Newton had stopped far from the root
+        calls.append(x)
+        assert len(calls) <= 1000, "the walk is unbounded"
+        return x
+
+    monkeypatch.setattr(threshold, "math", SimpleNamespace(**{**vars(math), "nextafter": nextafter}))
+    with pytest.raises(RuntimeError, match=r"gamma = 0\.3, \|b1 - b2\| = 0\.5"):
+        tth_numeric(ModelParams(0.3, 0.5, 0.0), 10.0)
 
 
 def test_uniform_fields_give_the_zero_field_threshold_bit_for_bit():

@@ -12,7 +12,6 @@ from dimercorr.correlations import (
     random_density_matrix,
     report,
     sample_decomposition_average,
-    von_neumann_entropy,
 )
 from dimercorr.verify import (
     SUITES,
@@ -168,9 +167,8 @@ def test_ppt_suite_validates_its_stack_once(lapack_calls):
         (concurrence, ["eigh", "svd"]),
         (entanglement_of_formation, ["eigh", "svd"]),
         (lambda rho: sample_decomposition_average(rho, 4, 10, seed=1), ["eigh"]),
-        (von_neumann_entropy, ["eigh"]),  # the entropy reads the validation's eigenvalues
     ],
-    ids=["report", "concurrence", "entanglement_of_formation", "sample_decomposition_average", "von_neumann_entropy"],
+    ids=["report", "concurrence", "entanglement_of_formation", "sample_decomposition_average"],
 )
 def test_dense_functions_decompose_each_state_once(fn, expected, lapack_calls):
     fn(random_density_matrix(np.random.default_rng(3), size=5))
