@@ -19,7 +19,6 @@ _SUBMODULE = {
     "CorrelationReport": "correlations",
     "concurrence": "correlations",
     "entanglement_of_formation": "correlations",
-    "formation_from_concurrence": "correlations",
     "is_separable_ppt": "correlations",
     "random_density_matrix": "correlations",
     "report": "correlations",
@@ -29,9 +28,6 @@ _SUBMODULE = {
     "ValidationError": "domain",
     "check_density_matrix": "matkernel",
     "gibbs": "matkernel",
-    "kron": "matkernel",
-    "partial_transpose": "matkernel",
-    "pauli": "matkernel",
     "build_hamiltonian": "models",
     "closed_form_correlations": "models",
     "thermal_state": "models",

@@ -23,13 +23,11 @@ import numpy as np
 
 from .domain import DomainError
 from .matkernel import _density_eigh, _partial_trace, _partial_transpose, check_density_matrix
-from .models import _formation as _point_formation
 
 __all__ = [
     "CorrelationReport",
     "concurrence",
     "entanglement_of_formation",
-    "formation_from_concurrence",
     "is_separable_ppt",
     "random_density_matrix",
     "report",
@@ -107,20 +105,7 @@ def concurrence(rho: np.ndarray) -> float:
     The l_i are the decreasing square roots of the eigenvalues of
     rho (sy x sy) rho* (sy x sy), taken as singular values (see _concurrence).
     """
-    return _scalar(_concurrence(*_density_eigh(rho, 4)[1:]))
-
-
-def formation_from_concurrence(c):
-    """Entanglement of formation h((1 + sqrt(1 - C^2)) / 2) for C in [0, 1] (a float or an array).
-
-    The closed form's own E_f, mapped over an array, so the closed form's
-    quantum is this function of its concurrence, bit for bit.
-    """
-    c = np.asarray(c, dtype=float)
-    bad = ~((c >= 0.0) & (c <= 1.0))
-    if bad.any():
-        raise DomainError(f"concurrence must lie in [0, 1], got {c[bad].flat[0]}")
-    return _scalar(np.array(list(map(_point_formation, c.ravel().tolist())), dtype=float).reshape(c.shape))
+    return _scalar(_concurrence(*_density_eigh(rho)[1:]))
 
 
 def entanglement_of_formation(rho: np.ndarray) -> float:
@@ -144,7 +129,7 @@ def report(rho: np.ndarray) -> CorrelationReport:
     reused for the quantum part, and classical = total - quantum holds
     exactly by construction.  For a (..., 4, 4) stack every field is an array.
     """
-    rho, values, vectors = _density_eigh(rho, 4)
+    rho, values, vectors = _density_eigh(rho)
     total = _mutual_information(rho, values)
     c = _concurrence(values, vectors)
     quantum = _formation(c)
@@ -156,12 +141,12 @@ def is_separable_ppt(rho: np.ndarray):
 
     True iff the partial transpose has no eigenvalue below -1e-10.
     """
-    return _scalar(_separable_ppt(check_density_matrix(rho, 4)))
+    return _scalar(_separable_ppt(check_density_matrix(rho)))
 
 
 def _separable_ppt(rho: np.ndarray) -> np.ndarray:
     """is_separable_ppt of validated states, as a bool array."""
-    return np.linalg.eigvalsh(_partial_transpose(rho, 2))[..., 0] >= -1e-10
+    return np.linalg.eigvalsh(_partial_transpose(rho))[..., 0] >= -1e-10
 
 
 # --- random states and pure-state decompositions ---------------------------
@@ -279,7 +264,7 @@ def sample_decomposition_average(
     _concurrence.  u^T tau u is one product of tau's coefficients, for
     every state at once, against the pair products u_k u_l (k <= l).
     """
-    rho, values, vectors = _density_eigh(rho, 4)
+    rho, values, vectors = _density_eigh(rho)
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     basis, rank = _weighted_eigenrows(values, vectors, ensemble_size)

@@ -13,6 +13,7 @@ check_grid, linspace), for ``threshold``'s range and ``sweep``'s axes alike.
 from __future__ import annotations
 
 import math
+import sys
 from operator import add, sub
 from typing import NamedTuple
 
@@ -132,8 +133,8 @@ def check_grid(start: float, stop: float, points: int, what: str = "range") -> N
     """The rules of an inclusive linear grid, which linspace relies on.
 
     Non-finite endpoints or span stop - start are a DomainError.  A
-    non-integer count, fewer than 1 point, start >= stop, or a single
-    point with start != stop are a ValueError.
+    non-integer count, fewer than 1 or more than sys.maxsize points,
+    start >= stop, or a single point with start != stop are a ValueError.
     """
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise DomainError(f"{what} needs finite endpoints, got {start}:{stop}")
@@ -141,6 +142,8 @@ def check_grid(start: float, stop: float, points: int, what: str = "range") -> N
         raise ValueError(f"{what} needs an integer number of points, got {points!r}")
     if points < 1:
         raise ValueError(f"{what} needs at least 1 point, got {points}")
+    if points > sys.maxsize:  # no list that long can exist: linspace's allocation would raise OverflowError
+        raise ValueError(f"{what} needs at most {sys.maxsize} points, got {points}")
     if points == 1 and start != stop:
         raise ValueError(f"a single-point {what} needs start == stop, got {start}:{stop}")
     if points > 1 and not start < stop:

@@ -58,11 +58,13 @@ def build_hamiltonian(gamma, b1, b2) -> np.ndarray:
     """
     import numpy as np
 
-    from .matkernel import kron, pauli
-
-    exchange_xy = kron(pauli("x"), pauli("x")) + kron(pauli("y"), pauli("y"))
-    exchange_z = kron(pauli("z"), pauli("z"))
-    field_1, field_2 = kron(pauli("z"), np.eye(2)), kron(np.eye(2), pauli("z"))
+    # Pauli matrices, spin-up at index 0; qubit 1 is np.kron's left factor
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+    sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+    exchange_xy = np.kron(sx, sx) + np.kron(sy, sy)
+    exchange_z = np.kron(sz, sz)
+    field_1, field_2 = np.kron(sz, np.eye(2)), np.kron(np.eye(2), sz)
     arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (gamma, b1, b2)))
     _check_params(*(a.ravel().tolist() for a in arrays))
     gamma, b1, b2 = (a[..., None, None] for a in arrays)

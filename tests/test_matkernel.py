@@ -3,14 +3,8 @@ import pytest
 
 from dimercorr.correlations import concurrence, entanglement_of_formation, report, sample_decomposition_average
 from dimercorr.domain import DomainError, ValidationError
-from dimercorr.matkernel import (
-    _partial_trace,
-    check_density_matrix,
-    gibbs,
-    kron,
-    partial_transpose,
-    pauli,
-)
+from dimercorr.matkernel import _partial_trace, _partial_transpose, check_density_matrix, gibbs
+from dimercorr.models import build_hamiltonian
 
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 SINGLET_RHO = np.outer(SINGLET, SINGLET.conj())
@@ -27,47 +21,17 @@ def rand_hermitian(rng, dim=4):
     return g + g.conj().T
 
 
-def test_pauli_matrices():
-    assert np.array_equal(pauli("x"), np.array([[0, 1], [1, 0]], dtype=complex))
-    assert np.array_equal(pauli("y"), np.array([[0, -1j], [1j, 0]], dtype=complex))
-    assert np.array_equal(pauli("z"), np.array([[1, 0], [0, -1]], dtype=complex))
-
-
-def test_pauli_algebra():
-    for axis in "xyz":
-        assert np.allclose(pauli(axis) @ pauli(axis), np.eye(2))
-    assert np.allclose(pauli("x") @ pauli("y"), 1j * pauli("z"))
-
-
-def test_pauli_unknown_axis():
-    with pytest.raises(ValueError):
-        pauli("w")
-
-
 def test_kron_yy_antidiagonal():
-    # hand expansion of sigma_y x sigma_y
-    expected = np.array(
-        [
-            [0, 0, 0, -1],
-            [0, 0, 1, 0],
-            [0, 1, 0, 0],
-            [-1, 0, 0, 0],
-        ],
-        dtype=complex,
-    )
-    assert np.array_equal(kron(pauli("y"), pauli("y")), expected)
+    # at the XY point H = sx sx + sy sy: sy sy's corners -1 cancel sx sx's, its inner +1 entries add
+    expected = np.zeros((4, 4), dtype=complex)
+    expected[1, 2] = expected[2, 1] = 2.0
+    assert np.array_equal(build_hamiltonian(-1.0, 0.0, 0.0), expected)
 
 
 def test_kron_ordering():
-    # qubit 1 is the left factor: (a x 1)|q1 q2> acts on the first index
-    sz = pauli("z")
-    assert np.array_equal(np.diag(kron(sz, np.eye(2))).real, [1, 1, -1, -1])
-    assert np.array_equal(np.diag(kron(np.eye(2), sz)).real, [1, -1, 1, -1])
-
-
-def test_kron_rejects_wrong_shapes():
-    with pytest.raises(ValueError):
-        kron(np.eye(2), np.eye(4))
+    # qubit 1 is the left Kronecker factor: b1 splits the first index, b2 the second (sz sz is [1, -1, -1, 1])
+    assert np.array_equal(np.diag(build_hamiltonian(1.0, 1.0, 0.0)), [2, 0, -2, 0])
+    assert np.array_equal(np.diag(build_hamiltonian(1.0, 0.0, 1.0)), [2, -2, 0, 0])
 
 
 def test_gibbs_rejects_non_hermitian():
@@ -131,6 +95,11 @@ def test_gibbs_contract():
         assert np.max(np.abs(rho @ h - h @ rho)) < 1e-10
 
 
+def test_gibbs_takes_4x4_matrices_only():
+    with pytest.raises(ValueError, match="4x4"):
+        gibbs(np.diag([1.0, -1.0]), 1.0)
+
+
 def test_gibbs_rejects_nonpositive_temperature():
     with pytest.raises(DomainError):
         gibbs(np.eye(4, dtype=complex), 0.0)
@@ -156,21 +125,19 @@ def test_partial_transpose_is_an_involution():
     rng = np.random.default_rng(17)
     for _ in range(50):
         rho = rand_rho(rng)
-        for sub in (1, 2):
-            assert np.array_equal(partial_transpose(partial_transpose(rho, sub), sub), rho)
+        assert np.array_equal(_partial_transpose(_partial_transpose(rho)), rho)
 
 
 def test_partial_transpose_of_singlet_has_minus_half_eigenvalue():
-    for sub in (1, 2):
-        eigenvalues = np.linalg.eigvalsh(partial_transpose(SINGLET_RHO, sub))
-        assert abs(eigenvalues[0] - (-0.5)) < 1e-12
+    eigenvalues = np.linalg.eigvalsh(_partial_transpose(SINGLET_RHO))
+    assert abs(eigenvalues[0] - (-0.5)) < 1e-12
 
 
 def test_partial_transpose_preserves_hermiticity_and_trace():
     rng = np.random.default_rng(29)
     for _ in range(100):
         rho = rand_rho(rng)
-        pt = partial_transpose(rho, 2)
+        pt = _partial_transpose(rho)
         assert np.max(np.abs(pt - pt.conj().T)) <= 1e-10
         assert abs(np.trace(pt).real - 1.0) < 1e-12
 
@@ -179,19 +146,7 @@ def test_partial_transpose_of_products_stays_positive():
     rng = np.random.default_rng(41)
     for _ in range(100):
         product = np.kron(rand_rho(rng, 2), rand_rho(rng, 2))
-        assert np.linalg.eigvalsh(partial_transpose(product, 2))[0] >= -1e-10
-
-
-def test_partial_transpose_input_contract():
-    # the input must be Hermitian with unit trace, but need not be positive
-    with pytest.raises(ValidationError):
-        partial_transpose(np.triu(np.ones((4, 4))) / 4.0, 2)  # trace 1, not Hermitian
-    with pytest.raises(ValidationError):
-        partial_transpose(np.eye(4), 2)  # Hermitian, trace 4
-    pt = partial_transpose(SINGLET_RHO, 2)
-    assert np.linalg.eigvalsh(pt)[0] < -0.4
-    for sub in (1, 2):
-        assert np.array_equal(partial_transpose(partial_transpose(pt, sub), sub), pt)
+        assert np.linalg.eigvalsh(_partial_transpose(product))[0] >= -1e-10
 
 
 # The dense entry points that validate a state: each must reject a bad one
@@ -224,5 +179,6 @@ def test_check_density_matrix_rejects_bad_input():
             with pytest.raises(ValidationError) as caught:
                 fn(bad)
             assert str(caught.value) == message
-        with pytest.raises(ValueError):
-            fn(np.eye(3, dtype=complex) / 3.0)
+        for wrong_shape in (np.eye(3, dtype=complex) / 3.0, np.eye(2) / 2.0, np.full(4, 0.25)):
+            with pytest.raises(ValueError, match="expected a 4x4 matrix"):
+                fn(wrong_shape)

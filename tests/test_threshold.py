@@ -11,7 +11,7 @@ import pytest
 
 from dimercorr.correlations import concurrence
 from dimercorr.domain import DomainError
-from dimercorr.matkernel import gibbs, partial_transpose
+from dimercorr.matkernel import _partial_transpose, gibbs
 from dimercorr.models import (
     ModelParams,
     build_hamiltonian,
@@ -381,7 +381,7 @@ DENSE_ROUNDING_UNITS = 8.0
 
 def _dense_min_eigenvalue(h, t):
     """Smallest eigenvalue of the partial transpose of the dense Gibbs state: negative iff entangled."""
-    return float(np.linalg.eigvalsh(partial_transpose(gibbs(h, t), 2))[0])
+    return float(np.linalg.eigvalsh(_partial_transpose(gibbs(h, t)))[0])
 
 
 def _dense_threshold(p, lo=0.5, hi=8.0):
