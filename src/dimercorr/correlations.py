@@ -21,7 +21,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import DomainError
 from .matkernel import _density_eigh, _partial_trace, _partial_transpose, check_density_matrix
 
 __all__ = [
@@ -38,7 +37,7 @@ __all__ = [
 # factor it reverses a row's entries and flips the sign of the outer two
 _SIGMA_YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
 
-MAX_ENSEMBLE = 8
+_MEMBERS = 4  # per decomposition, as in Wootters' constructive one (PRL 80, 2245 (1998)); no rank exceeds it
 _BLOCK = 2048  # decompositions drawn per block in sample_decomposition_average
 _SUB_BATCH = 256  # decompositions orthonormalised and evaluated at once
 
@@ -173,15 +172,15 @@ def _orthonormal_columns(z: np.ndarray, k: int) -> np.ndarray:
     return q
 
 
-def random_density_matrix(rng: np.random.Generator, dim: int = 4, size: int | None = None) -> np.ndarray:
-    """Full-rank random density matrix G G† / tr(G G†), G complex Gaussian.
+def random_density_matrix(rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """Full-rank random 4x4 density matrix G G† / tr(G G†), G complex Gaussian.
 
-    With ``size``, a (size, dim, dim) stack drawn from ``rng`` exactly as
+    With ``size``, a (size, 4, 4) stack drawn from ``rng`` exactly as
     ``size`` single calls would draw it.
     """
     lead = () if size is None else (size,)
-    z = rng.standard_normal((*lead, 2, dim, dim))
-    g = np.empty((*lead, dim, dim), dtype=complex)
+    z = rng.standard_normal((*lead, 2, 4, 4))
+    g = np.empty((*lead, 4, 4), dtype=complex)
     g.real, g.imag = z[..., 0, :, :], z[..., 1, :, :]
     del z  # freed before the product, which needs g, its conjugate and rho
     rho = g @ g.conj().swapaxes(-1, -2)
@@ -189,37 +188,32 @@ def random_density_matrix(rng: np.random.Generator, dim: int = 4, size: int | No
     return rho
 
 
-def _weighted_eigenrows(values: np.ndarray, vectors: np.ndarray, size: int) -> tuple[np.ndarray, int]:
+def _weighted_eigenrows(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, int]:
     """Rows sqrt(mu_i) e_i^T over each state's support, from its eigenpairs, and the largest rank.
 
     Support eigenpairs (mu_i > 1e-10) come first, in ascending order, and
     the rest are zero rows, so a stack of states of different rank shares
-    one layout.  Raises ValueError unless 1 <= ``size`` <= MAX_ENSEMBLE, and
-    DomainError when ``size`` is below a state's rank.
+    one layout of ``rank`` rows.
     """
-    if not 1 <= size <= MAX_ENSEMBLE:
-        raise ValueError(f"ensemble size must lie in 1..{MAX_ENSEMBLE}, got {size}")
     kept = values > 1e-10
     rank = int(kept.sum(axis=-1).max())
-    if size < rank:
-        raise DomainError(f"ensemble size {size} is below the state rank {rank}")
     order = np.argsort(~kept, axis=-1, kind="stable")
     weights = np.sqrt(np.take_along_axis(np.where(kept, values, 0.0), order, axis=-1))
     columns = np.take_along_axis(vectors, order[..., None, :], axis=-1) * weights[..., None, :]
     return columns.swapaxes(-1, -2)[..., :rank, :], rank
 
 
-def _ginibre_blocks(rng: np.random.Generator, samples: int, size: int):
-    """Real and imaginary parts of ``samples`` complex Ginibre ``size`` x ``size`` matrices.
+def _ginibre_blocks(rng: np.random.Generator, samples: int):
+    """Real and imaginary parts of ``samples`` complex Ginibre 4 x 4 matrices, one per decomposition.
 
-    Yields (2, block, size, size) arrays of up to _BLOCK matrices each, all
-    views of one reused buffer, drawn from ``rng`` exactly as the two calls
-    ``rng.standard_normal((block, size, size))`` per block would draw them.
+    Yields (2, block, 4, 4) arrays of up to _BLOCK matrices each, all views
+    of one reused buffer, drawn from ``rng`` exactly as the two calls
+    ``rng.standard_normal((block, 4, 4))`` per block would draw them.
     """
-    buffer = np.empty(2 * min(samples, _BLOCK) * size * size)
+    buffer = np.empty(2 * min(samples, _BLOCK) * _MEMBERS * _MEMBERS)
     for start in range(0, samples, _BLOCK):
         block = min(_BLOCK, samples - start)
-        draws = buffer[: 2 * block * size * size].reshape(2, block, size, size)
+        draws = buffer[: 2 * block * _MEMBERS * _MEMBERS].reshape(2, block, _MEMBERS, _MEMBERS)
         rng.standard_normal(out=draws)
         yield draws
 
@@ -242,18 +236,13 @@ def _least_averages(u, norms, coeffs, first, second) -> np.ndarray:
     return averages.min(axis=1)
 
 
-def sample_decomposition_average(
-    rho: np.ndarray,
-    ensemble_size: int,
-    samples: int,
-    seed: int,
-) -> float:
-    """Minimum ensemble-average entanglement over random decompositions.
+def sample_decomposition_average(rho: np.ndarray, samples: int, seed: int) -> float:
+    """Minimum ensemble-average entanglement over random 4-member decompositions.
 
-    Draws ``samples`` random ``ensemble_size``-member decompositions of
-    ``rho`` and returns the smallest average entanglement found.  Since the
-    entanglement of formation is the infimum over all decompositions, the
-    result can never fall below it (up to roundoff); the gap shrinks as
+    Draws ``samples`` random decompositions of ``rho`` into _MEMBERS = 4
+    pure states and returns the smallest average entanglement found.  Since
+    the entanglement of formation is the infimum over all decompositions,
+    the result can never fall below it (up to roundoff); the gap shrinks as
     ``samples`` grows.  For a (..., 4, 4) stack the result is an array, and
     every state is decomposed with the same Haar draws (the same ``seed``).
 
@@ -267,15 +256,15 @@ def sample_decomposition_average(
     rho, values, vectors = _density_eigh(rho)
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    basis, rank = _weighted_eigenrows(values, vectors, ensemble_size)
+    basis, rank = _weighted_eigenrows(values, vectors)
     rows = basis.reshape(-1, rank, 4)
     norms = (rows.real * rows.real + rows.imag * rows.imag).sum(axis=-1)  # (states, rank)
     first, second = np.triu_indices(rank)
     coeffs = _sigma_yy_form(rows)[:, first, second] * np.where(first == second, 1.0, 2.0)  # (states, pairs)
 
     best = np.full(len(rows), np.inf)
-    columns = np.empty((ensemble_size, ensemble_size, _SUB_BATCH), dtype=complex)
-    for draws in _ginibre_blocks(np.random.default_rng(seed), samples, ensemble_size):
+    columns = np.empty((_MEMBERS, _MEMBERS, _SUB_BATCH), dtype=complex)
+    for draws in _ginibre_blocks(np.random.default_rng(seed), samples):
         for start in range(0, draws.shape[1], _SUB_BATCH):
             part = draws[:, start : start + _SUB_BATCH].transpose(0, 3, 2, 1)  # column, row, draw
             z = columns[..., : part.shape[-1]]

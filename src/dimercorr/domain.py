@@ -102,8 +102,8 @@ def _check_params(gamma: list, b1: list, b2: list) -> None:
                 raise DomainError(f"{name} must be finite, got {v}")
 
 
-def check_positive_finite(value, name: str = "temperature") -> None:
-    """Raise DomainError unless every entry of ``value`` is finite and positive.
+def check_positive_finite(value) -> None:
+    """Raise DomainError unless every temperature in ``value`` is finite and positive.
 
     ``value`` is a list of floats (checked as is) or one number, taken
     through ``float``; NaN and +-inf are rejected, so they never reach an
@@ -111,7 +111,7 @@ def check_positive_finite(value, name: str = "temperature") -> None:
     """
     for v in value if isinstance(value, list) else [float(value)]:
         if not (math.isfinite(v) and v > 0.0):
-            raise DomainError(f"{name} must be positive and finite, got {v}")
+            raise DomainError(f"temperature must be positive and finite, got {v}")
 
 
 def parse_grid(text: str, what: str = "range") -> tuple[float, float, int]:

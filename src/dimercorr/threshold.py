@@ -10,8 +10,10 @@ of J).  g' = (1+gamma) + r coth(r u) > 0, so for gamma < 1 there is exactly
 one threshold, and it depends on (gamma, |b1 - b2|) alone; at b1 = b2 it
 solves the paper's gamma = (T/2) ln(e^{2/T} - 2).  One solver finds the
 sign change of g between adjacent floats (Newton steps on u = 1/T from a
-closed-form start, then a walk of at most 64 floats) for tth_anisotropic and
-tth_numeric; both check their point through numpy-free domain.ModelParams.
+closed-form start, then a walk of at most 64 floats) for tth_numeric, which
+checks its point through numpy-free domain.ModelParams; tth_anisotropic is its
+b1 = b2 case.  At gamma = 1 the state is never entangled at any T > 0, and
+both return the limit 0.0.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .domain import ModelParams, check_positive_finite
+from .domain import ModelParams
 
 __all__ = [
     "ThresholdPoint",
@@ -91,14 +93,10 @@ def _threshold(gamma: float, delta: float) -> float:
 def tth_anisotropic(gamma: float) -> float:
     """Zero-field threshold temperature, in units of J, to the last bit.
 
-    The root of gamma = (T/2) ln(e^{2/T} - 2), the b1 = b2 case of the
-    solver.  gamma = 1 is the degenerate limit and returns 0 directly (the
-    state never entangles there).  ``gamma`` is checked as a ModelParams.
+    The root of gamma = (T/2) ln(e^{2/T} - 2): tth_numeric at b1 = b2 = 0,
+    so 0.0 at the degenerate gamma = 1.  ``gamma`` is checked as a ModelParams.
     """
-    gamma = ModelParams(gamma).gamma
-    if gamma == 1.0:
-        return 0.0
-    return _threshold(gamma, 0.0)
+    return tth_numeric((gamma,))
 
 
 def threshold_curve(gammas: Sequence[float]) -> list[ThresholdPoint]:
@@ -106,17 +104,13 @@ def threshold_curve(gammas: Sequence[float]) -> list[ThresholdPoint]:
     return [ThresholdPoint(gamma=g, t_th=tth_anisotropic(g), degenerate=g == 1.0) for g in map(float, gammas)]
 
 
-def tth_numeric(p: ModelParams, t_max: float) -> float | None:
-    """Temperature at which the concurrence at one point ``p`` turns off, if it is <= t_max.
+def tth_numeric(p: ModelParams) -> float:
+    """Temperature at which the concurrence at one point ``p`` turns off, in units of J.
 
-    Below the threshold the state is entangled, above it never.  Returns
-    None when the threshold exceeds t_max, and at gamma = 1, where the
-    state never entangles.  Uniform fields do not move it: equal b1 and b2
-    give tth_anisotropic(gamma), bit for bit.  ``p`` is checked as a ModelParams.
+    Below the threshold the state is entangled, above it never.  At
+    gamma = 1 it never entangles at any T > 0, and the result is that
+    limit, 0.0.  Uniform fields do not move it: equal b1 and b2 give
+    tth_anisotropic(gamma), bit for bit.  ``p`` is checked as a ModelParams.
     """
-    check_positive_finite(t_max, "t_max")
     gamma, b1, b2 = ModelParams(*p)
-    if gamma == 1.0:
-        return None
-    t = _threshold(gamma, abs(b1 - b2))
-    return t if t <= t_max else None
+    return 0.0 if gamma == 1.0 else _threshold(gamma, abs(b1 - b2))

@@ -93,7 +93,7 @@ def test_criterion_05_threshold_closed_forms():
 
 def test_criterion_06_threshold_ignores_uniform_field():
     found = [
-        tth_numeric(ModelParams(gamma=-1.0, b1=b, b2=b), 5.0) for b in (0.0, 0.5, 1.0, 1.5)
+        tth_numeric(ModelParams(gamma=-1.0, b1=b, b2=b)) for b in (0.0, 0.5, 1.0, 1.5)
     ]
     spread = max(found) - min(found)
     _criterion(
@@ -170,7 +170,7 @@ def test_criterion_11_sampled_averages_respect_lower_bound():
     for i in range(20):
         rho = random_density_matrix(rng)
         floor = entanglement_of_formation(rho)
-        found = sample_decomposition_average(rho, 4, 10000, seed=i)
+        found = sample_decomposition_average(rho, 10000, seed=i)
         worst = min(worst, found - floor)
     _criterion(
         11,

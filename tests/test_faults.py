@@ -1,12 +1,20 @@
 """The fault panel: each fault, injected by monkeypatch, must fail the check named for it.
 
 A check that no fault can fail shows nothing.  Each fault here replaces one
-piece of the dense route with a plausible bug, leaves every source file as
-it is, and asserts that ``run_suites`` then reports the named suite failed.
+piece of the program with a plausible bug and leaves every source file as it
+is.  A fault on the dense route must make ``run_suites`` report the named
+suite failed; a fault in the writer or the threshold solver must make the
+named test raise AssertionError.
 """
 
-import pytest
+import math
 
+import pytest
+import test_cli  # the named tests are reached through their modules, so pytest collects them once
+import test_threshold
+
+from dimercorr import threshold
+from dimercorr.domain import RECORD_COLUMNS
 from dimercorr.models import build_hamiltonian
 from dimercorr.verify import run_suites
 
@@ -37,3 +45,46 @@ def test_fault_fails_its_suite(monkeypatch, suite, target, fault):
     monkeypatch.setattr(target, fault)
     results = run_suites(suite)
     assert results and not any(result.passed for result in results)
+
+
+def _unfolded_record_columns(columns):
+    """cli._record_columns without the + 0.0 that folds -0.0 into 0."""
+    return [[float(v) for v in columns[name]] for name in RECORD_COLUMNS]
+
+
+def _shifted_threshold(floats):
+    """threshold._threshold with its result moved ``floats`` adjacent floats up, or down when negative."""
+    solve = threshold._threshold
+
+    def shifted(gamma, delta):
+        t = solve(gamma, delta)
+        for _ in range(abs(floats)):
+            t = math.nextafter(t, math.copysign(math.inf, floats))
+        return t
+
+    return shifted
+
+
+def _pinned_json_sweep(capsys):
+    test_cli.test_cli_bytes_are_pinned(capsys, "sweep --temp 1 --axis b_anti=-1:1:3 --format json")
+
+
+def _bisection_float_test(capsys):
+    test_threshold.test_solver_returns_the_bisection_float()
+
+
+@pytest.mark.parametrize(
+    ("target", "fault", "check"),
+    [
+        # b_anti = 0 writes b2 = -0.0: of the pinned lines, only this one then prints "-0"
+        ("dimercorr.cli._record_columns", _unfolded_record_columns, _pinned_json_sweep),
+        ("dimercorr.threshold._threshold", _shifted_threshold(1), _bisection_float_test),
+        # stopping 4 ulps early
+        ("dimercorr.threshold._threshold", _shifted_threshold(-4), _bisection_float_test),
+    ],
+    ids=["unfolded_negative_zero", "threshold_one_float_up", "threshold_four_floats_down"],
+)
+def test_fault_fails_its_test(monkeypatch, capsys, target, fault, check):
+    monkeypatch.setattr(target, fault)
+    with pytest.raises(AssertionError):
+        check(capsys)

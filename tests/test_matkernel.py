@@ -156,7 +156,7 @@ DENSITY_ENTRY_POINTS = (
     report,
     concurrence,
     entanglement_of_formation,
-    lambda rho: sample_decomposition_average(rho, 4, 10, seed=1),
+    lambda rho: sample_decomposition_average(rho, 10, seed=1),
 )
 
 

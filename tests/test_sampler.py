@@ -23,19 +23,20 @@ from dimercorr.correlations import (
 )
 
 SAMPLER_TOL = 1e-14
+MEMBERS = 4
 
 
-def member_stack_sampler(rho, ensemble_size, samples, seed):
-    """The former sample_decomposition_average: one (block, m, 4) member stack per state."""
-    basis, rank = _weighted_eigenrows(*np.linalg.eigh(rho), ensemble_size)
+def member_stack_sampler(rho, samples, seed):
+    """The former sample_decomposition_average: one (block, 4, 4) member stack per state."""
+    basis, rank = _weighted_eigenrows(*np.linalg.eigh(rho))
     rows = basis.reshape(-1, rank, 4)
     rng = np.random.default_rng(seed)
     best = np.full(len(rows), np.inf)
     for start in range(0, samples, _BLOCK):
         block = min(_BLOCK, samples - start)
-        shape = (block, ensemble_size, ensemble_size)
+        shape = (block, MEMBERS, MEMBERS)
         z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        isometries = np.empty((block, ensemble_size, rank), dtype=complex)
+        isometries = np.empty((block, MEMBERS, rank), dtype=complex)
         for i in range(rank):  # Gram-Schmidt with one reorthogonalisation pass
             v = z[..., i]
             for _ in range(2):
@@ -48,7 +49,7 @@ def member_stack_sampler(rho, ensemble_size, samples, seed):
             norms = np.sqrt(np.where(probs > 0, probs, 1.0))
             amps = (members / norms[:, :, None]).reshape(-1, 2, 2)
             dets = np.abs(amps[:, 0, 0] * amps[:, 1, 1] - amps[:, 0, 1] * amps[:, 1, 0])
-            entanglements = _formation(np.minimum(2.0 * dets, 1.0)).reshape(block, ensemble_size)
+            entanglements = _formation(np.minimum(2.0 * dets, 1.0)).reshape(block, MEMBERS)
             best[i] = min(best[i], np.einsum("bm,bm->b", probs, entanglements).min())
     return best.reshape(rho.shape[:-2])
 
@@ -65,14 +66,10 @@ MIXED_RANK = np.stack([_of_rank(r, np.random.default_rng(40 + r)) for r in (1, 2
 
 
 @pytest.mark.parametrize("samples", [1, 255, 2049, 3000])
-@pytest.mark.parametrize(
-    "rho,ensemble_size",
-    [(FULL_RANK, m) for m in range(4, 9)] + [(MIXED_RANK, m) for m in range(3, 9)],
-    ids=[f"full-m{m}" for m in range(4, 9)] + [f"mixed-m{m}" for m in range(3, 9)],
-)
-def test_sampler_matches_the_member_stack_oracle(rho, ensemble_size, samples):
-    got = sample_decomposition_average(rho, ensemble_size, samples, seed=9)
-    want = member_stack_sampler(rho, ensemble_size, samples, seed=9)
+@pytest.mark.parametrize("rho", [FULL_RANK, MIXED_RANK], ids=["full-m4", "mixed-m4"])
+def test_sampler_matches_the_member_stack_oracle(rho, samples):
+    got = sample_decomposition_average(rho, samples, seed=9)
+    want = member_stack_sampler(rho, samples, seed=9)
     assert np.max(np.abs(got - want)) < SAMPLER_TOL
 
 
@@ -81,16 +78,16 @@ def test_mixed_rank_stack_has_the_expected_ranks():
     assert list((values > 1e-10).sum(axis=-1)) == [1, 2, 3]
 
 
-@pytest.mark.parametrize("samples", [1, 2047, _BLOCK, 2 * _BLOCK + 1])
-@pytest.mark.parametrize("size", [2, 4])
-def test_buffered_draws_equal_two_standard_normal_calls_per_block(samples, size):
-    got = [draws.copy() for draws in _ginibre_blocks(np.random.default_rng(3), samples, size)]
+@pytest.mark.parametrize("samples", [1, 2047, _BLOCK, 2 * _BLOCK + 1], ids=lambda n: f"{MEMBERS}-{n}")
+def test_buffered_draws_equal_two_standard_normal_calls_per_block(samples):
+    got = [draws.copy() for draws in _ginibre_blocks(np.random.default_rng(3), samples)]
     rng = np.random.default_rng(3)
     blocks = [min(_BLOCK, samples - start) for start in range(0, samples, _BLOCK)]
-    assert [g.shape for g in got] == [(2, b, size, size) for b in blocks]
+    shape = (MEMBERS, MEMBERS)
+    assert [g.shape for g in got] == [(2, b, *shape) for b in blocks]
     for g, block in zip(got, blocks):
-        assert np.array_equal(g[0], rng.standard_normal((block, size, size)))
-        assert np.array_equal(g[1], rng.standard_normal((block, size, size)))
+        assert np.array_equal(g[0], rng.standard_normal((block, *shape)))
+        assert np.array_equal(g[1], rng.standard_normal((block, *shape)))
 
 
 def test_orthonormal_columns_is_the_phase_fixed_qr():

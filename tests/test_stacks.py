@@ -133,9 +133,9 @@ def test_gibbs_broadcasts_one_hamiltonian_over_temperatures():
 
 def test_sample_decomposition_average_on_a_stack_matches_a_loop():
     rho = _states(3)
-    singles = [sample_decomposition_average(member, 4, 3000, seed=5) for member in rho]
+    singles = [sample_decomposition_average(member, 3000, seed=5) for member in rho]
     assert all(type(v) is float for v in singles)
-    stacked = sample_decomposition_average(rho, 4, 3000, seed=5)
+    stacked = sample_decomposition_average(rho, 3000, seed=5)
     assert np.max(np.abs(stacked - np.array(singles))) < STACK_TOL
 
 
@@ -143,11 +143,9 @@ def test_sample_decomposition_average_on_a_stack_of_mixed_rank():
     pure = np.zeros((4, 4), dtype=complex)
     pure[0, 0] = 1.0
     rho = np.stack([pure, _states(1)[0]])
-    stacked = sample_decomposition_average(rho, 4, 500, seed=2)
+    stacked = sample_decomposition_average(rho, 500, seed=2)
     assert stacked[0] == 0.0  # every decomposition of a product state is unentangled
-    assert abs(stacked[1] - sample_decomposition_average(rho[1], 4, 500, seed=2)) < STACK_TOL
-    with pytest.raises(DomainError):
-        sample_decomposition_average(rho, 3, 10, seed=1)  # the second state has rank 4
+    assert abs(stacked[1] - sample_decomposition_average(rho[1], 500, seed=2)) < STACK_TOL
 
 
 def _spoil(rho, index, kind):
@@ -229,7 +227,7 @@ single_point_calls = pytest.mark.parametrize(
     "call",
     [
         lambda p: thermal_state(p, 0.02),  # the cold dense state that stands in for the ground-state limit
-        lambda p: tth_numeric(p, 5.0),
+        tth_numeric,
         lambda p: run_sweep(SweepSpec(p, Axis("T", 0.1, 1.0, 3))),
     ],
     ids=["ground_state_limit", "tth_numeric", "SweepSpec"],

@@ -126,16 +126,15 @@ def test_pipeline_concurrence_agrees_near_threshold():
 def test_numeric_threshold_matches_closed_form():
     for gamma in (-1.0, -0.5, 0.0, 0.5):
         direct = tth_anisotropic(gamma)
-        scanned = tth_numeric(ModelParams(gamma=gamma), 5.0)
-        assert scanned is not None
+        scanned = tth_numeric(ModelParams(gamma=gamma))
         assert abs(scanned - direct) < 1e-6
 
 
 def test_numeric_threshold_ignores_uniform_fields():
     # XY thresholds do not move with a uniform field
-    reference = tth_numeric(ModelParams(gamma=-1.0), 5.0)
+    reference = tth_numeric(ModelParams(gamma=-1.0))
     for b in (0.5, 1.5):
-        shifted = tth_numeric(ModelParams(gamma=-1.0, b1=b, b2=b), 5.0)
+        shifted = tth_numeric(ModelParams(gamma=-1.0, b1=b, b2=b))
         assert abs(shifted - reference) < 1e-6
 
 
@@ -143,26 +142,15 @@ def test_numeric_threshold_with_opposite_fields():
     # delta=2 widens the central gap: sinh(sqrt(8)/T) sqrt(2)/2... solves
     # to T = sqrt(8) / asinh(sqrt 2)
     expected = math.sqrt(8.0) / math.asinh(math.sqrt(2.0))
-    found = tth_numeric(ModelParams(gamma=-1.0, b1=1.0, b2=-1.0), 5.0)
+    found = tth_numeric(ModelParams(gamma=-1.0, b1=1.0, b2=-1.0))
     assert abs(found - expected) < 1e-6
 
 
 def test_numeric_threshold_none_when_never_entangled():
-    assert tth_numeric(ModelParams(gamma=1.0), 5.0) is None
-
-
-def test_numeric_threshold_argument_checks():
-    with pytest.raises(DomainError, match="t_max"):
-        tth_numeric(ModelParams(gamma=0.0), 0.0)
-    # the smallest positive t_max is valid; the threshold, 2 / ln 3, lies above it
-    assert tth_numeric(ModelParams(gamma=0.0), 5e-324) is None
-    assert tth_numeric(ModelParams(gamma=0.0), 2.0) == tth_anisotropic(0.0)
-
-
-def test_numeric_threshold_rejects_non_finite_range():
-    for t_max in (math.nan, math.inf, np.float64(np.inf)):
-        with pytest.raises(DomainError, match="t_max"):
-            tth_numeric(ModelParams(gamma=0.0), t_max)
+    # the Ising state is never entangled at any T > 0: the threshold is the limit 0.0, as tth_anisotropic gives
+    for b1, b2 in ((0.0, 0.0), (0.5, 0.5), (1.0, -1.0)):
+        found = tth_numeric(ModelParams(1.0, b1, b2))
+        assert found == 0.0 and type(found) is float
 
 
 @pytest.mark.parametrize(
@@ -175,21 +163,18 @@ def test_numeric_threshold_rejects_non_finite_range():
         ((-0.5, 2.0, -1.0), "0x1.3b178fbb764b2p+1"),
         ((-1.0, 1.0, -1.0), "0x1.3bdb078ec9658p+1"),
         ((0.3, 0.7, 0.7), "0x1.9d741a91fa4f8p+0"),
-        ((1.0, 0.0, 0.0), None),
     ],
 )
 def test_numeric_threshold_bits_are_pinned(params, expected):
     # recorded from the sign-of-g solver; each lies within 1.2e-16 relative of
     # its 60-digit root, so a change that moves one bit must say why
-    found = tth_numeric(ModelParams(*params), 5.0)
-    assert (None if found is None else found.hex()) == expected
+    assert tth_numeric(ModelParams(*params)).hex() == expected
 
 
 def test_numeric_threshold_with_fields_off_the_xy_point():
     # no closed-form threshold here: check the sign change against the dense route
     p = ModelParams(gamma=0.4, b1=0.3, b2=-0.6)
-    t = tth_numeric(p, 5.0)
-    assert t is not None
+    t = tth_numeric(p)
     assert concurrence(thermal_state(p, t - 1e-4)) > 1e-9
     assert concurrence(thermal_state(p, t + 1e-4)) < 1e-9
 
@@ -197,27 +182,27 @@ def test_numeric_threshold_with_fields_off_the_xy_point():
 def test_numeric_threshold_loads_no_numpy():
     code = (
         "import sys; from dimercorr.models import ModelParams; from dimercorr.threshold import tth_numeric; "
-        "assert tth_numeric(ModelParams(-1.0, 0.5, -0.5), 5.0) > 0.0; assert 'numpy' not in sys.modules"
+        "assert tth_numeric(ModelParams(-1.0, 0.5, -0.5)) > 0.0; assert 'numpy' not in sys.modules"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize(
-    "params, t_max",
+    "params",
     [
-        *((ModelParams(gamma), 5.0) for gamma in (-1.0, 0.0, 0.5)),
-        (ModelParams(0.4, 0.3, -0.6), 5.0),
+        *(ModelParams(gamma) for gamma in (-1.0, 0.0, 0.5)),
+        ModelParams(0.4, 0.3, -0.6),
         # opposite fields of 1e10 put the threshold near 8.2e8, where adjacent
         # floats are 1.2e-7 apart
-        (ModelParams(0.0, 1e10, -1e10), 1e10),
+        ModelParams(0.0, 1e10, -1e10),
     ],
     ids=["gamma=-1", "gamma=0", "gamma=0.5", "off-xy", "fields=1e10"],
 )
-def test_numeric_threshold_stops_at_float_resolution(params, t_max):
+def test_numeric_threshold_stops_at_float_resolution(params):
     # the root of g and the closed-form kernel's own sign change of C agree to
     # a few ulps: C > 0 four ulps below the result and C = 0 four ulps above
-    t = tth_numeric(params, t_max)
+    t = tth_numeric(params)
     step = 4.0 * math.ulp(t)
     below, above = (
         closed_form_correlations(params.gamma, params.b1, params.b2, t + d)["concurrence"] for d in (-step, step)
@@ -240,7 +225,7 @@ def test_thresholds_match_sixty_digit_roots():
         t = tth_anisotropic(gamma)
         assert relative_error(t, mp_threshold(gamma, 0.0)) <= ROOT_TOL, gamma
     for p in _box_points(60, seed=2101, gamma_max=0.999):
-        t = tth_numeric(p, 50.0)
+        t = tth_numeric(p)
         assert relative_error(t, mp_threshold(p.gamma, abs(p.b1 - p.b2))) <= ROOT_TOL, p
 
 
@@ -261,7 +246,7 @@ EDGE_POINTS = [
 
 def test_thresholds_at_the_edges_of_the_domain():
     for p in EDGE_POINTS:
-        t = tth_numeric(p, _BIG)
+        t = tth_numeric(p)
         assert math.isfinite(t) and t > 0.0, p
         assert relative_error(t, mp_threshold(p.gamma, abs(p.b1 - p.b2))) <= ROOT_TOL, p
 
@@ -315,7 +300,7 @@ def test_solver_returns_the_bisection_float():
     # as bisection, so every threshold keeps its bits
     for gamma, b1, b2 in _bisection_panel():
         expected = bisection_threshold(gamma, abs(b1 - b2)).hex()
-        assert tth_numeric(ModelParams(gamma, b1, b2), _BIG).hex() == expected, (gamma, b1, b2)
+        assert tth_numeric(ModelParams(gamma, b1, b2)).hex() == expected, (gamma, b1, b2)
         if b1 == b2:
             assert tth_anisotropic(gamma).hex() == expected, gamma
 
@@ -345,7 +330,7 @@ def test_newton_stops_a_few_floats_from_the_root(monkeypatch):
     for gamma, b1, b2 in _bisection_panel():
         steps.clear()
         evaluations.clear()
-        tth_numeric(ModelParams(gamma, b1, b2), _BIG)
+        tth_numeric(ModelParams(gamma, b1, b2))
         assert steps, (gamma, b1, b2)
         assert len(evaluations) <= EVALUATIONS, (gamma, b1, b2, len(evaluations))
 
@@ -362,14 +347,14 @@ def test_a_walk_that_finds_no_sign_change_fails_fast(monkeypatch):
 
     monkeypatch.setattr(threshold, "math", SimpleNamespace(**{**vars(math), "nextafter": nextafter}))
     with pytest.raises(RuntimeError, match=r"gamma = 0\.3, \|b1 - b2\| = 0\.5"):
-        tth_numeric(ModelParams(0.3, 0.5, 0.0), 10.0)
+        tth_numeric(ModelParams(0.3, 0.5, 0.0))
 
 
 def test_uniform_fields_give_the_zero_field_threshold_bit_for_bit():
     # the threshold depends on (gamma, |b1 - b2|) only, so equal fields change nothing
-    for gamma in (-1.0, -0.3, 0.0, 0.6, 0.999):
+    for gamma in (-1.0, -0.3, 0.0, 0.6, 0.999, 1.0):
         for b in (0.0, -0.0, 0.5, -1.5, 5.0, 1e300):
-            assert tth_numeric(ModelParams(gamma, b, b), 10.0) == tth_anisotropic(gamma)
+            assert tth_numeric(ModelParams(gamma, b, b)) == tth_anisotropic(gamma)
 
 
 # the dense eigenvalue's absolute rounding moves its sign change by about
@@ -407,7 +392,7 @@ def test_dense_partial_transpose_route_finds_the_same_threshold():
         step = 1e-6 * t
         lever = abs(t * (_dense_min_eigenvalue(h, t + step) - _dense_min_eigenvalue(h, t - step)) / (2.0 * step))
         assert relative_error(dense, root) <= DENSE_ROUNDING_UNITS * 2.0**-53 / lever, p
-        assert relative_error(tth_numeric(p, 10.0), root) <= ROOT_TOL, p
+        assert relative_error(tth_numeric(p), root) <= ROOT_TOL, p
 
 
 def test_cli_prints_the_rounded_roots():

@@ -166,7 +166,7 @@ def test_ppt_suite_validates_its_stack_once(lapack_calls):
         (report, ["eigh", "eigvalsh", "svd"]),  # the marginals' entropies take the eigvalsh
         (concurrence, ["eigh", "svd"]),
         (entanglement_of_formation, ["eigh", "svd"]),
-        (lambda rho: sample_decomposition_average(rho, 4, 10, seed=1), ["eigh"]),
+        (lambda rho: sample_decomposition_average(rho, 10, seed=1), ["eigh"]),
     ],
     ids=["report", "concurrence", "entanglement_of_formation", "sample_decomposition_average"],
 )
