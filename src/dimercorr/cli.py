@@ -230,7 +230,7 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
     points = threshold_curve(_parse_range(args.gamma))
     columns = [
         [pt.gamma + 0.0 for pt in points],
-        [pt.t_th + 0.0 for pt in points],
+        [pt.t_th for pt in points],  # a positive midpoint or 0.0, never -0.0
         ["true" if pt.degenerate else "false" for pt in points],
     ]
     _write_output("gamma,t_th,degenerate\n" + _fill(f"{_NUMBER},{_NUMBER},%s\n", columns), args.output)
@@ -332,16 +332,12 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     parses as a float.
     """
     merged: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else ""
-        if tok.startswith("--") and "=" not in tok and nxt.startswith("-") and _is_number(nxt.split(":")[0]):
-            merged.append(f"{tok}={nxt}")
-            i += 2
+    for tok in argv:
+        flag = merged[-1] if merged else ""  # once joined, it holds "=" and takes no second value
+        if flag.startswith("--") and "=" not in flag and tok.startswith("-") and _is_number(tok.split(":")[0]):
+            merged[-1] = f"{flag}={tok}"
         else:
             merged.append(tok)
-            i += 1
     return merged
 
 

@@ -165,7 +165,7 @@ def _orthonormal_columns(z: np.ndarray, k: int) -> np.ndarray:
     q = np.empty((k,) + z.shape[1:], dtype=complex)
     for i in range(k):
         v = z[i]
-        for _ in range(2 if i else 0):
+        for _ in range(2):  # at i = 0 the projection onto q[:0] subtracts an exact 0
             coeffs = (q[:i].conj() * v).sum(axis=1)
             v = v - (q[:i] * coeffs[:, None]).sum(axis=0)
         q[i] = v / np.sqrt((v.real * v.real + v.imag * v.imag).sum(axis=0))

@@ -56,8 +56,8 @@ SUITES = ("gibbs", "wootters", "ppt", "ensemble")
 
 class _Point(NamedTuple):
     gamma: float
-    b1: float = 0.0
-    b2: float = 0.0
+    b1: float
+    b2: float
 
 
 class ModelParams(_Point):

@@ -102,9 +102,10 @@ def _x_form(gamma: float, b1: float, b2: float, t: float) -> tuple[float, ...]:
     # writing (1+gamma) + r as 2 + (r - (1-gamma)) = 2 + delta^2 / (r + 1 - gamma)
     # keeps level crossings such as b1 = b2 = 1 exact, where 1/T would
     # amplify any rounding.  Past |delta| ~ 1.3e154, where delta^2
-    # overflows, the ratio is formed one factor at a time.
+    # overflows, gap <= 2 is below half an ulp of |delta|, so r + gap = |delta|
+    # and the ratio is |delta|.
     square = delta * delta
-    lift = 2.0 + (square / (r_safe + gap) if math.isfinite(square) else size * (size / (r_safe + gap)))
+    lift = 2.0 + (square / (r_safe + gap) if math.isfinite(square) else size)
     level_uu = lift + sigma
     level_dd = lift - sigma
     twice_r = 2.0 * r
@@ -120,11 +121,9 @@ def _x_form(gamma: float, b1: float, b2: float, t: float) -> tuple[float, ...]:
     p_hi = w_hi / z
     p_lo = w_lo / z
 
-    # 1 - |cos(theta)|; at gamma = 1 there is no mixing (and at r = 0 no angle)
-    if gap > 0.0:
-        one_minus_cos = gap * gap / (r * (r + size))
-    else:
-        one_minus_cos = 0.0 if r > 0.0 else 1.0
+    # 1 - |cos(theta)|; at gamma = 1 there is no mixing (at r = 0, p_hi = p_lo,
+    # so any value gives the same state)
+    one_minus_cos = gap * gap / (r * (r + size)) if gap > 0.0 else 0.0
     # diagonal weight of the basis state the upper level leans toward, and of the other
     upper_side = 0.5 * (p_hi * (2.0 - one_minus_cos) + p_lo * one_minus_cos)
     lower_side = 0.5 * (p_hi * one_minus_cos + p_lo * (2.0 - one_minus_cos))
@@ -159,7 +158,9 @@ def _formation(c: float) -> float:
 def _correlations(gamma: float, b1: float, b2: float, t: float) -> tuple[float, float, float, float]:
     """Total, quantum and classical correlation and concurrence at one point (see closed_form_correlations)."""
     p_uu, p_dd, p_hi, p_lo, rho22, rho33, coherence, corners = _x_form(gamma, b1, b2, t)
-    c = min(max(2.0 * (coherence - corners), 0.0), 1.0)
+    # no clamp at 1: 2 coherence <= p_lo <= 1 with every rounding step too, and
+    # corners >= 0 (a C above 1 would make _formation's sqrt raise)
+    c = max(2.0 * (coherence - corners), 0.0)
     # the entropies, each x log2 x (0 at x = 0) written out and summed left to right as a + b + c + d
     s12 = -(
         (p_uu * log2(p_uu) if p_uu > 0.0 else 0.0)
@@ -214,7 +215,7 @@ def thermal_state_analytic(gamma, b1, b2, t) -> np.ndarray:
     """
     import numpy as np
 
-    p_uu, p_dd, _, _, rho22, rho33, coherence = _map_kernel(_x_form, 8, gamma, b1, b2, t)[:7]
+    p_uu, p_dd, _, _, rho22, rho33, coherence, _ = _map_kernel(_x_form, 8, gamma, b1, b2, t)
     rho = np.zeros(np.shape(p_uu) + (4, 4), dtype=complex)
     rho[..., 0, 0], rho[..., 3, 3] = p_uu, p_dd
     rho[..., 1, 1], rho[..., 2, 2] = rho22, rho33

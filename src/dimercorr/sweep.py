@@ -192,17 +192,14 @@ def count_peaks(table: SweepTable, column: str) -> int:
     y = _series(table, column)
     count = 0
     for i in range(1, len(y) - 1):
-        if y[i - 1] < y[i]:  # a rise: a peak if what follows its flat top falls
-            ahead = i + 1
-            while ahead < len(y) - 1 and y[ahead] == y[i]:
-                ahead += 1
-            if y[ahead] < y[i]:
-                # prominence: the height above the higher side minimum, each side
-                # walked out from the peak until the column rises above it (or is NaN)
-                sides = range(i, -1, -1), range(i, len(y))
-                base = max(min(takewhile(lambda v: v <= y[i], (y[k] for k in side))) for side in sides)
-                if y[i] - base >= 0.01:
-                    count += 1
+        if y[i - 1] < y[i]:  # a rise: the left end of a top, flat or not
+            # prominence: the height above the higher side minimum, each side
+            # walked out from the peak until the column rises above it (or is
+            # NaN); a top that rises again or runs into an edge has height 0
+            sides = range(i, -1, -1), range(i, len(y))
+            base = max(min(takewhile(lambda v: v <= y[i], (y[k] for k in side))) for side in sides)
+            if y[i] - base >= 0.01:
+                count += 1
     return count
 
 

@@ -9,11 +9,11 @@ with u = 1/T and r = sqrt((b1-b2)^2 + (1-gamma)^2) (temperatures in units
 of J).  g' = (1+gamma) + r coth(r u) > 0, so for gamma < 1 there is exactly
 one threshold, and it depends on (gamma, |b1 - b2|) alone; at b1 = b2 it
 solves the paper's gamma = (T/2) ln(e^{2/T} - 2).  One solver finds the
-sign change of g between adjacent floats (Newton steps on u = 1/T from a
-closed-form start, then a walk of at most 64 floats) for tth_numeric, which
-checks its point through numpy-free domain.ModelParams; tth_anisotropic is its
-b1 = b2 case.  At gamma = 1 the state is never entangled at any T > 0, and
-both return the limit 0.0.
+sign change of g between adjacent floats (at most 32 Newton steps on u = 1/T
+from a closed-form start, then a walk of at most 64 floats) for tth_numeric,
+which checks its point through numpy-free domain.ModelParams; tth_anisotropic
+is its b1 = b2 case.  At gamma = 1 the state is never entangled at any
+T > 0, and both return the limit 0.0.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_NEWTON_LIMIT = 32  # Newton steps; the test panel needs at most 8
 _WALK_LIMIT = 64  # floats walked after the Newton steps; the test panel needs at most 4
 
 
@@ -54,8 +55,9 @@ def _threshold(gamma: float, delta: float) -> float:
     climb from u0 to the root without passing it: at most 11 evaluations of
     g, measured.  A walk of a few floats from where they stop finds the
     adjacent pair (entangled, not entangled); the result is its midpoint,
-    the float that bisecting down to that pair returns.  A walk longer than
-    _WALK_LIMIT floats raises RuntimeError rather than run on.
+    the float that bisecting down to that pair returns.  More than
+    _NEWTON_LIMIT steps or a walk longer than _WALK_LIMIT floats raises
+    RuntimeError rather than run on.
     """
     gap = 1.0 - gamma
     r = math.hypot(delta, gap)
@@ -67,7 +69,7 @@ def _threshold(gamma: float, delta: float) -> float:
 
     slope = (1.0 + gamma) / r
     u = -offset / (1.0 + gamma + r)  # g < 0 here, for every gamma < 1 and finite delta
-    while True:
+    for _ in range(_NEWTON_LIMIT):
         x = r * u
         em = -math.expm1(-2.0 * x)  # coth x = (2 - em) / em
         step = ((1.0 + gamma) * u + x + math.log(em) + offset) / r / (slope + (2.0 - em) / em)
@@ -75,6 +77,8 @@ def _threshold(gamma: float, delta: float) -> float:
         if not nxt > u:  # at the root, to rounding
             break
         u = nxt
+    else:
+        raise RuntimeError(f"Newton did not stop in {_NEWTON_LIMIT} steps at gamma = {gamma!r}, |b1 - b2| = {delta!r}")
     t = 1.0 / u
     side = entangled(t)
     toward = math.inf if side else 0.0  # up to the first float past the root, or down to the last before it

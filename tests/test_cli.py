@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dimercorr.cli import CSV_HEADER, main
+from dimercorr.cli import CSV_HEADER, _json_number, main
 from dimercorr.models import ModelParams, closed_form_correlations
 from dimercorr.sweep import RECORD_COLUMNS, Axis, SweepSpec, run_sweep
 from dimercorr.threshold import threshold_curve
@@ -212,6 +213,36 @@ def test_verify_runs_clean(capsys):
     assert out.splitlines()[-1] == "all 1 checks passed"
 
 
+# verify --suite all's standard output with each residual masked: the
+# residual digits depend on the BLAS build, the rest of each line does not
+VERIFY_TEXT = "".join(
+    f"[{suite:8s}] {name:<48s}  residual *  bound {bound}  PASS  ({detail})\n"
+    for suite, name, bound, detail in (
+        ("gibbs", "analytic vs numeric thermal state", "1.0e-10", "max entrywise deviation over 200 random box points"),
+        ("wootters", "zero-field closed form vs pipeline", "1.0e-10", "max deviation over a 10x5 (gamma, T) grid"),
+        ("wootters", "box closed form vs pipeline", "1.0e-10", "max deviation over 50 random box points"),
+        (
+            "ppt",
+            "concurrence vs partial-transpose criterion",
+            "0.0e+00",
+            "disagreements over 1000 random density matrices",
+        ),
+        (
+            "ensemble",
+            "sampled decomposition average vs formation floor",
+            "-1.0e-09",
+            "worst (average - E_f) over 5 states x 10000 samples; must not fall below the bound",
+        ),
+    )
+) + "all 5 checks passed\n"
+
+
+def test_verify_prints_each_check_with_its_bound(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "all")
+    assert (code, err) == (0, "")
+    assert re.sub(r"residual \S+", "residual *", out) == VERIFY_TEXT
+
+
 def test_verify_unknown_suite_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "verify", "--suite", "bogus")
     assert code == 2
@@ -384,6 +415,8 @@ def test_sweep_threads_below_one_is_usage_error(capsys, threads):
         ("1:0:5", 2),
         ("0:1:1", 2),
         ("0.5:0.5:1", 0),
+        ("1:1:2", 2),
+        ("1:1:3", 2),
         ("-inf:0:3", 3),
         ("0:nan:3", 3),
         ("-1e308:1e308:3", 3),
@@ -392,6 +425,31 @@ def test_sweep_threads_below_one_is_usage_error(capsys, threads):
 def test_threshold_ranges_and_sweep_axes_share_the_grid_rules(capsys, grid, code):
     assert run_cli(capsys, "threshold", "--gamma", grid)[0] == code
     assert run_cli(capsys, "sweep", "--temp", "1", "--axis", f"b1={grid}")[0] == code
+
+
+def test_a_range_ending_at_negative_zero_prints_zero(capsys):
+    # "-0" parses as -0.0, and the last grid point is the stop value itself
+    code, out, _ = run_cli(capsys, "threshold", "--gamma", "-1:-0:3")
+    assert code == 0 and [line.split(",")[0] for line in out.splitlines()[1:]] == ["-1", "-0.5", "0"]
+
+
+def test_three_axes_are_a_usage_error(capsys):
+    axes = ("--axis", "b1=0:1:2", "--axis", "b2=0:1:2", "--axis", "gamma=0:1:2")
+    code, out, err = run_cli(capsys, "sweep", "--temp", "1", *axes)
+    assert (code, out) == (2, "") and "one or two --axis options" in err
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0 and out.startswith("usage: dimercorr")
+
+
+def test_json_numbers_are_what_json_dumps_prints_for_the_csv_digits():
+    # every decimal exponent from underflow to overflow, and subnormals down to the smallest
+    values = [float(f"{sign}1.5e{k}") for sign in "+-" for k in range(-330, 331)]
+    values += [sign * math.ldexp(1.0, k) for sign in (1.0, -1.0) for k in range(-1074, -1021, 4)]
+    for x in values:
+        assert _json_number(x) == json.dumps(float("%.12g" % x)), x
 
 
 def test_point_and_sweep_print_the_same_row(capsys):

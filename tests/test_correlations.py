@@ -114,6 +114,18 @@ def test_local_unitary_invariance():
         assert abs(report(rotated).total - report(rho).total) < 1e-10
 
 
+def test_rotated_singlets_read_at_most_one():
+    # rounding puts l1 - l2 - l3 - l4 of about a fifth of these above 1; C stays at 1, and E_f at 1 bit
+    rng = np.random.default_rng(0)
+    stack = []
+    for _ in range(20):
+        psi = np.kron(haar_unitary(2, rng), haar_unitary(2, rng)) @ SINGLET
+        stack.append(np.outer(psi, psi.conj()))
+    c = concurrence(np.array(stack))
+    assert c.max() == 1.0 and np.all(c > 1.0 - 1e-12)
+    assert np.all(np.abs(entanglement_of_formation(np.array(stack)) - 1.0) < 1e-12)
+
+
 def test_formation_from_concurrence():
     assert _formation(0.0) == 0.0
     assert _formation(1.0) == 1.0

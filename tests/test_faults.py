@@ -2,20 +2,24 @@
 
 A check that no fault can fail shows nothing.  Each fault here replaces one
 piece of the program with a plausible bug and leaves every source file as it
-is.  A fault on the dense route must make ``run_suites`` report the named
-suite failed; a fault in the writer or the threshold solver must make the
-named test raise AssertionError.
+is.  A fault on either route must make ``run_suites`` report the named
+suite failed (and ``verify`` exit 4); a fault in the writer or the
+threshold solver must make the named test raise AssertionError, or the
+solver raise RuntimeError at once rather than run on.
 """
 
 import math
+import time
+from types import SimpleNamespace
 
 import pytest
 import test_cli  # the named tests are reached through their modules, so pytest collects them once
 import test_threshold
 
 from dimercorr import threshold
-from dimercorr.domain import RECORD_COLUMNS
-from dimercorr.models import build_hamiltonian
+from dimercorr.cli import main
+from dimercorr.domain import RECORD_COLUMNS, ModelParams
+from dimercorr.models import build_hamiltonian, closed_form_correlations
 from dimercorr.verify import run_suites
 
 
@@ -30,6 +34,13 @@ def _flipped_yy_sign(gamma, b1, b2):
     return h
 
 
+def _scaled_concurrence(gamma, b1, b2, t):
+    """closed_form_correlations with the concurrence 1e-6 relative too large: only entangled points move."""
+    out = closed_form_correlations(gamma, b1, b2, t)  # models' own function, which the patch on verify leaves alone
+    out["concurrence"] = out["concurrence"] * (1.0 + 1e-6)
+    return out
+
+
 @pytest.mark.parametrize(
     ("suite", "target", "fault"),
     [
@@ -37,14 +48,25 @@ def _flipped_yy_sign(gamma, b1, b2):
         ("ppt", "dimercorr.correlations._partial_transpose", _identity),
         # the wootters suite passes this fault: the concurrence reads |rho23| only, which the sign leaves
         ("gibbs", "dimercorr.verify.build_hamiltonian", _flipped_yy_sign),
+        # each of its two panels has unentangled points, where the deviation stays 0: only its worst point shows
+        ("wootters", "dimercorr.verify.closed_form_correlations", _scaled_concurrence),
     ],
-    ids=["identity_partial_transpose", "flipped_yy_sign"],
+    ids=["identity_partial_transpose", "flipped_yy_sign", "scaled_concurrence"],
 )
 def test_fault_fails_its_suite(monkeypatch, suite, target, fault):
     assert all(result.passed for result in run_suites(suite))
     monkeypatch.setattr(target, fault)
     results = run_suites(suite)
     assert results and not any(result.passed for result in results)
+
+
+def test_a_failed_suite_exits_4_and_names_it(monkeypatch, capsys):
+    monkeypatch.setattr("dimercorr.correlations._partial_transpose", _identity)
+    assert main(["verify", "--suite", "ppt"]) == 4
+    captured = capsys.readouterr()
+    assert "  FAIL  " in captured.out and "checks passed" not in captured.out
+    assert captured.err.startswith("verification failed: 1 check(s); worst residual ")
+    assert captured.err.endswith(" from ppt\n")
 
 
 def _unfolded_record_columns(columns):
@@ -88,3 +110,29 @@ def test_fault_fails_its_test(monkeypatch, capsys, target, fault, check):
     monkeypatch.setattr(target, fault)
     with pytest.raises(AssertionError):
         check(capsys)
+
+
+def test_a_failed_verify_names_its_worst_residual(monkeypatch, capsys):
+    monkeypatch.setattr("dimercorr.verify.closed_form_correlations", _scaled_concurrence)
+    assert main(["verify", "--suite", "wootters"]) == 4
+    captured = capsys.readouterr()
+    residuals = [float(line.split("residual ")[1].split()[0]) for line in captured.out.splitlines()]
+    assert len(residuals) == 2 and residuals[0] != residuals[1]
+    assert captured.err == f"verification failed: 2 check(s); worst residual {max(residuals):.3e} from wootters\n"
+
+
+def test_newton_that_never_reaches_the_root_raises(monkeypatch):
+    calls = []
+
+    def expm1(x):
+        # -1e-12 at every x: g reads about -27 and its slope 2e12 too steep, so
+        # each Newton step climbs about 1e-11 and none reaches the root
+        calls.append(x)
+        assert len(calls) <= 1000, "the Newton steps are unbounded"
+        return -1e-12
+
+    monkeypatch.setattr(threshold, "math", SimpleNamespace(**{**vars(math), "expm1": expm1}))
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match=r"Newton did not stop .* gamma = 0\.3, \|b1 - b2\| = 0\.5"):
+        threshold.tth_numeric(ModelParams(0.3, 0.5, 0.0))
+    assert time.perf_counter() - start < 1.0

@@ -222,6 +222,12 @@ def test_ising_point_with_a_vanishing_field_difference():
         assert closed_form_correlations(1.0, 1e-170, 0.0, 1.0) == closed_form_correlations(1.0, 0.0, 0.0, 1.0)
 
 
+def test_a_field_difference_whose_square_overflows_matches_dense_and_reference():
+    # (b1 - b2)^2 = 1e400 overflows, so the levels come from the overflow
+    # branch; at T = 1e200 all four populations are of order 1
+    assert_gibbs_matches_dense_and_reference(0.0, 5e199, -5e199, 1e200)
+
+
 # Corners of the kernel: extreme temperatures, fields whose square or
 # doubled splitting overflows, the r = 0 point and its neighbour, strong
 # uniform fields, and a box point whose total correlation is tiny.

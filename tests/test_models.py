@@ -22,6 +22,11 @@ SINGLET_RHO = np.diag([0.0, 0.5, 0.5, 0.0]).astype(complex)
 SINGLET_RHO[1, 2] = SINGLET_RHO[2, 1] = -0.5
 
 
+def test_params_default_to_zero_fields():
+    assert ModelParams(0.3) == (0.3, 0.0, 0.0)
+    assert ModelParams(0.3, 0.5) == (0.3, 0.5, 0.0)
+
+
 def test_params_validation():
     with pytest.raises(DomainError):
         ModelParams(gamma=1.2)

@@ -1,5 +1,7 @@
 """Grid sweeps and qualitative curve-shape detectors."""
 
+import sys
+
 import numpy as np
 import pytest
 from scipy.signal import find_peaks
@@ -45,6 +47,16 @@ def test_axis_validation():
         axis.points = 4
     with pytest.raises(ValueError):
         axis._replace(points=1)  # _replace validates as the constructor does
+    Axis("b1", 0.0, 1.0, sys.maxsize)  # the most points a list may hold: checked, never allocated here
+    with pytest.raises(ValueError, match="at most"):
+        Axis("b1", 0.0, 1.0, sys.maxsize + 1)
+
+
+@pytest.mark.parametrize("value", [0.25, -0.0, 5e-324])
+def test_a_single_point_axis_is_np_linspace_bit_for_bit(value):
+    # np.linspace adds start to 0 * delta, so a -0.0 start comes back as 0.0
+    (got,) = Axis("b1", value, value, 1).values()
+    assert got.hex() == np.linspace(value, value, 1)[0].hex()
 
 
 def test_float32_endpoints_give_the_float_grid():
@@ -281,6 +293,15 @@ def test_count_peaks_matches_find_peaks_on_random_columns():
     rng = np.random.default_rng(15)
     for _ in range(12000):
         column = _random_column(rng).tolist()
+        assert count_peaks(_column_table(column), "quantum") == _oracle_peaks(column), column
+
+
+def test_count_peaks_matches_find_peaks_on_random_walks_with_plateaus():
+    rng = np.random.default_rng(31)
+    for _ in range(2000):
+        n = int(rng.integers(3, 60))
+        steps = np.round(rng.normal(0.0, 0.01, n), 2)  # a step rounded to 0 leaves the walk flat
+        column = np.repeat(np.cumsum(steps), rng.integers(1, 4, n)).tolist()  # and repeats widen the runs
         assert count_peaks(_column_table(column), "quantum") == _oracle_peaks(column), column
 
 

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from dimercorr.cli import main
 from dimercorr.correlations import (
     concurrence,
     entanglement_of_formation,
@@ -173,3 +174,83 @@ def test_ppt_suite_validates_its_stack_once(lapack_calls):
 def test_dense_functions_decompose_each_state_once(fn, expected, lapack_calls):
     fn(random_density_matrix(np.random.default_rng(3), size=5))
     assert sorted(lapack_calls) == expected
+
+
+def _draws(monkeypatch, run):
+    """What ``run()`` passes to the functions the suites draw from, in call order.
+
+    Arrays are recorded as lists and a generator by its state at the call,
+    before it draws.
+    """
+    from dimercorr import verify
+
+    calls = []
+
+    def record(name):
+        original = getattr(verify, name)
+
+        def recorded(*args, **kwargs):
+            seen = [a.bit_generator.state if isinstance(a, np.random.Generator) else np.asarray(a).tolist()
+                    for a in args]
+            calls.append((name, seen, kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, recorded)
+
+    drawing = (
+        "thermal_state_analytic", "closed_form_correlations", "random_density_matrix", "sample_decomposition_average"
+    )
+    for name in drawing:
+        record(name)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def _box_draw(seed, n):
+    """n points of the full box, (gamma, b1, b2, T) as verify's module docstring states it, from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    return [rng.uniform(-1.0, 1.0, n), *rng.uniform(-5.0, 5.0, (2, n)), rng.uniform(0.02, 5.0, n)]
+
+
+def test_verify_draws_the_panels_its_lines_name(monkeypatch, capsys):
+    # the draws, unlike the residual digits, do not depend on the BLAS build
+    calls = _draws(monkeypatch, lambda: main(["verify"]))
+    capsys.readouterr()
+    names = [name for name, _, _ in calls]
+    assert names == ["thermal_state_analytic", "closed_form_correlations"] + ["random_density_matrix"] * 2 + [
+        "sample_decomposition_average"
+    ]
+    (_, gibbs_points, _), (_, wootters_points, _), ppt, ensemble, (_, (rho,), sampled) = calls
+    assert gibbs_points == [a.tolist() for a in _box_draw(7, 200)]
+    g, t = np.meshgrid(np.linspace(-1.0, 1.0, 10), np.linspace(0.02, 5.0, 5), indexing="ij")
+    grid = [g.ravel(), np.zeros(50), np.zeros(50), t.ravel()]
+    assert wootters_points == [np.concatenate(pair).tolist() for pair in zip(grid, _box_draw(11, 50))]
+    seed_7 = np.random.default_rng(7).bit_generator.state
+    assert ppt[1:] == ([seed_7], {"size": 1000}) and ensemble[1:] == ([seed_7], {"size": 5})
+    assert np.shape(rho) == (5, 4, 4) and sampled == {"samples": 10000, "seed": 7}
+
+
+@pytest.mark.parametrize(
+    ("check", "suite"),
+    [(check_gibbs_equivalence, "gibbs"), (check_ppt_agreement, "ppt"), (check_ensemble_bound, "ensemble")],
+)
+def test_a_bare_check_draws_what_run_suites_draws(monkeypatch, check, suite):
+    assert _draws(monkeypatch, check) == _draws(monkeypatch, lambda: run_suites(suite))
+
+
+def test_run_suites_takes_the_smallest_samples_and_seed():
+    (result,) = run_suites("ppt", seed=0, samples=1)
+    assert result.passed and result.detail == "disagreements over 1 random density matrices"
+
+
+def test_ensemble_check_passes_within_its_tolerance_below_the_floor(monkeypatch):
+    # Wootters' decomposition attains E_f, so an average at the floor, or rounding below it, must pass
+    from dimercorr import verify
+
+    def at_the_floor(rho, samples, seed):
+        return entanglement_of_formation(rho) - 0.5e-9
+
+    monkeypatch.setattr(verify, "sample_decomposition_average", at_the_floor)
+    result = check_ensemble_bound()
+    assert result.passed and abs(result.residual + 0.5e-9) < 1e-15

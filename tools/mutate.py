@@ -1,0 +1,448 @@
+"""Mutation sweep: each small change to the package must fail the tier-1 suite.
+
+Run from anywhere, with no arguments:
+
+    python tools/mutate.py
+
+For each module in MODULES the sweep makes every mutant the operators below
+give, one at a time, writes it into a private copy of the repository and
+runs the full tier-1 suite there (``pytest -x``, under a time limit).  A
+mutant the suite fails is ``killed``, with the first failing test.  One
+that passes is ``equivalent`` when EQUIVALENT gives the reason it cannot
+change any result, and ``survived`` otherwise; one that outruns the limit
+is ``hung``.  Code that a sweep showed to have no effect and that was then
+deleted is listed in DELETED, with the argument, as ``deleted``.
+
+The operators: + and - swapped, * and / swapped (both also in augmented
+assignments), < and <=, > and >=, == and != swapped, min and max (and
+numpy's minimum and maximum) swapped, expm1 -> exp, log1p -> log, a
+numeric constant plus 1, and a unary minus dropped.  Docstrings and
+annotations are left alone.
+
+The result goes to OUTPUT at the root of the repository, one entry per
+mutant.  A mutant is named by where it sits (the function, or the
+module-level name it assigns) and by its text before and after, so the
+names in EQUIVALENT outlive edits elsewhere in a module.  The exit status
+is 1 if any mutant is left ``survived`` or ``hung``, or if the unmutated
+copy fails the suite, and 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import ast
+import json
+import os
+import queue
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "dimercorr"
+OUTPUT = ROOT / "MUTATION_31.json"
+MODULES = ("__main__", "cli", "correlations", "domain", "matkernel", "models", "sweep", "threshold", "verify")
+TIMEOUT = 120  # seconds per mutant; tier-1 takes about 13
+WORKERS = 2
+PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+
+_ARITHMETIC = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult}
+_COMPARISON = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
+_NAMES = {"min": "max", "max": "min", "minimum": "maximum", "maximum": "minimum", "expm1": "exp", "log1p": "log"}
+_SYMBOL = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">",
+           ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!="}
+
+# Mutants that pass the suite because they cannot change any result, by
+# (module, name): the reason, written into OUTPUT.
+_TOLERANCE = "a tolerance comparison: no input the suite or the package meets sits exactly on the bound"
+_REPR = "repr(float(d)) is the token for every d; the string rule is a shortcut, and moving its edge here leaves it "
+_NEGATIVE_SIZE = "numpy reads any negative size in reshape as the one size it infers"
+EQUIVALENT: dict[tuple[str, str], str] = {
+    ("cli", "_PARAMETERS: 4 -> 5"): "a fifth parameter column is the total, which _tokens formats with the same "
+    '"%.12g" (CSV) or _json_number (JSON) as the output template does: the bytes are the same',
+    ("cli", "_json_token: 12 <= power <= 15 -> 12 <= power <= 16"): _REPR + "exact: at exponent 16 repr also "
+    "writes scientific notation, the 12 digits d themselves",
+    ("cli", "_json_token: power <= -308 -> power < -308"): _REPR + "exact: a subnormal of exponent -308 still "
+    "holds about 15 digits, so the 12 digits d are the shortest that read back",
+    ("cli", "_json_token: power <= -308 -> power <= -309"): _REPR + "exact: a subnormal of exponent -308 still "
+    "holds about 15 digits, so the 12 digits d are the shortest that read back",
+    ("cli", "_json_token: power <= -308 -> power <= 308"): _REPR + "exact: repr is taken for more exponents",
+    ("cli", "_fill: columns[0] -> columns[1]"): "every record column has the same length",
+    ("cli", "_table_to_json: columns[0] -> columns[1]"): "every record column has the same length",
+    ("cli", "_table_to_json: text.rsplit('[]', 1) -> text.rsplit('[]', 2)"): "the spec text holds one [], the "
+    "empty records list: a sweep has at least one axis, so its axes list is never empty",
+    ("correlations", "_SUB_BATCH: 256 -> 257"): "each draw's average is computed on its own, and the minimum "
+    "over all draws does not depend on how they are batched",
+    ("correlations", "_xlog2x: x > 0.0 -> x >= 0.0"): "at x = 0 both branches give 0 (0 * log2(1))",
+    ("correlations", "_xlog2x: np.where(x > 0.0, x, 1.0) -> np.where(x > 0.0, x, 2.0)"): "the outer np.where "
+    "discards the inner value wherever x <= 0",
+    ("correlations", "_mutual_information: _partial_trace(rho, 2) -> _partial_trace(rho, 3)"): "_partial_trace "
+    "keeps qubit 1 for keep == 1 and qubit 2 for any other value",
+    ("correlations", "_sigma_yy_form: rows[..., ::-1] * _SIGMA_YY_SIGNS -> rows[..., ::-1] / _SIGMA_YY_SIGNS"): "the "
+    "signs are +-1, and x / +-1 == x * +-1 exactly",
+    ("correlations", "_separable_ppt: np.linalg.eigvalsh(_partial_transpose(rho))[..., 0] >= -1e-10 -> "
+     "np.linalg.eigvalsh(_partial_transpose(rho))[..., 0] > -1e-10"): _TOLERANCE,
+    ("correlations", "_orthonormal_columns: range(2) -> range(3)"): "a third Gram-Schmidt pass moves Q by rounding "
+    "only, since two passes already make it orthonormal to roundoff; no output holds those bits (verify prints "
+    "4 digits of the ensemble gap, the sampler's oracle test holds 1e-14)",
+    ("correlations", "_weighted_eigenrows: values > 1e-10 -> values >= 1e-10"): _TOLERANCE,
+    ("correlations", "_ginibre_blocks: 2 * min(samples, _BLOCK) -> 3 * min(samples, _BLOCK)"): "the buffer is "
+    "sliced to each block's size, so a larger one changes memory, not results",
+    ("correlations", "_least_averages: (u.real * u.real + u.imag * u.imag).reshape(len(u), -1) -> "
+     "(u.real * u.real + u.imag * u.imag).reshape(len(u), -2)"): _NEGATIVE_SIZE,
+    ("correlations", "_least_averages: products.reshape(len(first), -1) -> products.reshape(len(first), -2)"):
+    _NEGATIVE_SIZE,
+    ("correlations", "_least_averages: (probs * _formation(c)).reshape(len(norms), u.shape[1], -1) -> "
+     "(probs * _formation(c)).reshape(len(norms), u.shape[1], -2)"): _NEGATIVE_SIZE,
+    ("correlations", "sample_decomposition_average: basis.reshape(-1, rank, 4) -> basis.reshape(-2, rank, 4)"):
+    _NEGATIVE_SIZE,
+    ("correlations", "_least_averages: probs > 0.0 -> probs >= 0.0"): "a member's weight is 0 only where its Haar "
+    "amplitudes vanish on the whole support, which a Gaussian draw gives with probability 0",
+    ("correlations", "_least_averages: np.where(probs > 0.0, probs, 1.0) -> np.where(probs > 0.0, probs, 2.0)"):
+    "where a member's weight is 0 its |u^T tau u| is 0 too, so any placeholder gives C = 0",
+    ("matkernel", "_hermitian_mask: np.abs(m - _adjoint(m)).max(axis=(-2, -1)) <= HERMITIAN_TOL -> "
+     "np.abs(m - _adjoint(m)).max(axis=(-2, -1)) < HERMITIAN_TOL"): _TOLERANCE,
+    ("matkernel", "_density_eigh: np.abs(trace - 1.0) <= TRACE_TOL -> np.abs(trace - 1.0) < TRACE_TOL"): _TOLERANCE,
+    ("matkernel", "_density_eigh: values[..., 0] >= -PSD_TOL -> values[..., 0] > -PSD_TOL"): _TOLERANCE,
+    ("models", "_x_form: r if r > 0.0 else 1.0 -> r if r > 0.0 else 2.0"): "r = 0 only at gamma = 1 and b1 = b2, "
+    "where every numerator r_safe divides (delta^2 and gap) is 0",
+    ("models", "_x_form: delta >= 0.0 -> delta > 0.0"): "at delta = 0 both sides are equal: 1 - |cos| is 1 for "
+    "gamma < 1, and p_hi = p_lo at gamma = 1",
+    **{
+        ("models", f"_correlations: {x} * log2({x}) if {x} > 0.0 else 0.0 -> {x} * log2({x}) if {x} > 0.0 else 1.0"
+         + suffix): "a marginal population is 0 only where both of its populations are 0; that qubit is then pure, "
+        "s1 + s2 - s12 sums the same terms and is exactly 0, and the clamp at 0 hides the mutant's -1"
+        for x in ("up", "down")
+        for suffix in ("", " #2")
+    },
+    ("models", "_map_kernel: arrays[0] -> arrays[1]"): "np.broadcast_arrays gives every array the same shape",
+    ("sweep", "run_sweep: spec.temp if spec.temp is not None else 1.0 -> spec.temp if spec.temp is not None else 2.0"):
+    "a spec without a temp has a T axis (SweepSpec checks it), and the axis overwrites the placeholder",
+    ("sweep", "detect_quantum_exceeds_classical: q > c + 1e-12 -> q >= c + 1e-12"): _TOLERANCE,
+    ("sweep", "detect_zero_plateau: v <= 1e-10 -> v < 1e-10"): _TOLERANCE,
+    ("sweep", "count_peaks: i - 1 -> i + 1"): "it takes each top at its right end instead of its left, and the "
+    "prominence walk crosses a flat top both ways, so the same tops count",
+    ("verify", "check_gibbs_equivalence: worst < GIBBS_TOL -> worst <= GIBBS_TOL"): _TOLERANCE,
+    ("verify", "check_wootters_closed_form: float(part.max()) < WOOTTERS_TOL -> float(part.max()) <= WOOTTERS_TOL"):
+    _TOLERANCE,
+    ("verify", "check_ppt_agreement: _concurrence(values, vectors) > 1e-09 -> _concurrence(values, vectors) >= 1e-09"):
+    _TOLERANCE,
+    ("verify", "check_ensemble_bound: worst_gap >= -ENSEMBLE_TOL -> worst_gap > -ENSEMBLE_TOL"): _TOLERANCE,
+    ("threshold", "_NEWTON_LIMIT: 32 -> 33"): "a bound that only decides when a solver gone wrong raises; the "
+    "test panel needs at most 8 steps",
+    ("threshold", "_WALK_LIMIT: 64 -> 65"): "a bound that only decides when a solver gone wrong raises; the "
+    "test panel needs at most 4 floats",
+}
+
+# Mutants that passed the suite in code deleted since, because they showed
+# the code has no effect: (module, name, line before the deletion, operator,
+# reason).
+_OVERFLOW = "past |delta| ~ 1.3e154, gap <= 2 is below half an ulp of r = |delta|, so the ratio is |delta| exactly"
+_GAMMA_1 = "1 - |cos| at gamma = 1: at r = 0, p_hi = p_lo, so either value gives the same state"
+_FLAT_TOP = (
+    "the look-ahead over a flat top only skipped prominence walks that give height 0 anyway (a top that rises again "
+    "or runs into an edge); without it count_peaks gives the same counts on 30,000 random columns with NaN"
+)
+_POINT = "ModelParams.__new__ always passes all three fields, so _Point's defaults were never read"
+DELETED: tuple[tuple[str, str, int, str, str], ...] = (
+    ("cli", "_cmd_threshold: pt.t_th + 0.0 -> pt.t_th - 0.0", 233, "+ -> -", "t_th is a positive midpoint or the "
+     "literal 0.0, never -0.0, so the fold had nothing to fold"),
+    ("cli", "_join_negative_values: i += 2 -> i -= 2", 341, "+ -> -", "hung tier-1: the index loop could step back "
+     "for ever; the loop over the tokens that replaced it joins a value onto the flag before it and cannot revisit "
+     "a token (the same output on 200,000 random argument lists)"),
+    ("correlations", "_orthonormal_columns: 2 if i else 0 -> 2 if i else 1", 168, "constant + 1", "at i = 0 the "
+     "projection onto q[:0] subtracts an exact 0, so range(2 if i else 0) became range(2)"),
+    ("domain", "_Point: 0.0 -> 1.0", 59, "constant + 1", _POINT),
+    ("domain", "_Point: 0.0 -> 1.0 #2", 60, "constant + 1", _POINT),
+    ("models", "_x_form: size * (size / (r_safe + gap)) -> size / (size / (r_safe + gap))", 107, "* -> /", _OVERFLOW),
+    ("models", "_x_form: r_safe + gap -> r_safe - gap #2", 107, "+ -> -", _OVERFLOW),
+    ("models", "_x_form: r > 0.0 -> r >= 0.0 #2", 127, "> -> >=", _GAMMA_1),
+    ("models", "_x_form: 0.0 if r > 0.0 else 1.0 -> 0.0 if r > 0.0 else 2.0", 127, "constant + 1", _GAMMA_1),
+    ("models", "_correlations: min(max(2.0 * (coherence - corners), 0.0), 1.0) -> "
+     "min(max(2.0 * (coherence - corners), 0.0), 2.0)", 162, "constant + 1", "C <= 1 with no clamp: "
+     "2 coherence <= p_lo <= 1 at every rounding step, and corners >= 0"),
+    ("sweep", "count_peaks: i + 1 -> i - 1", 196, "+ -> -", _FLAT_TOP),
+    ("sweep", "count_peaks: ahead += 1 -> ahead -= 1", 198, "+ -> -", _FLAT_TOP),
+    ("sweep", "count_peaks: y[ahead] < y[i] -> y[ahead] <= y[i]", 199, "< -> <=", _FLAT_TOP),
+)
+
+
+class _Site:
+    """One mutant: where it is, how to name it, and the source text that makes it."""
+
+    def __init__(self, module, scope, line, operator, before, after, start, end, text):
+        self.module, self.line, self.operator = module, line, operator
+        self.name = f"{scope}: {before} -> {after}"
+        self.start, self.end, self.text = start, end, text
+
+
+def _offsets(source: bytes) -> list[int]:
+    """Byte offset of the start of each line (1-based lines: index 0 is line 1)."""
+    starts, total = [], 0
+    for line in source.splitlines(keepends=True):
+        starts.append(total)
+        total += len(line)
+    return starts + [total]
+
+
+def _skipped(tree: ast.Module) -> set[int]:
+    """ids of the nodes no operator touches: docstrings, annotations and ``__all__``."""
+    skip = []
+    for node in ast.walk(tree):
+        body = getattr(node, "body", None)
+        if isinstance(body, list) and body and isinstance(body[0], ast.Expr):
+            if isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str):
+                skip.append(body[0])
+        if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+            skip.append(node.annotation)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            skip.append(node.returns)
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            skip.append(node)
+    return {id(n) for root in skip for n in ast.walk(root)}
+
+
+def _scopes(tree: ast.Module) -> dict[int, str]:
+    """Each node's scope: the qualified function or class name, or the module-level name it assigns."""
+    scope = {}
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            inner = name
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{name}.{child.name}" if name else child.name
+            elif not name and isinstance(child, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+                inner = ",".join(ast.unparse(t) for t in targets)
+            elif not name and isinstance(child, ast.stmt):
+                inner = "<module>"
+            scope[id(child)] = inner
+            visit(child, inner)
+
+    visit(tree, "")
+    return scope
+
+
+def _changes(node):
+    """(operator, apply, undo) for each mutant of ``node`` alone."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in _ARITHMETIC:
+        old = node.op
+        new = _ARITHMETIC[type(old)]()
+        name = f"{_SYMBOL[type(old)]} -> {_SYMBOL[type(new)]}"
+        yield name, lambda: setattr(node, "op", new), lambda: setattr(node, "op", old)
+    if isinstance(node, ast.Compare):
+        for k, old in enumerate(node.ops):
+            if type(old) in _COMPARISON:
+                new = _COMPARISON[type(old)]()
+                yield (
+                    f"{_SYMBOL[type(old)]} -> {_SYMBOL[type(new)]}",
+                    lambda k=k, new=new: node.ops.__setitem__(k, new),
+                    lambda k=k, old=old: node.ops.__setitem__(k, old),
+                )
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in _NAMES:
+        old = node.id
+        yield f"{old} -> {_NAMES[old]}", lambda: setattr(node, "id", _NAMES[old]), lambda: setattr(node, "id", old)
+    if isinstance(node, ast.Attribute) and node.attr in _NAMES:
+        old = node.attr
+        yield f"{old} -> {_NAMES[old]}", lambda: setattr(node, "attr", _NAMES[old]), lambda: setattr(node, "attr", old)
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        old = node.value
+        yield "constant + 1", lambda: setattr(node, "value", old + 1), lambda: setattr(node, "value", old)
+
+
+def _sites(module: str) -> list[_Site]:
+    """Every mutant of one module, in source order."""
+    source = (PACKAGE / f"{module}.py").read_bytes()
+    tree = ast.parse(source)
+    skip, scope, starts = _skipped(tree), _scopes(tree), _offsets(source)
+    parent = {id(c): p for p in ast.walk(tree) for c in ast.iter_child_nodes(p)}
+
+    def span(node):
+        return starts[node.lineno - 1] + node.col_offset, starts[node.end_lineno - 1] + node.end_col_offset
+
+    def context(node):  # the expression a mutant is named by: climb out of names, constants and signs
+        while isinstance(node, (ast.Constant, ast.Name, ast.Attribute, ast.UnaryOp)):
+            up = parent.get(id(node))
+            if not isinstance(up, ast.expr):
+                break
+            node = up
+        return node
+
+    def target(node):  # the node whose source is replaced: the outermost f-string around it, if any
+        outer, up = node, parent.get(id(node))
+        while up is not None and not isinstance(up, ast.stmt):
+            if isinstance(up, ast.JoinedStr):
+                outer = up
+            up = parent.get(id(up))
+        return outer
+
+    sites = []
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        changes = list(_changes(node))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            up = parent[id(node)]
+            sites.append(_unary_site(module, scope[id(node)], node, up, span, context, target))
+        for operator, apply, undo in changes:
+            named, replaced = context(node), target(node)
+            before = ast.unparse(named)
+            apply()
+            after, text = ast.unparse(named), ast.unparse(replaced)
+            undo()
+            if not isinstance(replaced, ast.stmt):
+                text = f"({text})"
+            sites.append(_Site(module, scope[id(node)], node.lineno, operator, before, after, *span(replaced), text))
+    sites = [s for s in sites if s is not None]
+    sites.sort(key=lambda s: (s.start, s.end, s.operator))
+    seen: dict[str, int] = {}
+    for s in sites:  # the same text twice in one scope: number the later ones
+        seen[s.name] = seen.get(s.name, 0) + 1
+        if seen[s.name] > 1:
+            s.name += f" #{seen[s.name]}"
+    return sites
+
+
+def _unary_site(module, scope, node, up, span, context, target):
+    """The mutant that drops the unary minus of ``node``: its parent's field is pointed at the operand."""
+    for field, value in ast.iter_fields(up):
+        if value is node:
+            swap = lambda v: setattr(up, field, v)  # noqa: E731
+            break
+        if isinstance(value, list) and any(v is node for v in value):
+            index = next(i for i, v in enumerate(value) if v is node)
+            swap = lambda v, value=value, index=index: value.__setitem__(index, v)  # noqa: E731
+            break
+    else:
+        return None
+    named = context(node) if isinstance(up, ast.expr) else node
+    replaced = target(node)
+    before = ast.unparse(named)
+    if named is node:
+        after, text = ast.unparse(node.operand), ast.unparse(node.operand)
+    else:
+        swap(node.operand)
+        after = ast.unparse(named)
+        text = ast.unparse(replaced) if replaced is not node else ast.unparse(node.operand)
+        swap(node)
+    return _Site(module, scope, node.lineno, "drop unary -", before, after, *span(replaced), f"({text})")
+
+
+def _test_files(module: str) -> list[str]:
+    """Every tier-1 test file, the mutated module's own first: a kill there ends the run soonest."""
+    files = sorted(str(p.relative_to(ROOT)) for p in (ROOT / "tests").rglob("test_*.py"))
+    own = f"tests/test_{module}.py"
+    return sorted(files, key=lambda f: f != own)
+
+
+def _run(copy: Path, env: dict, module: str) -> tuple[str, str]:
+    """(status, first failing test) of one tier-1 run in ``copy``."""
+    proc = subprocess.Popen(
+        PYTEST + _test_files(module),
+        cwd=copy,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        out, _ = proc.communicate(timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        return "hung", ""
+    if proc.returncode == 0:
+        return "passed", ""
+    for line in out.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            return "killed", line.split(" ", 1)[1].split(" - ", 1)[0]
+    return "killed", f"pytest exit code {proc.returncode}"
+
+
+def _worker_copy() -> tuple[Path, dict]:
+    """A private copy of the repository (without .git) and the environment that tests it."""
+    copy = Path(tempfile.mkdtemp(prefix="mutate-")) / "repo"
+    shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache"))
+    src = str(copy / "src")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # every run compiles the module it was given
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return copy, env
+
+
+def main() -> int:
+    sites = [s for module in MODULES for s in _sites(module)]
+    sources = {module: (PACKAGE / f"{module}.py").read_bytes() for module in MODULES}
+    copies = [_worker_copy() for _ in range(WORKERS)]
+    free = queue.Queue()  # the copies no run is using
+    for copy in copies:
+        free.put(copy)
+    started = time.monotonic()
+    try:
+        status, test = _run(*copies[0], "")
+        if status != "passed":
+            print(f"the unmutated package fails tier-1 ({status}: {test})", file=sys.stderr)
+            return 1
+
+        def test_one(site: _Site) -> dict:
+            copy, env = free.get()
+            path = copy / "src" / "dimercorr" / f"{site.module}.py"
+            original = sources[site.module]
+            try:
+                path.write_bytes(original[: site.start] + site.text.encode() + original[site.end :])
+                status, test = _run(copy, env, site.module)
+            finally:
+                path.write_bytes(original)
+                free.put((copy, env))
+            entry = {"module": site.module, "line": site.line, "operator": site.operator, "mutant": site.name}
+            reason = EQUIVALENT.get((site.module, site.name))
+            if status == "killed":
+                entry.update(status="killed", killed_by=test)
+            elif status == "passed" and reason:
+                entry.update(status="equivalent", reason=reason)
+            else:
+                entry["status"] = "survived" if status == "passed" else "hung"
+            print(f"{entry['status']:10s} {site.module}:{site.line} {site.name}", file=sys.stderr, flush=True)
+            return entry
+
+        with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+            entries = list(pool.map(test_one, sites))
+    finally:
+        for copy, _ in copies:
+            shutil.rmtree(copy.parent, ignore_errors=True)
+    for module, name, line, operator, reason in DELETED:
+        entries.append({"module": module, "line": line, "operator": operator, "mutant": name})
+        entries[-1].update(status="deleted", reason=reason)
+    score = {module: {} for module in MODULES}
+    for entry in entries:
+        counts = score[entry["module"]]
+        counts[entry["status"]] = counts.get(entry["status"], 0) + 1
+    stale = sorted(set(EQUIVALENT) - {(s.module, s.name) for s in sites})
+    OUTPUT.write_text(
+        json.dumps(
+            {
+                "command": "python tools/mutate.py",
+                "modules": list(MODULES),
+                "seconds": round(time.monotonic() - started),
+                "score": score,
+                "mutants": entries,
+            },
+            indent=1,
+            ensure_ascii=False,
+        )
+        + "\n",
+        encoding="utf-8",
+    )
+    for module, name in stale:
+        print(f"EQUIVALENT names a mutant the sweep no longer makes: {module}: {name}", file=sys.stderr)
+    open_ = [e for e in entries if e["status"] in ("survived", "hung")]
+    print(f"{len(entries)} mutants, {len(open_)} unresolved; written to {OUTPUT.name}", file=sys.stderr)
+    return 1 if open_ or stale else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
