@@ -4,10 +4,11 @@ The command line, the closed-form kernel, sweeps and the threshold solver
 share these, and this module never imports numpy, so every subcommand
 loads it: a caller holding an array flattens it to a list of floats first.
 Here are the two exceptions, the name tables (record columns and outputs,
-sweep axes, verify suites) the parser offers as choices, ModelParams (the
-one checked parameter point) and _check_params (its rule over float
-columns), and the rules of a ``start:stop:points`` grid (parse_grid,
-check_grid, linspace), for ``threshold``'s range and ``sweep``'s axes alike.
+sweep axes, verify suites) the parser offers as choices, verify's default
+seed, ModelParams (the one checked parameter point) and _check_params (its
+rule over float columns), and the rules of a ``start:stop:points`` grid
+(parse_grid, check_grid, linspace), for ``threshold``'s range and
+``sweep``'s axes alike.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from operator import add, sub
 from typing import NamedTuple
 
 __all__ = [
-    "AXIS_NAMES", "AXIS_WRITES", "OUTPUTS", "RECORD_COLUMNS", "SUITES",
+    "AXIS_NAMES", "AXIS_WRITES", "OUTPUTS", "RECORD_COLUMNS", "SEED", "SUITES",
     "DomainError", "ModelParams", "ValidationError",
     "check_grid", "check_positive_finite", "linspace", "parse_grid",
 ]
@@ -50,8 +51,10 @@ AXIS_WRITES = {
 }
 AXIS_NAMES = tuple(AXIS_WRITES)
 
-# The verification suites, in the order ``verify --suite all`` runs them.
+# The verification suites, in the order ``verify --suite all`` runs them,
+# and the seed their random draws take unless the caller gives one.
 SUITES = ("gibbs", "wootters", "ppt", "ensemble")
+SEED = 7
 
 
 class _Point(NamedTuple):

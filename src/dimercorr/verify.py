@@ -22,7 +22,7 @@ from .correlations import (
     random_density_matrix,
     sample_decomposition_average,
 )
-from .domain import SUITES
+from .domain import SEED, SUITES
 from .matkernel import _density_eigh, gibbs
 from .models import build_hamiltonian, closed_form_correlations, thermal_state_analytic
 
@@ -55,7 +55,7 @@ def _box(rng: np.random.Generator, n: int) -> tuple[np.ndarray, ...]:
     return rng.uniform(-1.0, 1.0, n), *rng.uniform(-5.0, 5.0, (2, n)), rng.uniform(0.02, 5.0, n)
 
 
-def check_gibbs_equivalence(samples: int = 200, seed: int = 7) -> CheckResult:
+def check_gibbs_equivalence(samples: int = 200, seed: int = SEED) -> CheckResult:
     """Closed-form thermal states vs the spectral Gibbs construction."""
     gamma, b1, b2, t = _box(np.random.default_rng(seed), samples)
     dense = gibbs(build_hamiltonian(gamma, b1, b2), t)
@@ -98,7 +98,7 @@ def check_wootters_closed_form() -> list[CheckResult]:
     ]
 
 
-def check_ppt_agreement(samples: int = 1000, seed: int = 7) -> CheckResult:
+def check_ppt_agreement(samples: int = 1000, seed: int = SEED) -> CheckResult:
     """Concurrence positivity must coincide with partial-transpose negativity."""
     # one validation, whose eigh the concurrence reads: concurrence and is_separable_ppt would each repeat it
     rho, values, vectors = _density_eigh(random_density_matrix(np.random.default_rng(seed), size=samples))
@@ -115,7 +115,7 @@ def check_ppt_agreement(samples: int = 1000, seed: int = 7) -> CheckResult:
     )
 
 
-def check_ensemble_bound(samples: int = 10000, seed: int = 7) -> CheckResult:
+def check_ensemble_bound(samples: int = 10000, seed: int = SEED) -> CheckResult:
     """No sampled decomposition average may undercut the entanglement of formation (5 random states)."""
     rho = random_density_matrix(np.random.default_rng(seed), size=5)
     best = sample_decomposition_average(rho, samples=samples, seed=seed)
@@ -132,7 +132,7 @@ def check_ensemble_bound(samples: int = 10000, seed: int = 7) -> CheckResult:
 
 def run_suites(
     suite: str = "all",
-    seed: int = 7,
+    seed: int = SEED,
     samples: int | None = None,
 ) -> list[CheckResult]:
     """Run one named suite or all of them and collect the results.

@@ -263,6 +263,26 @@ def test_console_script_entry_point():
     assert proc.stdout.startswith(CSV_HEADER)
 
 
+def test_the_process_writes_every_byte_and_exit_code_before_it_exits(tmp_path):
+    # entry() freezes the objects it leaves before sys.exit: nothing written may be lost
+    def dimercorr(*argv):
+        return subprocess.run([sys.executable, "-m", "dimercorr", *argv], capture_output=True, text=True)
+
+    argv = ["sweep", "--model", "xy", "--temp", "0.3", "--axis", "b1=-3:3:61", "--axis", "b2=-3:3:61"]
+    path = tmp_path / "map.csv"
+    written, printed = dimercorr(*argv, "--output", str(path)), dimercorr(*argv)
+    assert (written.returncode, written.stdout, written.stderr) == (0, "", "")
+    assert (printed.returncode, printed.stderr) == (0, "")
+    assert len(printed.stdout.splitlines()) == 1 + 61 * 61
+    assert path.read_bytes() == printed.stdout.encode()
+    domain = dimercorr("point", "--temp", "0")
+    assert (domain.returncode, domain.stdout) == (3, "")
+    assert domain.stderr == "error: temperature must be positive and finite, got 0.0\n"
+    verify = dimercorr("verify", "--suite", "ppt")
+    assert (verify.returncode, verify.stderr) == (0, "")
+    assert verify.stdout.endswith("\nall 1 checks passed\n")
+
+
 def _without_blas_threads(monkeypatch):
     # set, then delete, so that undo removes whatever entry() adds
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "unset")
@@ -849,6 +869,13 @@ CLI_DIGESTS = {
     "threshold --gamma -1:0.99:100": "716f76fda1993452b04a61ec9540240b607a931aac6f06a08d273a9271c2613a",
     "point --temp 0": "20b9c0be37136b569cb235973881c762f1494b3f72bdbd4720aa88358c92b027",
     "sweep --temp 1 --axis gamma=-1:2:3": "c86b22706b3afa48febeda47744297f930878467b5889e9303e2c3989a4c0f38",
+    # the map's mirror with the field axes the other way round, and a map whose field grids differ
+    "sweep --model xy --temp 0.3 --axis b2=-3:3:61 --axis b1=-3:3:61": (
+        "c28bce062c34d01b11079a1d5f23caf1c98aaab9b437bfbd04dc2fb645a78b70"
+    ),
+    "sweep --model xy --temp 0.3 --axis b1=-3:3:7 --axis b2=-3:3:8": (
+        "4218302ed205d77c7e53161026027aa8bae843d34fd5f7f84eb01fa1bd58cf4d"
+    ),
 }
 
 

@@ -19,6 +19,7 @@ from dimercorr.domain import DomainError
 from dimercorr.matkernel import gibbs
 from dimercorr.models import (
     ModelParams,
+    _correlations,
     _formation,
     build_hamiltonian,
     closed_form_correlations,
@@ -188,6 +189,40 @@ def _gap(a, b):
 def test_qubit_swap_invariance():
     gamma, b1, b2, t = _box()
     assert _gap(closed_form_correlations(gamma, b1, b2, t), closed_form_correlations(gamma, b2, b1, t)) < 1e-14
+
+
+def _swap_draw(n=4000):
+    """Points for the b1 <-> b2 symmetry: fields up to +-1e200, equal and zero fields, T from 1e-300 to 1e300.
+
+    Each point comes with its global spin flip (-b1, -b2), so a pure qubit
+    turns up both spin up and spin down.
+    """
+    rng = np.random.default_rng(3401)
+    gamma = rng.uniform(-1.0, 1.0, n)
+    gamma[::13] = 1.0  # with b1 = b2 below, the r = 0 point
+    gamma[1::13] = -1.0
+    exponents = np.where(rng.random((2, n)) < 0.5, rng.uniform(-3.0, 1.0, (2, n)), rng.uniform(1.0, 200.0, (2, n)))
+    b1, b2 = rng.choice([-1.0, 1.0], (2, n)) * 10.0**exponents
+    b2[::5] = b1[::5]
+    b1[1::7] = 0.0
+    b2[2::7] = -0.0
+    b1[3::11], b2[3::11] = 0.0, -0.0
+    t = 10.0 ** np.where(rng.random(n) < 0.5, rng.uniform(-2.0, 1.0, n), rng.uniform(-300.0, 300.0, n))
+    t[:2] = 1e-300, 1e300
+    return np.tile(gamma, 2), np.concatenate([b1, -b1]), np.concatenate([b2, -b2]), np.tile(t, 2)
+
+
+def test_the_kernel_is_symmetric_in_the_fields_bit_for_bit():
+    # run_sweep evaluates a b1 x b2 map on one grid once per pair and mirrors the rest on this
+    gamma, b1, b2, t = _swap_draw()
+    assert np.any(np.abs(b1 - b2) > 1e155)  # (b1 - b2)^2 overflows: the lift's overflow branch
+    for point in zip(gamma.tolist(), b1.tolist(), b2.tolist(), t.tolist()):
+        g, x, y, temp = point
+        assert [v.hex() for v in _correlations(g, x, y, temp)] == [v.hex() for v in _correlations(g, y, x, temp)], point
+    swap = [0, 2, 1, 3]  # |ud> <-> |du>: rho22 and rho33 trade places, every other entry stays
+    rho = thermal_state_analytic(gamma, b1, b2, t)
+    swapped = thermal_state_analytic(gamma, b2, b1, t)
+    assert swapped.tobytes() == rho[..., swap, :][..., swap].tobytes()  # bit for bit, the signs of zeros too
 
 
 def test_global_spin_flip_invariance():

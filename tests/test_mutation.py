@@ -4,7 +4,7 @@ import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SWEEP = json.loads((ROOT / "MUTATION_31.json").read_text(encoding="utf-8"))
+SWEEP = json.loads((ROOT / "MUTATION_34.json").read_text(encoding="utf-8"))
 # each resolved status and the field that must say why
 RESOLVED = {"killed": "killed_by", "equivalent": "reason", "deleted": "reason"}
 

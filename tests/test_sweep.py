@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.signal import find_peaks
 
-from dimercorr.domain import DomainError
-from dimercorr.models import ModelParams, closed_form_correlations
+from dimercorr import sweep
+from dimercorr.domain import OUTPUTS, DomainError
+from dimercorr.models import ModelParams, _correlations, closed_form_correlations
 from dimercorr.sweep import (
     RECORD_COLUMNS,
     Axis,
@@ -96,6 +97,48 @@ def test_rows_follow_axis_values_row_major():
     for i, b1 in enumerate(spec.axis1.values()):
         for j, b2 in enumerate(spec.axis2.values()):
             assert rows[i * 4 + j] == (b1, b2, 0.8, -1.0)
+
+
+@pytest.mark.parametrize("names", [("b1", "b2"), ("b2", "b1")])
+@pytest.mark.parametrize(
+    "gamma, grid, temp",
+    [
+        (-1.0, (-3.0, 3.0, 61), 0.3),
+        (0.4, (-1e200, 1e200, 9), 1e-3),
+        (1.0, (-0.5, 0.5, 5), 2.0),
+        (0.2, (0.0, 0.0, 1), 1.0),
+    ],
+)
+def test_a_map_on_one_grid_is_the_kernel_at_every_point(names, gamma, grid, temp):
+    # the mirrored half of the map, bit for bit, against the kernel over the full grid
+    spec = SweepSpec(base=ModelParams(gamma), axis1=Axis(names[0], *grid), axis2=Axis(names[1], *grid), temp=temp)
+    table = run_sweep(spec)
+    full = closed_form_correlations(gamma, table.column("b1"), table.column("b2"), temp)
+    for name in OUTPUTS:
+        assert [v.hex() for v in table.columns[name]] == [v.hex() for v in full[name].tolist()], name
+
+
+@pytest.mark.parametrize(
+    "axis1, axis2, calls",
+    [
+        (Axis("b1", -3.0, 3.0, 61), Axis("b2", -3.0, 3.0, 61), 61 * 62 // 2),
+        (Axis("b2", -3.0, 3.0, 61), Axis("b1", -3.0, 3.0, 61), 61 * 62 // 2),
+        (Axis("b1", -3.0, 3.0, 7), Axis("b2", -3.0, 3.0, 8), 7 * 8),
+        (Axis("b1", -3.0, 3.0, 7), Axis("b2", -3.0, 2.0, 7), 7 * 7),
+        (Axis("b1", 0.5, 3.0, 7), Axis("T", 0.5, 3.0, 7), 7 * 7),
+        (Axis("b1", -3.0, 3.0, 7), None, 7),
+    ],
+)
+def test_a_map_on_one_grid_evaluates_each_field_pair_once(monkeypatch, axis1, axis2, calls):
+    points = []
+
+    def counted(*point):
+        points.append(point)
+        return _correlations(*point)
+
+    monkeypatch.setattr(sweep, "_correlations", counted)
+    run_sweep(SweepSpec(base=XY, axis1=axis1, axis2=axis2, temp=0.3))
+    assert len(points) == len(set(points)) == calls
 
 
 def test_temperature_axis_overrides_fixed_temp():

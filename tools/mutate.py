@@ -44,7 +44,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dimercorr"
-OUTPUT = ROOT / "MUTATION_31.json"
+OUTPUT = ROOT / "MUTATION_34.json"
 MODULES = ("__main__", "cli", "correlations", "domain", "matkernel", "models", "sweep", "threshold", "verify")
 TIMEOUT = 120  # seconds per mutant; tier-1 takes about 13
 WORKERS = 2
@@ -112,13 +112,6 @@ EQUIVALENT: dict[tuple[str, str], str] = {
     "where every numerator r_safe divides (delta^2 and gap) is 0",
     ("models", "_x_form: delta >= 0.0 -> delta > 0.0"): "at delta = 0 both sides are equal: 1 - |cos| is 1 for "
     "gamma < 1, and p_hi = p_lo at gamma = 1",
-    **{
-        ("models", f"_correlations: {x} * log2({x}) if {x} > 0.0 else 0.0 -> {x} * log2({x}) if {x} > 0.0 else 1.0"
-         + suffix): "a marginal population is 0 only where both of its populations are 0; that qubit is then pure, "
-        "s1 + s2 - s12 sums the same terms and is exactly 0, and the clamp at 0 hides the mutant's -1"
-        for x in ("up", "down")
-        for suffix in ("", " #2")
-    },
     ("models", "_map_kernel: arrays[0] -> arrays[1]"): "np.broadcast_arrays gives every array the same shape",
     ("sweep", "run_sweep: spec.temp if spec.temp is not None else 1.0 -> spec.temp if spec.temp is not None else 2.0"):
     "a spec without a temp has a T axis (SweepSpec checks it), and the axis overwrites the placeholder",
