@@ -86,12 +86,22 @@ def _parse_range(text: str) -> list[float]:
 #   (5e-324 for "%.12g"'s 4.94065645841e-324);
 # - every other d is the token as it stands, since both formats switch to
 #   scientific notation below an exponent of -4 and write it the same way.
+#
+# A JSON sweep is one template in the layout of json.dumps(payload,
+# indent=2): each record is _JSON_RECORD, each axis _JSON_AXIS over the Axis
+# tuple itself, and the records list is "[]" for an empty table.  The spec's
+# numbers go in by "%r", which writes what json.dumps does only for Python
+# floats and ints, as the parser gives them (a numpy float64 reprs otherwise).
 _NUMBER = "%.12g"
 _PARAMETERS = 4  # T, gamma, b1 and b2 lead each record; the outputs follow
 _OUTPUT_NUMBERS = ",".join([_NUMBER] * (len(RECORD_COLUMNS) - _PARAMETERS))  # one record's output values
 _CSV_RECORD = "%s," * _PARAMETERS + _OUTPUT_NUMBERS + "\n"
-# One record of json.dumps(payload, indent=2), nested in the "records" list.
 _JSON_RECORD = "    {\n" + ",\n".join(f'      "{name}": %s' for name in RECORD_COLUMNS) + "\n    }"
+_JSON_AXIS = '      {\n        "name": "%s",\n        "start": %r,\n        "stop": %r,\n        "points": %r\n      }'
+_JSON_DOCUMENT = (  # "j": J is the unit of energy, kept so the spec's bytes stay the same
+    '{\n  "spec": {\n    "gamma": %r,\n    "b1": %r,\n    "b2": %r,\n    "j": 1.0,\n    "temp": %s,\n'
+    '    "axes": [\n%s\n    ]\n  },\n  "records": %s\n}\n'
+)
 _JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
@@ -172,28 +182,9 @@ def _cmd_point(args: argparse.Namespace) -> int:
 
 
 def _table_to_json(table: SweepTable) -> str:
-    import json
-
     spec = table.spec
-    axes = [
-        {"name": a.name, "start": a.start, "stop": a.stop, "points": a.points}
-        for a in (spec.axis1, spec.axis2)
-        if a is not None
-    ]
-    text = json.dumps(
-        {
-            "spec": {
-                "gamma": spec.base.gamma,
-                "b1": spec.base.b1,
-                "b2": spec.base.b2,
-                "j": 1.0,  # J is the unit of energy; kept so the JSON spec's bytes stay the same
-                "temp": spec.temp,
-                "axes": axes,
-            },
-            "records": [],
-        },
-        indent=2,
-    )
+    axes = ",\n".join(_JSON_AXIS % axis for axis in (spec.axis1, spec.axis2) if axis is not None)
+    records = "[]"
     columns = _record_columns(table.columns)
     if columns[0]:
         params = [_tokens(column, _json_number) for column in columns[:_PARAMETERS]]
@@ -201,10 +192,9 @@ def _table_to_json(table: SweepTable) -> str:
         # a positional number with a fraction is its own token: skip the call
         tokens = [d if "." in d and "e" not in d else _json_token(d) for d in digits]
         width = len(columns) - _PARAMETERS
-        records = _fill(_JSON_RECORD, params + [tokens[k::width] for k in range(width)], ",\n")
-        head, tail = text.rsplit("[]", 1)  # the records list comes last
-        text = head + "[\n" + records + "\n  ]" + tail
-    return text + "\n"
+        records = "[\n" + _fill(_JSON_RECORD, params + [tokens[k::width] for k in range(width)], ",\n") + "\n  ]"
+    temp = "null" if spec.temp is None else repr(spec.temp)
+    return _JSON_DOCUMENT % (*spec.base, temp, axes, records)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

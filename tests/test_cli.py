@@ -502,7 +502,7 @@ def test_import_does_not_load_scipy_signal():
         ),
         (
             ["sweep", "--model", "xy", "--temp", "0.3", "--axis", "b1=-3:3:61", "--axis", "b2=-3:3:61", "--format", "json"],
-            ["numpy", "dataclasses", "inspect"],
+            ["numpy", "dataclasses", "inspect", "json"],
         ),
         (["threshold", "--gamma", "-1:0.99:100"], ["numpy", "dataclasses"]),
         (["verify", "--suite", "gibbs", "--samples", "2"], ["dataclasses"]),
@@ -679,19 +679,60 @@ def cli_bytes(capsys, tmp_path, *argv):
     return out
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_field_map_bytes_match_the_oracle(capsys, tmp_path, fmt):
-    argv = ["sweep", "--model", "xy", "--temp", "0.3", "--axis", "b1=-3:3:61", "--axis", "b2=-3:3:61"]
-    table = run_sweep(
-        SweepSpec(
-            base=ModelParams(gamma=-1.0),
-            axis1=Axis("b1", -3.0, 3.0, 61),
-            axis2=Axis("b2", -3.0, 3.0, 61),
-            temp=0.3,
-        )
-    )
+_XY = ModelParams(gamma=-1.0)
+_MAP = (Axis("b1", -3.0, 3.0, 61), Axis("b2", -3.0, 3.0, 61))
+_FIELD_MAP = ["--model", "xy", "--temp", "0.3", "--axis", "b1=-3:3:61", "--axis", "b2=-3:3:61"]
+
+
+@pytest.mark.parametrize(
+    ("fmt", "argv", "spec"),
+    [
+        ("csv", _FIELD_MAP, SweepSpec(_XY, *_MAP, temp=0.3)),
+        ("json", _FIELD_MAP, SweepSpec(_XY, *_MAP, temp=0.3)),
+        # the JSON spec: a null temp, a temp beside a T axis, -0.0, a two-column axis, a one-point grid, a
+        # subnormal start beside 1e300, and the map with its axes swapped
+        (
+            "json",
+            ["--gamma", "0.3", "--axis", "T=0.02:4:7"],
+            SweepSpec(ModelParams(0.3), Axis("T", 0.02, 4.0, 7)),
+        ),
+        (
+            "json",
+            ["--gamma", "0.3", "--temp", "0.5", "--axis", "T=0.02:4:7"],
+            SweepSpec(ModelParams(0.3), Axis("T", 0.02, 4.0, 7), temp=0.5),
+        ),
+        (
+            "json",
+            ["--model", "xy", "--b1", "-0.0", "--temp", "0.3", "--axis", "b2=-1:1:5"],
+            SweepSpec(ModelParams(-1.0, -0.0), Axis("b2", -1.0, 1.0, 5), temp=0.3),
+        ),
+        (
+            "json",
+            ["--model", "xy", "--temp", "1.6", "--axis", "b_anti=-2:2:9"],
+            SweepSpec(_XY, Axis("b_anti", -2.0, 2.0, 9), temp=1.6),
+        ),
+        (
+            "json",
+            ["--model", "xy", "--temp", "0.3", "--axis", "b1=0.25:0.25:1"],
+            SweepSpec(_XY, Axis("b1", 0.25, 0.25, 1), temp=0.3),
+        ),
+        (
+            "json",
+            ["--model", "xy", "--temp", "0.3", "--axis", "b1=5e-324:1e300:3"],
+            SweepSpec(_XY, Axis("b1", 5e-324, 1e300, 3), temp=0.3),
+        ),
+        (
+            "json",
+            ["--model", "xy", "--temp", "0.3", "--axis", "b2=-3:3:61", "--axis", "b1=-3:3:61"],
+            SweepSpec(_XY, *_MAP[::-1], temp=0.3),
+        ),
+    ],
+    ids=["csv", "json", "T-axis", "temp-beside-T-axis", "negative-zero-b1", "b_anti", "one-point", "subnormal", "reversed"],
+)
+def test_field_map_bytes_match_the_oracle(capsys, tmp_path, fmt, argv, spec):
+    table = run_sweep(spec)
     expected = oracle_json(table) if fmt == "json" else oracle_csv(table.columns)
-    assert cli_bytes(capsys, tmp_path, *argv, "--format", fmt) == expected
+    assert cli_bytes(capsys, tmp_path, "sweep", *argv, "--format", fmt) == expected
 
 
 def test_point_bytes_match_the_oracle(capsys, tmp_path):

@@ -4,7 +4,9 @@ import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SWEEP = json.loads((ROOT / "MUTATION_34.json").read_text(encoding="utf-8"))
+# the latest sweep: the highest-numbered MUTATION_<n>.json, so a new file name needs no edit here
+LATEST = max(ROOT.glob("MUTATION_*.json"), key=lambda path: int(path.stem.partition("_")[2]))
+SWEEP = json.loads(LATEST.read_text(encoding="utf-8"))
 # each resolved status and the field that must say why
 RESOLVED = {"killed": "killed_by", "equivalent": "reason", "deleted": "reason"}
 
