@@ -69,23 +69,20 @@ def _parse_range(text: str) -> list[float]:
 # whole table is formatted by one "%" over a repeated record template, with
 # no Python call per output value: "%.12g" is the C routine behind
 # format(x, ".12g"), and every number gets + 0.0 first, which folds -0.0
-# into 0.  The parameter columns (T, gamma, b1, b2) repeat a few values
-# over a grid, so each distinct value is formatted once (_tokens) and its
-# string goes into the template's "%s".
+# into 0.  A CSV record is all "%.12g".
 #
 # A JSON record holds the number json.dumps prints for the float of its CSV
 # digits, float(d), which is repr(float(d)).  For a normal float the digits
-# d of "%.12g" are already the shortest that read back as float(d), so the
-# token follows from d by a string rule (_json_token), with no float parse:
+# d of "%.12g" are already the shortest that read back as float(d), so a
+# positional d needs no float parse (_json_token):
 # - a plain integer gets ".0", as repr writes it;
 # - inf, -inf and nan are spelled Infinity, -Infinity and NaN;
-# - an exponent of 12 to 15 falls back to repr(float(d)): there "%.12g"
-#   writes scientific notation and repr writes positional;
-# - an exponent of -308 or below falls back the same way: a subnormal holds
-#   fewer than 12 significant digits, so repr may write fewer digits than d
-#   (5e-324 for "%.12g"'s 4.94065645841e-324);
-# - every other d is the token as it stands, since both formats switch to
-#   scientific notation below an exponent of -4 and write it the same way.
+# - a d with a fraction is the token as it stands;
+# - a d with an exponent is repr(float(d)), which also covers the exponents
+#   where repr writes positional (12 to 15) or fewer digits (a subnormal).
+# The parameter columns (T, gamma, b1, b2) repeat a few values over a grid,
+# so each distinct value's token is worked out once (_tokens) and its
+# string goes into the template's "%s".
 #
 # A JSON sweep is one template in the layout of json.dumps(payload,
 # indent=2): each record is _JSON_RECORD, each axis _JSON_AXIS over the Axis
@@ -95,7 +92,7 @@ def _parse_range(text: str) -> list[float]:
 _NUMBER = "%.12g"
 _PARAMETERS = 4  # T, gamma, b1 and b2 lead each record; the outputs follow
 _OUTPUT_NUMBERS = ",".join([_NUMBER] * (len(RECORD_COLUMNS) - _PARAMETERS))  # one record's output values
-_CSV_RECORD = "%s," * _PARAMETERS + _OUTPUT_NUMBERS + "\n"
+_CSV_RECORD = ",".join([_NUMBER] * len(RECORD_COLUMNS)) + "\n"
 _JSON_RECORD = "    {\n" + ",\n".join(f'      "{name}": %s' for name in RECORD_COLUMNS) + "\n    }"
 _JSON_AXIS = '      {\n        "name": "%s",\n        "start": %r,\n        "stop": %r,\n        "points": %r\n      }'
 _JSON_DOCUMENT = (  # "j": J is the unit of energy, kept so the spec's bytes stay the same
@@ -107,15 +104,11 @@ _JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 def _json_token(digits: str) -> str:
     """The JSON number json.dumps prints for float(digits), where ``digits`` come from "%.12g"."""
-    _, e, exponent = digits.partition("e")
-    if not e:
-        if "." in digits:
-            return digits
-        return _JSON_NON_FINITE.get(digits, digits + ".0")  # plain integers and non-finite values
-    power = int(exponent)
-    if 12 <= power <= 15 or power <= -308:
+    if "e" in digits:
         return repr(float(digits))
-    return digits
+    if "." in digits:
+        return digits
+    return _JSON_NON_FINITE.get(digits, digits + ".0")  # plain integers and non-finite values
 
 
 def _json_number(value: float) -> str:
@@ -123,8 +116,8 @@ def _json_number(value: float) -> str:
     return _json_token(_NUMBER % value)
 
 
-def _tokens(column: list[float], token) -> list[str]:
-    """token(v) for each value of ``column``, called once per distinct value.
+def _tokens(column: list[float]) -> list[str]:
+    """_json_number(v) for each value of ``column``, called once per distinct value.
 
     One pass, each value looked up with memo.get: a NaN never equals
     itself, so a NaN not seen before simply gets its own entry.  -0.0 and
@@ -135,14 +128,14 @@ def _tokens(column: list[float], token) -> list[str]:
     for v in column:
         text = memo.get(v)
         if text is None:
-            text = memo[v] = token(v)
+            text = memo[v] = _json_number(v)
         out.append(text)
     return out
 
 
 def _record_columns(columns: dict) -> list[list[float]]:
-    """The equal-length record columns in RECORD_COLUMNS order as float lists, -0.0 folded into 0."""
-    return [[float(v) + 0.0 for v in columns[name]] for name in RECORD_COLUMNS]
+    """The equal-length record columns in RECORD_COLUMNS order as lists, -0.0 folded into 0."""
+    return [[v + 0.0 for v in columns[name]] for name in RECORD_COLUMNS]
 
 
 def _fill(record: str, columns: list[list], sep: str = "") -> str:
@@ -155,9 +148,7 @@ def _fill(record: str, columns: list[list], sep: str = "") -> str:
 
 
 def _to_csv(columns: dict) -> str:
-    columns = _record_columns(columns)
-    params = [_tokens(column, _NUMBER.__mod__) for column in columns[:_PARAMETERS]]
-    return CSV_HEADER + "\n" + _fill(_CSV_RECORD, params + columns[_PARAMETERS:])
+    return CSV_HEADER + "\n" + _fill(_CSV_RECORD, _record_columns(columns))
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -187,7 +178,7 @@ def _table_to_json(table: SweepTable) -> str:
     records = "[]"
     columns = _record_columns(table.columns)
     if columns[0]:
-        params = [_tokens(column, _json_number) for column in columns[:_PARAMETERS]]
+        params = [_tokens(column) for column in columns[:_PARAMETERS]]
         digits = _fill(_OUTPUT_NUMBERS, columns[_PARAMETERS:], ",").split(",")
         # a positional number with a fraction is its own token: skip the call
         tokens = [d if "." in d and "e" not in d else _json_token(d) for d in digits]

@@ -180,9 +180,7 @@ def random_density_matrix(rng: np.random.Generator, size: int | None = None) -> 
     """
     lead = () if size is None else (size,)
     z = rng.standard_normal((*lead, 2, 4, 4))
-    g = np.empty((*lead, 4, 4), dtype=complex)
-    g.real, g.imag = z[..., 0, :, :], z[..., 1, :, :]
-    del z  # freed before the product, which needs g, its conjugate and rho
+    g = z[..., 0, :, :] + 1j * z[..., 1, :, :]
     rho = g @ g.conj().swapaxes(-1, -2)
     rho /= np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
     return rho
@@ -203,21 +201,6 @@ def _weighted_eigenrows(values: np.ndarray, vectors: np.ndarray) -> tuple[np.nda
     return columns.swapaxes(-1, -2)[..., :rank, :], rank
 
 
-def _ginibre_blocks(rng: np.random.Generator, samples: int):
-    """Real and imaginary parts of ``samples`` complex Ginibre 4 x 4 matrices, one per decomposition.
-
-    Yields (2, block, 4, 4) arrays of up to _BLOCK matrices each, all views
-    of one reused buffer, drawn from ``rng`` exactly as the two calls
-    ``rng.standard_normal((block, 4, 4))`` per block would draw them.
-    """
-    buffer = np.empty(2 * min(samples, _BLOCK) * _MEMBERS * _MEMBERS)
-    for start in range(0, samples, _BLOCK):
-        block = min(_BLOCK, samples - start)
-        draws = buffer[: 2 * block * _MEMBERS * _MEMBERS].reshape(2, block, _MEMBERS, _MEMBERS)
-        rng.standard_normal(out=draws)
-        yield draws
-
-
 def _least_averages(u, norms, coeffs, first, second) -> np.ndarray:
     """Smallest average entanglement of each state over one batch of decompositions.
 
@@ -227,9 +210,7 @@ def _least_averages(u, norms, coeffs, first, second) -> np.ndarray:
     and l listed by the index arrays ``first`` and ``second``.
     """
     probs = norms @ (u.real * u.real + u.imag * u.imag).reshape(len(u), -1)  # (states, members x draws)
-    products = np.empty((len(first),) + u.shape[1:], dtype=complex)
-    for row, (i, j) in enumerate(zip(first, second)):
-        np.multiply(u[i], u[j], out=products[row])
+    products = u[first] * u[second]  # (pairs, members, draws)
     quad = np.abs(coeffs @ products.reshape(len(first), -1))
     c = np.minimum(quad / np.where(probs > 0.0, probs, 1.0), 1.0)
     averages = (probs * _formation(c)).reshape(len(norms), u.shape[1], -1).sum(axis=1)
@@ -264,7 +245,9 @@ def sample_decomposition_average(rho: np.ndarray, samples: int, seed: int) -> fl
 
     best = np.full(len(rows), np.inf)
     columns = np.empty((_MEMBERS, _MEMBERS, _SUB_BATCH), dtype=complex)
-    for draws in _ginibre_blocks(np.random.default_rng(seed), samples):
+    rng = np.random.default_rng(seed)
+    for block in range(0, samples, _BLOCK):  # real and imaginary parts of one complex Ginibre matrix per draw
+        draws = rng.standard_normal((2, min(_BLOCK, samples - block), _MEMBERS, _MEMBERS))
         for start in range(0, draws.shape[1], _SUB_BATCH):
             part = draws[:, start : start + _SUB_BATCH].transpose(0, 3, 2, 1)  # column, row, draw
             z = columns[..., : part.shape[-1]]

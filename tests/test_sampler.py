@@ -2,11 +2,11 @@
 
 The sampler evaluates each member's weight and concurrence as quadratic
 forms in the Haar isometry's rows (p = sum_k |u_k|^2 |R_k|^2 and
-C = |u^T tau u| / p), over the Ginibre draws of one reused buffer.  The
-oracle here builds every member psi = u R, normalises it and takes
-2 |det A| of its 2x2 amplitude matrix, as the library did before, from
-two ``standard_normal`` calls per block.  Same draws, same result up to
-the order of the sums.
+C = |u^T tau u| / p), over Ginibre draws taken by one ``standard_normal``
+call per block.  The oracle here builds every member psi = u R, normalises
+it and takes 2 |det A| of its 2x2 amplitude matrix, as the library did
+before, from two ``standard_normal`` calls per block, which draw the same
+stream.  Same draws, same result up to the order of the sums.
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ import pytest
 from dimercorr.correlations import (
     _BLOCK,
     _formation,
-    _ginibre_blocks,
     _orthonormal_columns,
     _weighted_eigenrows,
     random_density_matrix,
@@ -76,18 +75,6 @@ def test_sampler_matches_the_member_stack_oracle(rho, samples):
 def test_mixed_rank_stack_has_the_expected_ranks():
     values = np.linalg.eigvalsh(MIXED_RANK)
     assert list((values > 1e-10).sum(axis=-1)) == [1, 2, 3]
-
-
-@pytest.mark.parametrize("samples", [1, 2047, _BLOCK, 2 * _BLOCK + 1], ids=lambda n: f"{MEMBERS}-{n}")
-def test_buffered_draws_equal_two_standard_normal_calls_per_block(samples):
-    got = [draws.copy() for draws in _ginibre_blocks(np.random.default_rng(3), samples)]
-    rng = np.random.default_rng(3)
-    blocks = [min(_BLOCK, samples - start) for start in range(0, samples, _BLOCK)]
-    shape = (MEMBERS, MEMBERS)
-    assert [g.shape for g in got] == [(2, b, *shape) for b in blocks]
-    for g, block in zip(got, blocks):
-        assert np.array_equal(g[0], rng.standard_normal((block, *shape)))
-        assert np.array_equal(g[1], rng.standard_normal((block, *shape)))
 
 
 def test_orthonormal_columns_is_the_phase_fixed_qr():

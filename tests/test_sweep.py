@@ -4,7 +4,6 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.signal import find_peaks
 
 from dimercorr import sweep
 from dimercorr.domain import OUTPUTS, DomainError
@@ -250,6 +249,8 @@ def test_classical_correlation_dips_then_rebounds():
     table = run_sweep(spec)
     classical = table.column("classical")
     t = spec.axis1.values()
+    from scipy.signal import find_peaks  # imported here: at the top it adds about 0.9 s to collecting tier-1
+
     minima, _ = find_peaks(-classical, prominence=1e-3)
     maxima, _ = find_peaks(classical, prominence=1e-3)
     assert len(minima) == 1 and len(maxima) == 1
@@ -313,6 +314,8 @@ def test_columns_and_rows_agree():
 
 
 def _oracle_peaks(column):
+    from scipy.signal import find_peaks
+
     return find_peaks(np.array(column, dtype=float), prominence=0.01)[0].size
 
 

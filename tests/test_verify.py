@@ -88,8 +88,8 @@ def test_ensemble_gap_is_kept():
 
 
 def test_ensemble_check_has_a_small_fixed_working_set():
-    # 10,000 draws pass through one 2,048-draw buffer (0.5 MB) and 256-draw
-    # batches, so the peak does not grow with the sample count
+    # 10,000 draws are taken 2,048 at a time (0.5 MB a block) and evaluated in
+    # 256-draw batches, so the peak does not grow with the sample count
     check_ensemble_bound(samples=1)  # one-time allocations of the first call
     tracemalloc.start()
     try:
