@@ -1,7 +1,9 @@
 """The committed mutation sweep (``python tools/mutate.py``) leaves no mutant unresolved."""
 
+import ast
 import importlib.util
 import json
+import pickle
 from collections import Counter
 from pathlib import Path
 
@@ -10,10 +12,13 @@ ROOT = Path(__file__).resolve().parent.parent
 LATEST = max(ROOT.glob("MUTATION_*.json"), key=lambda path: int(path.stem.partition("_")[2]))
 SWEEP = json.loads(LATEST.read_text(encoding="utf-8"))
 # each resolved status and the field that must say why
-RESOLVED = {"killed": "killed_by", "equivalent": "reason", "deleted": "reason"}
+RESOLVED = {"killed": "killed_by", "equivalent": "reason"}
+_SPEC = importlib.util.spec_from_file_location("mutate", ROOT / "tools" / "mutate.py")
+mutate = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(mutate)
 
 
-def test_every_mutant_is_killed_equivalent_or_deleted():
+def test_every_mutant_is_killed_or_equivalent():
     unresolved = [m for m in SWEEP["mutants"] if not m.get(RESOLVED.get(m["status"], "status?"))]
     assert not unresolved, unresolved
 
@@ -25,11 +30,26 @@ def test_the_sweep_covers_every_module_of_the_package():
 
 
 def test_the_sweep_is_of_todays_source():
-    # the sites tools/mutate.py makes of the source as it stands must be the ones the file swept: an operator added,
-    # removed or moved to another scope without a rerun fails here (a body edit that keeps every name does not)
-    spec = importlib.util.spec_from_file_location("mutate", ROOT / "tools" / "mutate.py")
-    mutate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mutate)
+    # the sites tools/mutate.py makes of the source as it stands must be the ones the file swept (an operator added,
+    # removed or moved to another scope without a rerun fails here), and each module's syntax tree must be the one
+    # swept (a body edit that keeps every site name fails here too; a comment or docstring edit does not)
     made = Counter((site.module, site.name) for module in mutate.MODULES for site in mutate._sites(module))
-    swept = Counter((m["module"], m["mutant"]) for m in SWEEP["mutants"] if m["status"] != "deleted")
+    swept = Counter((m["module"], m["mutant"]) for m in SWEEP["mutants"])
     assert made == swept, {"not swept": sorted(made - swept), "no longer made": sorted(swept - made)}
+    assert {module: mutate._fingerprint(module) for module in mutate.MODULES} == SWEEP["fingerprints"]
+
+
+def test_the_equivalent_mutants_are_the_scripts():
+    # every reason in EQUIVALENT is the one the file records, and no other mutant is recorded equivalent
+    recorded = {(m["module"], m["mutant"]): m["reason"] for m in SWEEP["mutants"] if m["status"] == "equivalent"}
+    assert recorded == mutate.EQUIVALENT
+
+
+def test_each_mutant_is_written_from_the_tree():
+    # every mutant of one module parses to another syntax tree, and making it leaves the tree its sites share as it
+    # was (pickled, positions and all)
+    sites = mutate._sites("threshold")
+    original, tree = ast.dump(sites[0].tree), pickle.dumps(sites[0].tree)
+    for site in sites:
+        assert ast.dump(ast.parse(site.source())) != original, site.name
+        assert pickle.dumps(site.tree) == tree, site.name

@@ -5,14 +5,15 @@ Run from anywhere, with no arguments:
     python tools/mutate.py
 
 For each module in MODULES the sweep makes every mutant the operators below
-give, one at a time, writes it into a private copy of the repository and
-runs the full tier-1 suite there but STALENESS_TEST (``pytest -x``, under a
-time limit).  A mutant the suite fails is ``killed``, with the first
-failing test.  One that passes is ``equivalent`` when EQUIVALENT gives the
-reason it cannot change any result, and ``survived`` otherwise; one that
-outruns the limit is ``hung``.  Code that a sweep showed to have no effect
-and that was then deleted is listed in DELETED, with the argument, as
-``deleted``.
+give, one at a time.  A mutant is made by changing the module's parsed tree
+and writing the module back with ``ast.unparse`` (so the file loses its
+comments and layout, not its meaning) into a private copy of the
+repository.  The full tier-1 suite but STALENESS_TEST then runs there
+(``pytest -x``, under a time limit).  A mutant the suite fails is
+``killed``, with the first failing test.  One that passes is ``equivalent``
+when EQUIVALENT gives the reason it cannot change any result, and
+``survived`` otherwise; one that outruns the limit is ``hung``.  There is no
+other status: code that is deleted leaves no mutant and no entry.
 
 The operators: + and - swapped, * and / swapped (both also in augmented
 assignments), < and <=, > and >=, == and != swapped, min and max (and
@@ -21,16 +22,20 @@ numeric constant plus 1, and a unary minus dropped.  Docstrings and
 annotations are left alone.
 
 The result goes to OUTPUT at the root of the repository, one entry per
-mutant.  A mutant is named by where it sits (the function, or the
-module-level name it assigns) and by its text before and after, so the
-names in EQUIVALENT outlive edits elsewhere in a module.  The exit status
-is 1 if any mutant is left ``survived`` or ``hung``, or if the unmutated
-copy fails the suite, and 0 otherwise.
+mutant, with each module's fingerprint: a SHA-256 of its syntax tree
+without docstrings, which STALENESS_TEST requires today's source to match.
+A mutant is named by where it sits (the function, or the module-level name
+it assigns) and by its text before and after, so the names in EQUIVALENT
+outlive edits elsewhere in a module.  The exit status is 1 if any mutant is
+left ``survived`` or ``hung``, if an EQUIVALENT key is not a mutant this
+sweep recorded ``equivalent``, or if the unmutated copy fails the suite,
+and 0 otherwise.
 """
 
 from __future__ import annotations
 
 import ast
+import hashlib
 import json
 import os
 import queue
@@ -45,9 +50,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dimercorr"
-OUTPUT = ROOT / "MUTATION_36.json"
+OUTPUT = ROOT / "MUTATION_37.json"
 MODULES = ("__main__", "cli", "correlations", "domain", "matkernel", "models", "sweep", "threshold", "verify")
-TIMEOUT = 120  # seconds per mutant; tier-1 takes about 13
+TIMEOUT = 120  # seconds per mutant; tier-1 takes about 9
 WORKERS = 2
 # the staleness test compares the sweep's file with the sites of the source it runs on, and a mutant's copy holds
 # a mutated source: it would fail for every mutant, so it is left out here
@@ -123,65 +128,38 @@ EQUIVALENT: dict[tuple[str, str], str] = {
     "test panel needs at most 4 floats",
 }
 
-# Mutants that passed the suite in code deleted since, because they showed
-# the code has no effect: (module, name, line before the deletion, operator,
-# reason).
-_OVERFLOW = "past |delta| ~ 1.3e154, gap <= 2 is below half an ulp of r = |delta|, so the ratio is |delta| exactly"
-_GAMMA_1 = "1 - |cos| at gamma = 1: at r = 0, p_hi = p_lo, so either value gives the same state"
-_FLAT_TOP = (
-    "the look-ahead over a flat top only skipped prominence walks that give height 0 anyway (a top that rises again "
-    "or runs into an edge); without it count_peaks gives the same counts on 30,000 random columns with NaN"
-)
-_POINT = "ModelParams.__new__ always passes all three fields, so _Point's defaults were never read"
-DELETED: tuple[tuple[str, str, int, str, str], ...] = (
-    ("cli", "_cmd_threshold: pt.t_th + 0.0 -> pt.t_th - 0.0", 233, "+ -> -", "t_th is a positive midpoint or the "
-     "literal 0.0, never -0.0, so the fold had nothing to fold"),
-    ("cli", "_join_negative_values: i += 2 -> i -= 2", 341, "+ -> -", "hung tier-1: the index loop could step back "
-     "for ever; the loop over the tokens that replaced it joins a value onto the flag before it and cannot revisit "
-     "a token (the same output on 200,000 random argument lists)"),
-    ("correlations", "_orthonormal_columns: 2 if i else 0 -> 2 if i else 1", 168, "constant + 1", "at i = 0 the "
-     "projection onto q[:0] subtracts an exact 0, so range(2 if i else 0) became range(2)"),
-    ("domain", "_Point: 0.0 -> 1.0", 59, "constant + 1", _POINT),
-    ("domain", "_Point: 0.0 -> 1.0 #2", 60, "constant + 1", _POINT),
-    ("models", "_x_form: size * (size / (r_safe + gap)) -> size / (size / (r_safe + gap))", 107, "* -> /", _OVERFLOW),
-    ("models", "_x_form: r_safe + gap -> r_safe - gap #2", 107, "+ -> -", _OVERFLOW),
-    ("models", "_x_form: r > 0.0 -> r >= 0.0 #2", 127, "> -> >=", _GAMMA_1),
-    ("models", "_x_form: 0.0 if r > 0.0 else 1.0 -> 0.0 if r > 0.0 else 2.0", 127, "constant + 1", _GAMMA_1),
-    ("models", "_correlations: min(max(2.0 * (coherence - corners), 0.0), 1.0) -> "
-     "min(max(2.0 * (coherence - corners), 0.0), 2.0)", 162, "constant + 1", "C <= 1 with no clamp: "
-     "2 coherence <= p_lo <= 1 at every rounding step, and corners >= 0"),
-    ("sweep", "count_peaks: i + 1 -> i - 1", 196, "+ -> -", _FLAT_TOP),
-    ("sweep", "count_peaks: ahead += 1 -> ahead -= 1", 198, "+ -> -", _FLAT_TOP),
-    ("sweep", "count_peaks: y[ahead] < y[i] -> y[ahead] <= y[i]", 199, "< -> <=", _FLAT_TOP),
-)
-
 
 class _Site:
-    """One mutant: where it is, how to name it, and the source text that makes it."""
+    """One mutant: where it is, how to name it, and the change to its module's tree that makes it."""
 
-    def __init__(self, module, scope, line, operator, before, after, start, end, text):
-        self.module, self.line, self.operator = module, line, operator
+    def __init__(self, module, scope, node, operator, before, after, tree, apply, undo):
+        self.module, self.line, self.operator = module, node.lineno, operator
         self.name = f"{scope}: {before} -> {after}"
-        self.start, self.end, self.text = start, end, text
+        self.order = (node.lineno, node.col_offset, node.end_lineno, node.end_col_offset, operator)
+        self.tree, self._apply, self._undo = tree, apply, undo
+
+    def source(self) -> str:
+        """The module's source with this mutant in it, written from the tree; the tree is left as it was."""
+        self._apply()
+        try:
+            return ast.unparse(self.tree)
+        finally:
+            self._undo()
 
 
-def _offsets(source: bytes) -> list[int]:
-    """Byte offset of the start of each line (1-based lines: index 0 is line 1)."""
-    starts, total = [], 0
-    for line in source.splitlines(keepends=True):
-        starts.append(total)
-        total += len(line)
-    return starts + [total]
+def _docstring(node) -> bool:
+    """Whether ``node``'s body opens with a string statement (a docstring)."""
+    body = getattr(node, "body", None)
+    first = body[0] if isinstance(body, list) and body else None
+    return isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) and isinstance(first.value.value, str)
 
 
 def _skipped(tree: ast.Module) -> set[int]:
     """ids of the nodes no operator touches: docstrings, annotations and ``__all__``."""
     skip = []
     for node in ast.walk(tree):
-        body = getattr(node, "body", None)
-        if isinstance(body, list) and body and isinstance(body[0], ast.Expr):
-            if isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str):
-                skip.append(body[0])
+        if _docstring(node):
+            skip.append(node.body[0])
         if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
             skip.append(node.annotation)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
@@ -189,6 +167,15 @@ def _skipped(tree: ast.Module) -> set[int]:
         if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             skip.append(node)
     return {id(n) for root in skip for n in ast.walk(root)}
+
+
+def _fingerprint(module: str) -> str:
+    """SHA-256 of the module's syntax tree without docstrings: comments, layout and docstrings leave it alone."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_bytes())
+    for node in ast.walk(tree):
+        if _docstring(node):
+            node.body = node.body[1:]
+    return hashlib.sha256(ast.dump(tree).encode()).hexdigest()
 
 
 def _scopes(tree: ast.Module) -> dict[int, str]:
@@ -212,8 +199,8 @@ def _scopes(tree: ast.Module) -> dict[int, str]:
     return scope
 
 
-def _changes(node):
-    """(operator, apply, undo) for each mutant of ``node`` alone."""
+def _changes(node, parent):
+    """(operator, apply, undo) for each mutant of ``node`` alone; ``parent`` is the node that holds it."""
     if isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in _ARITHMETIC:
         old = node.op
         new = _ARITHMETIC[type(old)]()
@@ -237,17 +224,22 @@ def _changes(node):
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
         old = node.value
         yield "constant + 1", lambda: setattr(node, "value", old + 1), lambda: setattr(node, "value", old)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):  # point the parent's field at the operand
+        for field, value in ast.iter_fields(parent):
+            if value is node or isinstance(value, list) and node in value:
+                holder, key = (vars(parent), field) if value is node else (value, value.index(node))
+                yield (
+                    "drop unary -",
+                    lambda h=holder, k=key: h.__setitem__(k, node.operand),
+                    lambda h=holder, k=key: h.__setitem__(k, node),
+                )
 
 
 def _sites(module: str) -> list[_Site]:
-    """Every mutant of one module, in source order."""
-    source = (PACKAGE / f"{module}.py").read_bytes()
-    tree = ast.parse(source)
-    skip, scope, starts = _skipped(tree), _scopes(tree), _offsets(source)
+    """Every mutant of one module, in source order; they share one parsed tree."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_bytes())
+    skip, scope = _skipped(tree), _scopes(tree)
     parent = {id(c): p for p in ast.walk(tree) for c in ast.iter_child_nodes(p)}
-
-    def span(node):
-        return starts[node.lineno - 1] + node.col_offset, starts[node.end_lineno - 1] + node.end_col_offset
 
     def context(node):  # the expression a mutant is named by: climb out of names, constants and signs
         while isinstance(node, (ast.Constant, ast.Name, ast.Attribute, ast.UnaryOp)):
@@ -257,64 +249,25 @@ def _sites(module: str) -> list[_Site]:
             node = up
         return node
 
-    def target(node):  # the node whose source is replaced: the outermost f-string around it, if any
-        outer, up = node, parent.get(id(node))
-        while up is not None and not isinstance(up, ast.stmt):
-            if isinstance(up, ast.JoinedStr):
-                outer = up
-            up = parent.get(id(up))
-        return outer
-
     sites = []
     for node in ast.walk(tree):
         if id(node) in skip:
             continue
-        changes = list(_changes(node))
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            up = parent[id(node)]
-            sites.append(_unary_site(module, scope[id(node)], node, up, span, context, target))
-        for operator, apply, undo in changes:
-            named, replaced = context(node), target(node)
+        for operator, apply, undo in _changes(node, parent.get(id(node))):
+            named = context(node)
             before = ast.unparse(named)
             apply()
-            after, text = ast.unparse(named), ast.unparse(replaced)
+            # a dropped minus leaves the node out of the tree: a node named by itself is shown by its operand
+            after = ast.unparse(node.operand if named is node and isinstance(node, ast.UnaryOp) else named)
             undo()
-            if not isinstance(replaced, ast.stmt):
-                text = f"({text})"
-            sites.append(_Site(module, scope[id(node)], node.lineno, operator, before, after, *span(replaced), text))
-    sites = [s for s in sites if s is not None]
-    sites.sort(key=lambda s: (s.start, s.end, s.operator))
+            sites.append(_Site(module, scope[id(node)], node, operator, before, after, tree, apply, undo))
+    sites.sort(key=lambda s: s.order)
     seen: dict[str, int] = {}
     for s in sites:  # the same text twice in one scope: number the later ones
         seen[s.name] = seen.get(s.name, 0) + 1
         if seen[s.name] > 1:
             s.name += f" #{seen[s.name]}"
     return sites
-
-
-def _unary_site(module, scope, node, up, span, context, target):
-    """The mutant that drops the unary minus of ``node``: its parent's field is pointed at the operand."""
-    for field, value in ast.iter_fields(up):
-        if value is node:
-            swap = lambda v: setattr(up, field, v)  # noqa: E731
-            break
-        if isinstance(value, list) and any(v is node for v in value):
-            index = next(i for i, v in enumerate(value) if v is node)
-            swap = lambda v, value=value, index=index: value.__setitem__(index, v)  # noqa: E731
-            break
-    else:
-        return None
-    named = context(node) if isinstance(up, ast.expr) else node
-    replaced = target(node)
-    before = ast.unparse(named)
-    if named is node:
-        after, text = ast.unparse(node.operand), ast.unparse(node.operand)
-    else:
-        swap(node.operand)
-        after = ast.unparse(named)
-        text = ast.unparse(replaced) if replaced is not node else ast.unparse(node.operand)
-        swap(node)
-    return _Site(module, scope, node.lineno, "drop unary -", before, after, *span(replaced), f"({text})")
 
 
 def _test_files(module: str) -> list[str]:
@@ -365,7 +318,9 @@ def _worker_copy() -> tuple[Path, dict]:
 
 def main() -> int:
     sites = [s for module in MODULES for s in _sites(module)]
+    mutants = [site.source() for site in sites]  # all before the pool starts: a module's sites share one tree
     sources = {module: (PACKAGE / f"{module}.py").read_bytes() for module in MODULES}
+    fingerprints = {module: _fingerprint(module) for module in MODULES}
     copies = [_worker_copy() for _ in range(WORKERS)]
     free = queue.Queue()  # the copies no run is using
     for copy in copies:
@@ -377,15 +332,14 @@ def main() -> int:
             print(f"the unmutated package fails tier-1 ({status}: {test})", file=sys.stderr)
             return 1
 
-        def test_one(site: _Site) -> dict:
+        def test_one(site: _Site, mutant: str) -> dict:
             copy, env = free.get()
             path = copy / "src" / "dimercorr" / f"{site.module}.py"
-            original = sources[site.module]
             try:
-                path.write_bytes(original[: site.start] + site.text.encode() + original[site.end :])
+                path.write_text(mutant, encoding="utf-8")
                 status, test = _run(copy, env, site.module)
             finally:
-                path.write_bytes(original)
+                path.write_bytes(sources[site.module])
                 free.put((copy, env))
             entry = {"module": site.module, "line": site.line, "operator": site.operator, "mutant": site.name}
             reason = EQUIVALENT.get((site.module, site.name))
@@ -399,23 +353,22 @@ def main() -> int:
             return entry
 
         with ThreadPoolExecutor(max_workers=WORKERS) as pool:
-            entries = list(pool.map(test_one, sites))
+            entries = list(pool.map(test_one, sites, mutants))
     finally:
         for copy, _ in copies:
             shutil.rmtree(copy.parent, ignore_errors=True)
-    for module, name, line, operator, reason in DELETED:
-        entries.append({"module": module, "line": line, "operator": operator, "mutant": name})
-        entries[-1].update(status="deleted", reason=reason)
     score = {module: {} for module in MODULES}
     for entry in entries:
         counts = score[entry["module"]]
         counts[entry["status"]] = counts.get(entry["status"], 0) + 1
-    stale = sorted(set(EQUIVALENT) - {(s.module, s.name) for s in sites})
+    # every EQUIVALENT key must be a mutant this sweep made and the suite let pass: one a test now kills is stale too
+    stale = sorted(set(EQUIVALENT) - {(e["module"], e["mutant"]) for e in entries if e["status"] == "equivalent"})
     OUTPUT.write_text(
         json.dumps(
             {
                 "command": "python tools/mutate.py",
                 "modules": list(MODULES),
+                "fingerprints": fingerprints,
                 "seconds": round(time.monotonic() - started),
                 "score": score,
                 "mutants": entries,
@@ -427,7 +380,7 @@ def main() -> int:
         encoding="utf-8",
     )
     for module, name in stale:
-        print(f"EQUIVALENT names a mutant the sweep no longer makes: {module}: {name}", file=sys.stderr)
+        print(f"EQUIVALENT names a mutant this sweep did not record equivalent: {module}: {name}", file=sys.stderr)
     open_ = [e for e in entries if e["status"] in ("survived", "hung")]
     print(f"{len(entries)} mutants, {len(open_)} unresolved; written to {OUTPUT.name}", file=sys.stderr)
     return 1 if open_ or stale else 0
