@@ -32,15 +32,13 @@ def test_the_sweep_covers_every_module_of_the_package():
 def test_the_sweep_is_of_todays_source():
     # the sites tools/mutate.py makes of the source as it stands must be the ones the file swept (an operator added,
     # removed or moved to another scope without a rerun fails here), and each module's syntax tree must be the one
-    # swept (a body edit that keeps every site name fails here too; a comment or docstring edit does not)
+    # swept (a body edit that keeps every site name fails here too; a comment or docstring edit does not); and every
+    # reason in the script's EQUIVALENT must be the one the file records, with no other mutant recorded equivalent
+    # (an EQUIVALENT edit without a rerun fails here; the sweep deselects this test, so its own runs do not)
     made = Counter((site.module, site.name) for module in mutate.MODULES for site in mutate._sites(module))
     swept = Counter((m["module"], m["mutant"]) for m in SWEEP["mutants"])
     assert made == swept, {"not swept": sorted(made - swept), "no longer made": sorted(swept - made)}
     assert {module: mutate._fingerprint(module) for module in mutate.MODULES} == SWEEP["fingerprints"]
-
-
-def test_the_equivalent_mutants_are_the_scripts():
-    # every reason in EQUIVALENT is the one the file records, and no other mutant is recorded equivalent
     recorded = {(m["module"], m["mutant"]): m["reason"] for m in SWEEP["mutants"] if m["status"] == "equivalent"}
     assert recorded == mutate.EQUIVALENT
 

@@ -23,13 +23,15 @@ annotations are left alone.
 
 The result goes to OUTPUT at the root of the repository, one entry per
 mutant, with each module's fingerprint: a SHA-256 of its syntax tree
-without docstrings, which STALENESS_TEST requires today's source to match.
+without docstrings.  STALENESS_TEST requires today's source to match the
+fingerprints and sites, and EQUIVALENT to match the ``equivalent`` entries.
 A mutant is named by where it sits (the function, or the module-level name
 it assigns) and by its text before and after, so the names in EQUIVALENT
 outlive edits elsewhere in a module.  The exit status is 1 if any mutant is
 left ``survived`` or ``hung``, if an EQUIVALENT key is not a mutant this
-sweep recorded ``equivalent``, or if the unmutated copy fails the suite,
-and 0 otherwise.
+sweep recorded ``equivalent``, or if the unmutated copy (every module
+written back by ``ast.unparse``, as the mutants are) fails the suite, and 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -54,8 +56,9 @@ OUTPUT = ROOT / "MUTATION_37.json"
 MODULES = ("__main__", "cli", "correlations", "domain", "matkernel", "models", "sweep", "threshold", "verify")
 TIMEOUT = 120  # seconds per mutant; tier-1 takes about 9
 WORKERS = 2
-# the staleness test compares the sweep's file with the sites of the source it runs on, and a mutant's copy holds
-# a mutated source: it would fail for every mutant, so it is left out here
+# the staleness test compares the sweep's file with the sites and fingerprints of the source it runs on, and with
+# EQUIVALENT: a mutant's copy holds a mutated source, and an EQUIVALENT edit waits for this sweep to reach the file,
+# so it would fail for every mutant (or the unmutated run), and it is left out here
 STALENESS_TEST = "tests/test_mutation.py::test_the_sweep_is_of_todays_source"
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--deselect", STALENESS_TEST]
 
@@ -320,6 +323,7 @@ def main() -> int:
     sites = [s for module in MODULES for s in _sites(module)]
     mutants = [site.source() for site in sites]  # all before the pool starts: a module's sites share one tree
     sources = {module: (PACKAGE / f"{module}.py").read_bytes() for module in MODULES}
+    trees = {site.module: site.tree for site in sites}
     fingerprints = {module: _fingerprint(module) for module in MODULES}
     copies = [_worker_copy() for _ in range(WORKERS)]
     free = queue.Queue()  # the copies no run is using
@@ -327,7 +331,14 @@ def main() -> int:
         free.put(copy)
     started = time.monotonic()
     try:
-        status, test = _run(*copies[0], "")
+        # the unmutated run tests each module as the mutants' writer gives it back (no comments, other line
+        # numbers), so a test that reads the source text fails here, not for every mutant of its module
+        copy, env = copies[0]
+        for module, tree in trees.items():
+            (copy / "src" / "dimercorr" / f"{module}.py").write_text(ast.unparse(tree), encoding="utf-8")
+        status, test = _run(copy, env, "")
+        for module in trees:
+            (copy / "src" / "dimercorr" / f"{module}.py").write_bytes(sources[module])
         if status != "passed":
             print(f"the unmutated package fails tier-1 ({status}: {test})", file=sys.stderr)
             return 1
@@ -363,22 +374,9 @@ def main() -> int:
         counts[entry["status"]] = counts.get(entry["status"], 0) + 1
     # every EQUIVALENT key must be a mutant this sweep made and the suite let pass: one a test now kills is stale too
     stale = sorted(set(EQUIVALENT) - {(e["module"], e["mutant"]) for e in entries if e["status"] == "equivalent"})
-    OUTPUT.write_text(
-        json.dumps(
-            {
-                "command": "python tools/mutate.py",
-                "modules": list(MODULES),
-                "fingerprints": fingerprints,
-                "seconds": round(time.monotonic() - started),
-                "score": score,
-                "mutants": entries,
-            },
-            indent=1,
-            ensure_ascii=False,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    record = {"command": "python tools/mutate.py", "modules": list(MODULES), "fingerprints": fingerprints,
+              "seconds": round(time.monotonic() - started), "score": score, "mutants": entries}
+    OUTPUT.write_text(json.dumps(record, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
     for module, name in stale:
         print(f"EQUIVALENT names a mutant this sweep did not record equivalent: {module}: {name}", file=sys.stderr)
     open_ = [e for e in entries if e["status"] in ("survived", "hung")]
