@@ -2,20 +2,17 @@
 
 import ast
 import importlib.util
-import json
 import pickle
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# the latest sweep: the highest-numbered MUTATION_<n>.json, so a new file name needs no edit here
-LATEST = max(ROOT.glob("MUTATION_*.json"), key=lambda path: int(path.stem.partition("_")[2]))
-SWEEP = json.loads(LATEST.read_text(encoding="utf-8"))
-# each resolved status and the field that must say why
-RESOLVED = {"killed": "killed_by", "equivalent": "reason"}
 _SPEC = importlib.util.spec_from_file_location("mutate", ROOT / "tools" / "mutate.py")
 mutate = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(mutate)
+SWEEP = mutate.latest()
+# each resolved status and the field that must say why
+RESOLVED = {"killed": "killed_by", "equivalent": "reason"}
 
 
 def test_every_mutant_is_killed_or_equivalent():
@@ -51,3 +48,17 @@ def test_each_mutant_is_written_from_the_tree():
     for site in sites:
         assert ast.dump(ast.parse(site.source())) != original, site.name
         assert pickle.dumps(site.tree) == tree, site.name
+
+
+def test_a_killer_pytest_cannot_find_is_no_kill(monkeypatch):
+    # a recorded killed_by that no longer names a test makes pytest exit 4 ("ERROR: not found"): that run is no kill,
+    # and the mutant goes on to all of tier-1, whose run is stood in for here to keep this test fast
+    missing, real, runs = "tests/test_mutation.py::test_that_was_renamed", mutate._run, []
+
+    def run(copy, env, tests):
+        runs.append((tests, real(copy, env, tests) if tests == [missing] else ("passed", "")))
+        return runs[-1][1]
+
+    monkeypatch.setattr(mutate, "_run", run)
+    assert mutate._kill(ROOT, mutate._environment(ROOT), missing) == ("passed", "")
+    assert runs == [([missing], ("unfound", "")), (["tests"], ("passed", ""))]

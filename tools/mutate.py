@@ -5,33 +5,34 @@ Run from anywhere, with no arguments:
     python tools/mutate.py
 
 For each module in MODULES the sweep makes every mutant the operators below
-give, one at a time.  A mutant is made by changing the module's parsed tree
-and writing the module back with ``ast.unparse`` (so the file loses its
-comments and layout, not its meaning) into a private copy of the
-repository.  The full tier-1 suite but STALENESS_TEST then runs there
-(``pytest -x``, under a time limit).  A mutant the suite fails is
-``killed``, with the first failing test.  One that passes is ``equivalent``
-when EQUIVALENT gives the reason it cannot change any result, and
-``survived`` otherwise; one that outruns the limit is ``hung``.  There is no
-other status: code that is deleted leaves no mutant and no entry.
+give, one at a time, by changing the module's parsed tree and writing it
+back with ``ast.unparse`` (the file loses its comments and layout, not its
+meaning) into a private copy of the repository.  There pytest (``-x``, under
+a time limit, no third-party plugin, STALENESS_TEST left out) runs the test
+that killed the mutant in the latest sweep alone, then all of tier-1
+(``tests``, in collection order) unless that test failed: one that passes,
+hangs or is not found (pytest's exit 4 or 5) is no kill.  Any failing test
+is a kill, as the unmutated copy passes them all: the mutant is ``killed``.
+One that passes is ``equivalent`` when EQUIVALENT gives the reason it
+cannot change any result, and ``survived`` otherwise; one that outruns the
+limit is ``hung``, and one whose run finds no test ``unfound``.
 
 The operators: + and - swapped, * and / swapped (both also in augmented
 assignments), < and <=, > and >=, == and != swapped, min and max (and
-numpy's minimum and maximum) swapped, expm1 -> exp, log1p -> log, a
-numeric constant plus 1, and a unary minus dropped.  Docstrings and
-annotations are left alone.
+numpy's minimum and maximum) swapped, expm1 -> exp, log1p -> log, a numeric
+constant plus 1, and a unary minus dropped.  Docstrings and annotations are
+left alone.
 
-The result goes to OUTPUT at the root of the repository, one entry per
-mutant, with each module's fingerprint: a SHA-256 of its syntax tree
-without docstrings.  STALENESS_TEST requires today's source to match the
-fingerprints and sites, and EQUIVALENT to match the ``equivalent`` entries.
-A mutant is named by where it sits (the function, or the module-level name
-it assigns) and by its text before and after, so the names in EQUIVALENT
-outlive edits elsewhere in a module.  The exit status is 1 if any mutant is
-left ``survived`` or ``hung``, if an EQUIVALENT key is not a mutant this
-sweep recorded ``equivalent``, or if the unmutated copy (every module
-written back by ``ast.unparse``, as the mutants are) fails the suite, and 0
-otherwise.
+The result goes to OUTPUT, one entry per mutant, with each module's
+fingerprint (a SHA-256 of its syntax tree without docstrings).  The latest
+sweep is the highest-numbered MUTATION_<n>.json at the root; STALENESS_TEST
+requires today's source to match its fingerprints and sites, and EQUIVALENT
+its ``equivalent`` entries.  A mutant is named by where it sits (the
+function, or the module-level name it assigns) and its text before and
+after, so the name outlives edits elsewhere in its module.  The exit status
+is 1 if a mutant is neither ``killed`` nor ``equivalent``, if an EQUIVALENT
+key is not a mutant this sweep recorded ``equivalent``, or if the unmutated
+copy (every module written back by ``ast.unparse``) fails the suite.
 """
 
 from __future__ import annotations
@@ -52,9 +53,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dimercorr"
-OUTPUT = ROOT / "MUTATION_37.json"
+OUTPUT = ROOT / "MUTATION_38.json"
 MODULES = ("__main__", "cli", "correlations", "domain", "matkernel", "models", "sweep", "threshold", "verify")
-TIMEOUT = 120  # seconds per mutant; tier-1 takes about 9
+TIMEOUT = 120  # seconds per pytest run; tier-1 takes about 11
 WORKERS = 2
 # the staleness test compares the sweep's file with the sites and fingerprints of the source it runs on, and with
 # EQUIVALENT: a mutant's copy holds a mutated source, and an EQUIVALENT edit waits for this sweep to reach the file,
@@ -273,54 +274,53 @@ def _sites(module: str) -> list[_Site]:
     return sites
 
 
-def _test_files(module: str) -> list[str]:
-    """Every tier-1 test file, the mutated module's own first and the slow end-to-end checklist last.
-
-    A kill in the module's own file ends the run soonest; test_acceptance.py
-    takes about 2 s alone, so a mutant another file kills never waits for it.
-    """
-    files = sorted(str(p.relative_to(ROOT)) for p in (ROOT / "tests").rglob("test_*.py"))
-    own = f"tests/test_{module}.py"
-    return sorted(files, key=lambda f: (f != own, f == "tests/test_acceptance.py"))
+def latest() -> dict:
+    """The latest sweep: the highest-numbered MUTATION_<n>.json at the root of the repository ({} if none)."""
+    last = max(ROOT.glob("MUTATION_*.json"), key=lambda path: int(path.stem.partition("_")[2]), default=None)
+    return json.loads(last.read_text(encoding="utf-8")) if last else {}
 
 
-def _run(copy: Path, env: dict, module: str) -> tuple[str, str]:
-    """(status, first failing test) of one tier-1 run in ``copy``."""
-    proc = subprocess.Popen(
-        PYTEST + _test_files(module),
-        cwd=copy,
-        env=env,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        start_new_session=True,
-    )
+def _run(copy: Path, env: dict, tests: list[str]) -> tuple[str, str]:
+    """(status, first failing test) of one pytest run of ``tests`` in ``copy``."""
+    proc = subprocess.Popen(PYTEST + tests, cwd=copy, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                            text=True, start_new_session=True)
     try:
         out, _ = proc.communicate(timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
         return "hung", ""
-    if proc.returncode == 0:
-        return "passed", ""
+    status = {0: "passed", 4: "unfound", 5: "unfound"}.get(proc.returncode)  # 4 is "ERROR: not found: <id>"
+    if status:
+        return status, ""
     for line in out.splitlines():
         if line.startswith(("FAILED ", "ERROR ")):
             return "killed", line.split(" ", 1)[1].split(" - ", 1)[0]
     return "killed", f"pytest exit code {proc.returncode}"
 
 
+def _kill(copy: Path, env: dict, killer: str | None) -> tuple[str, str]:
+    """(status, first failing test) of the mutant in ``copy``: its recorded killer alone, else all of tier-1."""
+    status, test = _run(copy, env, [killer]) if killer else ("", "")
+    return (status, test) if status == "killed" else _run(copy, env, ["tests"])
+
+
+def _environment(root: Path) -> dict:
+    """A pytest run's environment in ``root``: its package first, no plugin autoloaded, no bytecode written."""
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1", PYTEST_DISABLE_PLUGIN_AUTOLOAD="1")
+
+
 def _worker_copy() -> tuple[Path, dict]:
     """A private copy of the repository (without .git) and the environment that tests it."""
     copy = Path(tempfile.mkdtemp(prefix="mutate-")) / "repo"
     shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache"))
-    src = str(copy / "src")
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # every run compiles the module it was given
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return copy, env
+    return copy, _environment(copy)
 
 
 def main() -> int:
     sites = [s for module in MODULES for s in _sites(module)]
+    killers = {(e["module"], e["mutant"]): e.get("killed_by") for e in latest().get("mutants", [])}
     mutants = [site.source() for site in sites]  # all before the pool starts: a module's sites share one tree
     sources = {module: (PACKAGE / f"{module}.py").read_bytes() for module in MODULES}
     trees = {site.module: site.tree for site in sites}
@@ -336,7 +336,7 @@ def main() -> int:
         copy, env = copies[0]
         for module, tree in trees.items():
             (copy / "src" / "dimercorr" / f"{module}.py").write_text(ast.unparse(tree), encoding="utf-8")
-        status, test = _run(copy, env, "")
+        status, test = _run(copy, env, ["tests"])
         for module in trees:
             (copy / "src" / "dimercorr" / f"{module}.py").write_bytes(sources[module])
         if status != "passed":
@@ -348,7 +348,7 @@ def main() -> int:
             path = copy / "src" / "dimercorr" / f"{site.module}.py"
             try:
                 path.write_text(mutant, encoding="utf-8")
-                status, test = _run(copy, env, site.module)
+                status, test = _kill(copy, env, killers.get((site.module, site.name)))
             finally:
                 path.write_bytes(sources[site.module])
                 free.put((copy, env))
@@ -359,7 +359,7 @@ def main() -> int:
             elif status == "passed" and reason:
                 entry.update(status="equivalent", reason=reason)
             else:
-                entry["status"] = "survived" if status == "passed" else "hung"
+                entry["status"] = "survived" if status == "passed" else status
             print(f"{entry['status']:10s} {site.module}:{site.line} {site.name}", file=sys.stderr, flush=True)
             return entry
 
@@ -379,7 +379,7 @@ def main() -> int:
     OUTPUT.write_text(json.dumps(record, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
     for module, name in stale:
         print(f"EQUIVALENT names a mutant this sweep did not record equivalent: {module}: {name}", file=sys.stderr)
-    open_ = [e for e in entries if e["status"] in ("survived", "hung")]
+    open_ = [e for e in entries if e["status"] not in ("killed", "equivalent")]
     print(f"{len(entries)} mutants, {len(open_)} unresolved; written to {OUTPUT.name}", file=sys.stderr)
     return 1 if open_ or stale else 0
 
