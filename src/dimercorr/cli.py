@@ -264,13 +264,14 @@ def build_parser() -> argparse.ArgumentParser:
     params.add_argument("--gamma", type=float, default=None, help="anisotropy in [-1, 1]; overrides --model")
     params.add_argument("--b1", type=float, default=0.0, help="field on qubit 1 (units of J)")
     params.add_argument("--b2", type=float, default=0.0, help="field on qubit 2 (units of J)")
+    output = argparse.ArgumentParser(add_help=False)  # the flag of every subcommand that writes a table
+    output.add_argument("--output", default=None, help="write to this file instead of stdout")
 
-    point = sub.add_parser("point", parents=[params], help="evaluate the correlation report at one point")
+    point = sub.add_parser("point", parents=[params, output], help="evaluate the correlation report at one point")
     point.add_argument("--temp", type=float, required=True, help="temperature (units of J)")
-    point.add_argument("--output", default=None, help="write to this file instead of stdout")
     point.set_defaults(func=_cmd_point)
 
-    sweep = sub.add_parser("sweep", parents=[params], help="evaluate the report over a 1D or 2D grid")
+    sweep = sub.add_parser("sweep", parents=[params, output], help="evaluate the report over a 1D or 2D grid")
     sweep.add_argument("--temp", type=float, default=None, help="fixed T when no T axis is given")
     sweep.add_argument(
         "--axis",
@@ -280,12 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"sweep axis (repeat for a second axis); names: {', '.join(AXIS_NAMES)}",
     )
     sweep.add_argument("--format", choices=["csv", "json"], default="csv")
-    sweep.add_argument("--output", default=None)
     sweep.set_defaults(func=_cmd_sweep)
 
-    thr = sub.add_parser("threshold", help="zero-field threshold temperatures over a gamma range")
+    thr = sub.add_parser("threshold", parents=[output], help="zero-field threshold temperatures over a gamma range")
     thr.add_argument("--gamma", required=True, metavar="START:STOP:POINTS")
-    thr.add_argument("--output", default=None)
     thr.set_defaults(func=_cmd_threshold)
 
     ver = sub.add_parser("verify", help="run the closed-form/numeric cross-check suites")

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .matkernel import _density_eigh, _partial_trace, _partial_transpose, check_density_matrix
+from .matkernel import _density_eigh, _marginals, _partial_transpose, check_density_matrix
 
 __all__ = [
     "CorrelationReport",
@@ -72,8 +72,7 @@ def _entropy_bits(eigenvalues: np.ndarray) -> np.ndarray:
 
 def _mutual_information(rho: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     """S(1) + S(2) - S(12) of validated states with eigenvalues ``spectrum``."""
-    marginals = np.stack([_partial_trace(rho, 1), _partial_trace(rho, 2)])
-    s1, s2 = _entropy_bits(np.linalg.eigvalsh(marginals))
+    s1, s2 = _entropy_bits(np.linalg.eigvalsh(_marginals(rho)))
     return s1 + s2 - _entropy_bits(spectrum)
 
 

@@ -105,14 +105,13 @@ def _check_params(gamma: list, b1: list, b2: list) -> None:
                 raise DomainError(f"{name} must be finite, got {v}")
 
 
-def check_positive_finite(value) -> None:
-    """Raise DomainError unless every temperature in ``value`` is finite and positive.
+def check_positive_finite(value: list) -> None:
+    """Raise DomainError unless every temperature in the list of floats ``value`` is finite and positive.
 
-    ``value`` is a list of floats (checked as is) or one number, taken
-    through ``float``; NaN and +-inf are rejected, so they never reach an
-    exponent or an eigensolver.
+    NaN and +-inf are rejected, so they never reach an exponent or an
+    eigensolver.
     """
-    for v in value if isinstance(value, list) else [float(value)]:
+    for v in value:
         if not (math.isfinite(v) and v > 0.0):
             raise DomainError(f"temperature must be positive and finite, got {v}")
 

@@ -104,10 +104,10 @@ def gibbs(h: np.ndarray, temperature) -> np.ndarray:
     return 0.5 * (rho + _adjoint(rho))
 
 
-def _partial_trace(rho: np.ndarray, keep: int) -> np.ndarray:
-    """Reduced 2x2 state of qubit ``keep`` (1 or 2) of a validated two-qubit state (or stack)."""
+def _marginals(rho: np.ndarray) -> np.ndarray:
+    """Reduced 2x2 states of qubits 1 and 2 of a validated two-qubit state (or stack), as a (2, ..., 2, 2) stack."""
     blocks = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2)  # (row q1, row q2, col q1, col q2)
-    return np.einsum("...ikjk->...ij" if keep == 1 else "...kikj->...ij", blocks)
+    return np.stack([np.einsum("...ikjk->...ij", blocks), np.einsum("...kikj->...ij", blocks)])
 
 
 def _partial_transpose(rho: np.ndarray) -> np.ndarray:

@@ -98,25 +98,31 @@ def _x_form(gamma: float, b1: float, b2: float, t: float) -> tuple[float, ...]:
     gap = 1.0 - gamma  # coupling inside the |ud>, |du> block
     r = abs(complex(delta, gap))  # libm's hypot, as np.hypot
     r_safe = r if r > 0.0 else 1.0  # r = 0 only at gamma = 1, b1 = b2
-    # |uu> and |dd> sit (1+gamma) + r +- sigma above the lower mixed level;
-    # writing (1+gamma) + r as 2 + (r - (1-gamma)) = 2 + delta^2 / (r + 1 - gamma)
+    # |uu> and |dd> sit (1+gamma) + r +- sigma above the lower mixed level, and
+    # the upper mixed level 2r above it.  The levels are formed at half scale,
+    # where none exceeds max(|b1 + b2|, |b1 - b2|) + 2, so none overflows for
+    # finite b1 +- b2 (at full scale, 2r and lift + sigma overflow past
+    # |b1 - b2| ~ 9e307); each exponent is doubled after its division.
+    # Halving and doubling are exact, so the bits are the full-scale form's
+    # except where a halved quotient is subnormal.
+    # Writing (1+gamma) + r as 2 + (r - (1-gamma)) = 2 + delta^2 / (r + 1 - gamma)
     # keeps level crossings such as b1 = b2 = 1 exact, where 1/T would
     # amplify any rounding.  Past |delta| ~ 1.3e154, where delta^2
     # overflows, gap <= 2 is below half an ulp of |delta|, so r + gap = |delta|
     # and the ratio is |delta|.
     square = delta * delta
-    lift = 2.0 + (square / (r_safe + gap) if math.isfinite(square) else size)
-    level_uu = lift + sigma
-    level_dd = lift - sigma
-    twice_r = 2.0 * r
-    low = min(level_uu, level_dd, 0.0)  # the ground level; twice_r >= 0 never lies below 0
+    lift = 1.0 + 0.5 * (square / (r_safe + gap) if math.isfinite(square) else size)
+    half_sigma = 0.5 * sigma
+    level_uu = lift + half_sigma
+    level_dd = lift - half_sigma
+    low = min(level_uu, level_dd, 0.0)  # the ground level; r >= 0 never lies below 0
     # nonpositive Boltzmann exponents; exp and expm1 map -inf to the right limits
-    e_uu = (low - level_uu) / t
-    e_dd = (low - level_dd) / t
+    e_uu = (low - level_uu) / t * 2.0
+    e_dd = (low - level_dd) / t * 2.0
     w_uu = math.exp(e_uu)
     w_dd = math.exp(e_dd)
-    w_hi = math.exp((low - twice_r) / t)
-    w_lo = math.exp(low / t)
+    w_hi = math.exp((low - r) / t * 2.0)
+    w_lo = math.exp(low / t * 2.0)
     z = w_uu + w_dd + w_hi + w_lo
     p_hi = w_hi / z
     p_lo = w_lo / z
@@ -131,7 +137,7 @@ def _x_form(gamma: float, b1: float, b2: float, t: float) -> tuple[float, ...]:
     # p_lo (1 - e^{-2r/T}), kept exact for small r / T; where 2r overflows
     # (|b1 - b2| past ~9e307) the numerator is divided by r and then halved,
     # which only there rounds a subnormal result twice
-    numerator = -p_lo * math.expm1(-twice_r / t) * gap
+    numerator = -p_lo * math.expm1(-r / t * 2.0) * gap
     twice_r_safe = 2.0 * r_safe
     coherence = numerator / twice_r_safe if math.isfinite(twice_r_safe) else numerator / r_safe * 0.5
     if delta >= 0.0:

@@ -98,7 +98,7 @@ class SweepSpec(_SpecFields):
         if not t_axes and temp is None:
             raise ValueError("a sweep without a T axis needs a fixed temp")
         if temp is not None:  # checked beside a T axis too, since the JSON spec records it
-            check_positive_finite(temp)
+            check_positive_finite([float(temp)])
         return super().__new__(cls, base, axis1, axis2, temp)
 
     @classmethod
@@ -146,12 +146,10 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepTable:
     if len(grids) == 2:  # row-major: axis 1 outer, axis 2 inner
         grids = [[v for v in grids[0] for _ in grids[1]], grids[1] * len(grids[0])]
     n = len(grids[0])
-    base_t = spec.temp if spec.temp is not None else 1.0  # overwritten by any T axis
-    fixed = dict(zip(("T", "gamma", "b1", "b2"), [base_t, *spec.base]))
-    columns = {name: [float(value)] * n for name, value in fixed.items()}
-    for axis, values in zip(axes, grids):
-        for name, sign in AXIS_WRITES[axis.name]:
-            columns[name] = [sign * v for v in values]
+    written = {name: [sign * v for v in values] for axis, values in zip(axes, grids)
+               for name, sign in AXIS_WRITES[axis.name]}
+    fixed = zip(("T", "gamma", "b1", "b2"), [spec.temp, *spec.base])  # a spec without a temp has a T axis
+    columns = {name: written[name] if name in written else [float(value)] * n for name, value in fixed}
     inputs = [columns[k] for k in ("gamma", "b1", "b2", "T")]
     # on a b1 x b2 map over one grid, point (j, i) is point (i, j) with the fields swapped, and the
     # kernel is symmetric under that swap bit for bit: sigma = b1 + b2 commutes, delta = b1 - b2

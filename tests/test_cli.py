@@ -485,70 +485,48 @@ def test_point_and_sweep_print_the_same_row(capsys):
     assert point_out.splitlines()[1] == row
 
 
-def test_import_does_not_load_scipy_signal():
-    code = "import dimercorr, sys; assert 'scipy.signal' not in sys.modules; assert 'numpy' not in sys.modules"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-
-
-@pytest.mark.parametrize(
-    ("argv", "absent"),
-    [
-        (["point", "--model", "xy", "--b1", "0.7", "--b2", "-1.1", "--temp", "0.3"], ["numpy", "dataclasses"]),
-        (["point", "--gamma", "0", "--b1", "0.7", "--b2", "-0.3", "--temp", "0.3"], ["numpy"]),
-        (
-            ["sweep", "--model", "heisenberg", "--gamma", "0.3", "--axis", "T=0.02:4:150"],
-            ["numpy", "dataclasses", "inspect", "json"],
-        ),
-        (
-            ["sweep", "--model", "xy", "--temp", "0.3", "--axis", "b1=-3:3:61", "--axis", "b2=-3:3:61", "--format", "json"],
-            ["numpy", "dataclasses", "inspect", "json"],
-        ),
-        (["threshold", "--gamma", "-1:0.99:100"], ["numpy", "dataclasses"]),
-        (["verify", "--suite", "gibbs", "--samples", "2"], ["dataclasses"]),
-    ],
-    ids=["point", "point-heisenberg-fields", "sweep-csv-T", "sweep-json-2d", "threshold", "verify-gibbs"],
-)
-def test_subcommand_does_not_load(argv, absent):
-    code = (
-        "import sys; from dimercorr import cli; "
-        f"assert cli.main({argv!r}) == 0; "
-        f"loaded = [name for name in {absent!r} if name in sys.modules]; "
-        "assert not loaded, loaded"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-
-
-# The package modules each subcommand loads: the numpy-free boundary, then what it runs.
+# Each subcommand line: the package modules it loads beside the numpy-free boundary, and the modules it must leave
+# unloaded.  One process per line, which first checks that ``import dimercorr`` alone loads neither numpy nor
+# scipy.signal.
 _BOUNDARY = {"dimercorr", "dimercorr.cli", "dimercorr.domain"}
-_LOADED = {
-    "point": (["point", "--gamma", "0", "--b1", "0.7", "--b2", "-0.3", "--temp", "0.3"], {"models"}),
-    "sweep-csv": (["sweep", "--model", "heisenberg", "--axis", "T=0.02:4:150"], {"models", "sweep"}),
-    "sweep-json": (
-        ["sweep", "--model", "xy", "--temp", "0.3", "--axis", "b1=-3:3:61", "--axis", "b2=-3:3:61", "--format", "json"],
+_NOT_FOR_SWEEP = ["numpy", "dataclasses", "inspect", "json"]
+_IMPORTS = {
+    "point": ("point --model xy --b1 0.7 --b2 -1.1 --temp 0.3", {"models"}, ["numpy", "dataclasses"]),
+    "point-heisenberg-fields": ("point --gamma 0 --b1 0.7 --b2 -0.3 --temp 0.3", {"models"}, ["numpy"]),
+    "sweep-csv-T": ("sweep --model heisenberg --gamma 0.3 --axis T=0.02:4:150", {"models", "sweep"}, _NOT_FOR_SWEEP),
+    "sweep-json-2d": (
+        "sweep --model xy --temp 0.3 --axis b1=-3:3:61 --axis b2=-3:3:61 --format json",
         {"models", "sweep"},
+        _NOT_FOR_SWEEP,
     ),
-    "threshold": (["threshold", "--gamma", "-1:0.99:100"], {"threshold"}),
-    "verify": (["verify", "--suite", "gibbs", "--samples", "2"], {"models", "matkernel", "correlations", "verify"}),
+    "threshold": ("threshold --gamma -1:0.99:100", {"threshold"}, ["numpy", "dataclasses"]),
+    "verify-gibbs": (
+        "verify --suite gibbs --samples 2", {"models", "matkernel", "correlations", "verify"}, ["dataclasses"]
+    ),
 }
 
 
-def test_each_subcommand_loads_exactly_its_modules():
+@pytest.mark.parametrize(("line", "runs", "absent"), list(_IMPORTS.values()), ids=list(_IMPORTS))
+def test_subcommand_does_not_load(line, runs, absent):
+    code = (
+        "import contextlib, io, sys\n"
+        "import dimercorr\n"
+        "assert not {'numpy', 'scipy.signal'} & set(sys.modules)\n"
+        "from dimercorr import cli\n"
+        f"with contextlib.redirect_stdout(io.StringIO()): assert cli.main({line.split()!r}) == 0\n"
+        f"print(*(name for name in sys.modules if name.partition('.')[0] == 'dimercorr' or name in {absent!r}))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) == _BOUNDARY | {f"dimercorr.{module}" for module in runs}
+
+
+def test_each_public_name_is_listed_in_its_submodule():
+    # the package looks each public name up in one submodule, the names moved into domain too
     import importlib
 
     import dimercorr
 
-    for name, (argv, runs) in _LOADED.items():
-        code = (
-            "import contextlib, io, sys; from dimercorr import cli\n"
-            f"with contextlib.redirect_stdout(io.StringIO()): assert cli.main({argv!r}) == 0\n"
-            "print(*(name for name in sys.modules if name.partition('.')[0] == 'dimercorr'))"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert set(proc.stdout.split()) == _BOUNDARY | {f"dimercorr.{module}" for module in runs}, name
-    # each public name is listed where the package looks it up, the names moved into domain too
     for name, module in dimercorr._SUBMODULE.items():
         assert name in importlib.import_module(f"dimercorr.{module}").__all__, name
 
@@ -866,6 +844,22 @@ def test_a_point_count_past_sys_maxsize_is_a_usage_error(capsys, argv, what):
     assert code == 2
     assert out == ""
     assert err == f"error: {what} needs at most {sys.maxsize} points, got 10000000000000000000\n"
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["sweep", "--temp", "1", "--axis", "T"], "error: axis must look like name=start:stop:points, got 'T'\n"),
+        # a dash token that is not a number is not joined to its flag, so argparse reads it as an option
+        (["point", "--model", "-x", "--temp", "1"], "point: error: argument --model: expected one argument\n"),
+    ],
+    ids=["axis-without-name", "dash-value-not-a-number"],
+)
+def test_a_malformed_option_value_is_a_usage_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.endswith(message)
 
 
 @pytest.mark.parametrize(

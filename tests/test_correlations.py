@@ -15,7 +15,7 @@ from dimercorr.correlations import (
     report,
     sample_decomposition_average,
 )
-from dimercorr.matkernel import _partial_trace
+from dimercorr.matkernel import _marginals
 from dimercorr.models import _formation, thermal_state_analytic
 
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
@@ -25,7 +25,7 @@ CLASSICAL_MIX = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
 
 def qubit_state(rng):
     """A random full-rank 2x2 state: the first qubit's marginal of a random two-qubit state."""
-    return _partial_trace(random_density_matrix(rng), 1)
+    return _marginals(random_density_matrix(rng))[0]
 
 
 def binary_entropy(x):

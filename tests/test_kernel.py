@@ -21,6 +21,7 @@ from dimercorr.models import (
     ModelParams,
     _correlations,
     _formation,
+    _x_form,
     build_hamiltonian,
     closed_form_correlations,
     thermal_state,
@@ -52,7 +53,7 @@ def _mp_entropy(m):
 
 
 def mp_reference(gamma, b1, b2, t):
-    """Total, quantum, classical and concurrence of the Gibbs state at 50 digits.
+    """Total, quantum, classical and concurrence of the Gibbs state at 50 digits, and its populations, ascending.
 
     Generic dense route: Hamiltonian from Pauli products, spectral Gibbs
     state, partial traces, and the Wootters spectrum of sqrt(rho) rho~ sqrt(rho).
@@ -80,7 +81,8 @@ def mp_reference(gamma, b1, b2, t):
         c = min(max(mp.mpf(0), lam[0] - lam[1] - lam[2] - lam[3]), mp.mpf(1))
         x = (1 + mp.sqrt(1 - c * c)) / 2
         quantum = -(_mp_xlog2x(x) + _mp_xlog2x(1 - x))
-        return {"total": total, "quantum": quantum, "classical": total - quantum, "concurrence": c}
+        outputs = {"total": total, "quantum": quantum, "classical": total - quantum, "concurrence": c}
+        return {**outputs, "populations": sorted(pops)}
 
 
 def assert_gibbs_matches_dense_and_reference(gamma, b1, b2, t):
@@ -261,6 +263,20 @@ def test_a_field_difference_whose_square_overflows_matches_dense_and_reference()
     # (b1 - b2)^2 = 1e400 overflows, so the levels come from the overflow
     # branch; at T = 1e200 all four populations are of order 1
     assert_gibbs_matches_dense_and_reference(0.0, 5e199, -5e199, 1e200)
+
+
+def test_a_field_difference_past_half_the_largest_float_keeps_every_level():
+    # at b1 = T = 1e308 the levels 2r and (1+gamma) + r + sigma pass the largest float, so the kernel forms
+    # them at half scale: |uu> and the upper mixed level keep their weight e^-2 / (2 + 2 e^-2) = 0.0596,
+    # and the state is the product (0.119 |u><u| + 0.881 |d><d|) x I/2, whose concurrence is exactly 0
+    point = (0.0, 1e308, 0.0, 1e308)
+    want = mp_reference(*point)
+    for got, value in zip(sorted(_x_form(*point)[:4]), want["populations"]):
+        assert abs(got - float(value)) < 1e-15 * float(value)
+    out = closed_form_correlations(*point)
+    assert out["concurrence"] == float(want["concurrence"]) == 0.0
+    for name in OUTPUTS:
+        assert abs(out[name] - float(want[name])) < 1e-13, name
 
 
 # Corners of the kernel: extreme temperatures, fields whose square or

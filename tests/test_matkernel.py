@@ -3,7 +3,7 @@ import pytest
 
 from dimercorr.correlations import concurrence, entanglement_of_formation, report, sample_decomposition_average
 from dimercorr.domain import DomainError, ValidationError
-from dimercorr.matkernel import _partial_trace, _partial_transpose, check_density_matrix, gibbs
+from dimercorr.matkernel import _marginals, _partial_transpose, check_density_matrix, gibbs
 from dimercorr.models import build_hamiltonian
 
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
@@ -108,8 +108,7 @@ def test_gibbs_rejects_nonpositive_temperature():
 
 
 def test_partial_trace_of_singlet_is_maximally_mixed():
-    for keep in (1, 2):
-        assert np.max(np.abs(_partial_trace(SINGLET_RHO, keep) - np.eye(2) / 2.0)) < 1e-12
+    assert np.max(np.abs(_marginals(SINGLET_RHO) - np.eye(2) / 2.0)) < 1e-12
 
 
 def test_partial_trace_of_products():
@@ -117,8 +116,7 @@ def test_partial_trace_of_products():
     for _ in range(100):
         a, b = rand_rho(rng, 2), rand_rho(rng, 2)
         product = np.kron(a, b)
-        assert np.max(np.abs(_partial_trace(product, 1) - a)) < 1e-12
-        assert np.max(np.abs(_partial_trace(product, 2) - b)) < 1e-12
+        assert np.max(np.abs(_marginals(product) - [a, b])) < 1e-12
 
 
 def test_partial_transpose_is_an_involution():

@@ -20,7 +20,7 @@ from dimercorr.correlations import (
     sample_decomposition_average,
 )
 from dimercorr.domain import DomainError, ValidationError
-from dimercorr.matkernel import _partial_trace, _partial_transpose, check_density_matrix, gibbs
+from dimercorr.matkernel import _marginals, _partial_transpose, check_density_matrix, gibbs
 from dimercorr.models import (
     ModelParams,
     build_hamiltonian,
@@ -98,11 +98,10 @@ def test_report_on_a_stack_matches_a_loop():
 def test_matrix_helpers_on_a_stack_match_a_loop():
     rho = _states()
     assert np.array_equal(check_density_matrix(rho), rho)
-    for keep in (1, 2):
-        stacked = _partial_trace(rho, keep)
-        assert stacked.shape == (len(rho), 2, 2)
-        for i, member in enumerate(rho):
-            assert np.max(np.abs(stacked[i] - _partial_trace(member, keep))) < STACK_TOL
+    stacked = _marginals(rho)
+    assert stacked.shape == (2, len(rho), 2, 2)
+    for i, member in enumerate(rho):
+        assert np.max(np.abs(stacked[:, i] - _marginals(member))) < STACK_TOL
     transposed = _partial_transpose(rho)
     for i, member in enumerate(rho):
         assert np.array_equal(transposed[i], _partial_transpose(member))

@@ -147,14 +147,6 @@ def test_temperature_axis_overrides_fixed_temp():
     assert table.column("T").tolist() == spec.axis1.values()
 
 
-def test_thread_count_does_not_change_results():
-    spec = SweepSpec(base=ModelParams(gamma=-0.3), axis1=Axis("T", 0.05, 3.0, 40))
-    serial = run_sweep(spec, threads=1)
-    threaded = run_sweep(spec, threads=4)
-    for name in ("total", "quantum", "classical", "concurrence"):
-        assert serial.column(name).tolist() == threaded.column(name).tolist()
-
-
 def test_cold_isotropic_endpoint_reaches_two_bits():
     spec = SweepSpec(base=ModelParams(gamma=0.0), axis1=Axis("T", 0.05, 4.0, 100))
     table = run_sweep(spec)

@@ -53,7 +53,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dimercorr"
-OUTPUT = ROOT / "MUTATION_38.json"
+OUTPUT = ROOT / "MUTATION_39.json"
 MODULES = ("__main__", "cli", "correlations", "domain", "matkernel", "models", "sweep", "threshold", "verify")
 TIMEOUT = 120  # seconds per pytest run; tier-1 takes about 11
 WORKERS = 2
@@ -83,8 +83,6 @@ EQUIVALENT: dict[tuple[str, str], str] = {
     ("correlations", "_xlog2x: x > 0.0 -> x >= 0.0"): "at x = 0 both branches give 0 (0 * log2(1))",
     ("correlations", "_xlog2x: np.where(x > 0.0, x, 1.0) -> np.where(x > 0.0, x, 2.0)"): "the outer np.where "
     "discards the inner value wherever x <= 0",
-    ("correlations", "_mutual_information: _partial_trace(rho, 2) -> _partial_trace(rho, 3)"): "_partial_trace "
-    "keeps qubit 1 for keep == 1 and qubit 2 for any other value",
     ("correlations", "_sigma_yy_form: rows[..., ::-1] * _SIGMA_YY_SIGNS -> rows[..., ::-1] / _SIGMA_YY_SIGNS"): "the "
     "signs are +-1, and x / +-1 == x * +-1 exactly",
     ("correlations", "_separable_ppt: np.linalg.eigvalsh(_partial_transpose(rho))[..., 0] >= -1e-10 -> "
@@ -114,8 +112,6 @@ EQUIVALENT: dict[tuple[str, str], str] = {
     ("models", "_x_form: delta >= 0.0 -> delta > 0.0"): "at delta = 0 both sides are equal: 1 - |cos| is 1 for "
     "gamma < 1, and p_hi = p_lo at gamma = 1",
     ("models", "_map_kernel: arrays[0] -> arrays[1]"): "np.broadcast_arrays gives every array the same shape",
-    ("sweep", "run_sweep: spec.temp if spec.temp is not None else 1.0 -> spec.temp if spec.temp is not None else 2.0"):
-    "a spec without a temp has a T axis (SweepSpec checks it), and the axis overwrites the placeholder",
     ("sweep", "detect_quantum_exceeds_classical: q > c + 1e-12 -> q >= c + 1e-12"): _TOLERANCE,
     ("sweep", "detect_zero_plateau: v <= 1e-10 -> v < 1e-10"): _TOLERANCE,
     ("sweep", "count_peaks: i - 1 -> i + 1"): "it takes each top at its right end instead of its left, and the "
