@@ -81,8 +81,11 @@ def _parse_range(text: str) -> list[float]:
 # - a d with an exponent is repr(float(d)), which also covers the exponents
 #   where repr writes positional (12 to 15) or fewer digits (a subnormal).
 # The parameter columns (T, gamma, b1, b2) repeat a few values over a grid,
-# so each distinct value's token is worked out once (_tokens) and its
-# string goes into the template's "%s".
+# so each distinct value is folded and its token worked out once (_tokens),
+# and its string goes into the template's "%s".  A b1 x b2 map over one grid
+# holds each output value at (i, j) and at (j, i) (sweep._mirror_size), so
+# its output tokens are made at the points i <= j and mirrored: a 61 x 61 map
+# makes 7,564 output tokens and 124 parameter tokens, not 14,884 of each.
 #
 # A JSON sweep is one template in the layout of json.dumps(payload,
 # indent=2): each record is _JSON_RECORD, each axis _JSON_AXIS over the Axis
@@ -117,18 +120,18 @@ def _json_number(value: float) -> str:
 
 
 def _tokens(column: list[float]) -> list[str]:
-    """_json_number(v) for each value of ``column``, called once per distinct value.
+    """_json_number(v + 0.0) for each value of ``column``, called once per distinct value.
 
     One pass, each value looked up with memo.get: a NaN never equals
     itself, so a NaN not seen before simply gets its own entry.  -0.0 and
-    0.0 share one key, so the column must have its -0.0 folded into 0.
+    0.0 share one key, and + 0.0 folds -0.0 into 0 whichever comes first.
     """
     memo = {}
     out = []
     for v in column:
         text = memo.get(v)
         if text is None:
-            text = memo[v] = _json_number(v)
+            text = memo[v] = _json_number(v + 0.0)
         out.append(text)
     return out
 
@@ -173,17 +176,25 @@ def _cmd_point(args: argparse.Namespace) -> int:
 
 
 def _table_to_json(table: SweepTable) -> str:
+    from .sweep import _mirror_size, _mirrored, _upper
+
     spec = table.spec
     axes = ",\n".join(_JSON_AXIS % axis for axis in (spec.axis1, spec.axis2) if axis is not None)
     records = "[]"
-    columns = _record_columns(table.columns)
-    if columns[0]:
-        params = [_tokens(column) for column in columns[:_PARAMETERS]]
-        digits = _fill(_OUTPUT_NUMBERS, columns[_PARAMETERS:], ",").split(",")
+    if len(table.columns["T"]):
+        m = _mirror_size(spec)
+        params = [_tokens(table.columns[name]) for name in RECORD_COLUMNS[:_PARAMETERS]]
+        outputs = [table.columns[name] for name in RECORD_COLUMNS[_PARAMETERS:]]
+        if m:  # a map over one grid: format its points i <= j and mirror their tokens
+            outputs = [_upper(column, m) for column in outputs]
+        digits = _fill(_OUTPUT_NUMBERS, [[v + 0.0 for v in column] for column in outputs], ",").split(",")
         # a positional number with a fraction is its own token: skip the call
         tokens = [d if "." in d and "e" not in d else _json_token(d) for d in digits]
-        width = len(columns) - _PARAMETERS
-        records = "[\n" + _fill(_JSON_RECORD, params + [tokens[k::width] for k in range(width)], ",\n") + "\n  ]"
+        width = len(outputs)
+        outputs = [tokens[k::width] for k in range(width)]
+        if m:
+            outputs = [_mirrored(column, m) for column in outputs]
+        records = "[\n" + _fill(_JSON_RECORD, params + outputs, ",\n") + "\n  ]"
     temp = "null" if spec.temp is None else repr(spec.temp)
     return _JSON_DOCUMENT % (*spec.base, temp, axes, records)
 

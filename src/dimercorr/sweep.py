@@ -142,7 +142,7 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepTable:
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     axes = [spec.axis1] + ([spec.axis2] if spec.axis2 is not None else [])
-    grids = axis_values = [axis.values() for axis in axes]
+    grids = [axis.values() for axis in axes]
     if len(grids) == 2:  # row-major: axis 1 outer, axis 2 inner
         grids = [[v for v in grids[0] for _ in grids[1]], grids[1] * len(grids[0])]
     n = len(grids[0])
@@ -151,22 +151,34 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepTable:
     fixed = zip(("T", "gamma", "b1", "b2"), [spec.temp, *spec.base])  # a spec without a temp has a T axis
     columns = {name: written[name] if name in written else [float(value)] * n for name, value in fixed}
     inputs = [columns[k] for k in ("gamma", "b1", "b2", "T")]
-    # on a b1 x b2 map over one grid, point (j, i) is point (i, j) with the fields swapped, and the
-    # kernel is symmetric under that swap bit for bit: sigma = b1 + b2 commutes, delta = b1 - b2
-    # enters only as |delta|, delta^2 and hypot, and its sign only swaps rho22 and rho33, that is
-    # s1 and s2 of the sum s1 + s2.  So only the points i <= j are evaluated.
-    mirror = {axis.name for axis in axes} == {"b1", "b2"} and axis_values[0] == axis_values[1]
-    if mirror:
-        m = spec.axis1.points
-        inputs = [list(chain.from_iterable(c[i * m + i : (i + 1) * m] for i in range(m))) for c in inputs]
+    m = _mirror_size(spec)
+    if m:
+        inputs = [_upper(column, m) for column in inputs]
     outputs = _kernel_columns(_correlations, len(OUTPUTS), *inputs)
-    if mirror:
+    if m:
         outputs = [_mirrored(column, m) for column in outputs]
     columns.update(zip(OUTPUTS, outputs))
     return SweepTable(spec=spec, columns=columns)
 
 
-def _mirrored(upper: list[float], m: int) -> list[float]:
+# On a b1 x b2 map over one grid, point (j, i) is point (i, j) with the fields swapped, and the kernel
+# is symmetric under that swap bit for bit: sigma = b1 + b2 commutes, delta = b1 - b2 enters only as
+# |delta|, delta^2 and hypot, and its sign only swaps rho22 and rho33, that is s1 and s2 of the sum
+# s1 + s2.  So such a map is evaluated, and its outputs written, at the points i <= j only.
+def _mirror_size(spec: SweepSpec) -> int:
+    """m for a b1 x b2 map whose two axes hold the same m-point grid, else 0."""
+    axis1, axis2 = spec.axis1, spec.axis2
+    if axis2 is None or {axis1.name, axis2.name} != {"b1", "b2"} or axis1.values() != axis2.values():
+        return 0
+    return axis1.points
+
+
+def _upper(column: list[float], m: int) -> list[float]:
+    """The points i <= j of an m x m row-major grid, in row-major order."""
+    return list(chain.from_iterable(column[i * m + i : (i + 1) * m] for i in range(m)))
+
+
+def _mirrored(upper: list, m: int) -> list:
     """The m x m row-major grid with point (j, i) = point (i, j), from its points i <= j in row-major order."""
     rows, start = [], 0
     for i in range(m):

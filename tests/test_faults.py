@@ -14,12 +14,14 @@ from types import SimpleNamespace
 
 import pytest
 import test_cli  # the named tests are reached through their modules, so pytest collects them once
+import test_sweep
 import test_threshold
 
-from dimercorr import threshold
+from dimercorr import cli, threshold
 from dimercorr.cli import main
-from dimercorr.domain import RECORD_COLUMNS, ModelParams
+from dimercorr.domain import ModelParams
 from dimercorr.models import build_hamiltonian, closed_form_correlations
+from dimercorr.sweep import Axis
 from dimercorr.verify import run_suites
 
 
@@ -69,9 +71,17 @@ def test_a_failed_suite_exits_4_and_names_it(monkeypatch, capsys):
     assert captured.err.endswith(" from ppt\n")
 
 
-def _unfolded_record_columns(columns):
-    """cli._record_columns without the + 0.0 that folds -0.0 into 0."""
-    return [[float(v) for v in columns[name]] for name in RECORD_COLUMNS]
+def _unfolded_tokens(column):
+    """cli._tokens without the + 0.0 that folds -0.0 into 0."""
+    return [cli._json_number(v) for v in column]
+
+
+def _mirror_size_of_counts(spec):
+    """sweep._mirror_size that takes any b1 x b2 map with equal point counts for a map over one grid."""
+    axis1, axis2 = spec.axis1, spec.axis2
+    if axis2 is None or {axis1.name, axis2.name} != {"b1", "b2"} or axis1.points != axis2.points:
+        return 0
+    return axis1.points
 
 
 def _shifted_threshold(floats):
@@ -91,6 +101,12 @@ def _pinned_json_sweep(capsys):
     test_cli.test_cli_bytes_are_pinned(capsys, "sweep --temp 1 --axis b_anti=-1:1:3 --format json")
 
 
+def _unequal_field_grids_test(capsys):
+    axis1, axis2 = Axis("b1", -3.0, 3.0, 7), Axis("b2", -3.0, 2.0, 7)
+    with pytest.MonkeyPatch.context() as patch:
+        test_sweep.test_a_map_on_one_grid_evaluates_each_field_pair_once(patch, axis1, axis2, 7 * 7)
+
+
 def _bisection_float_test(capsys):
     test_threshold.test_solver_returns_the_bisection_float()
 
@@ -99,12 +115,14 @@ def _bisection_float_test(capsys):
     ("target", "fault", "check"),
     [
         # b_anti = 0 writes b2 = -0.0: of the pinned lines, only this one then prints "-0"
-        ("dimercorr.cli._record_columns", _unfolded_record_columns, _pinned_json_sweep),
+        ("dimercorr.cli._tokens", _unfolded_tokens, _pinned_json_sweep),
+        # two 7-point field grids that differ: the map must evaluate all 49 points, not 28
+        ("dimercorr.sweep._mirror_size", _mirror_size_of_counts, _unequal_field_grids_test),
         ("dimercorr.threshold._threshold", _shifted_threshold(1), _bisection_float_test),
         # stopping 4 ulps early
         ("dimercorr.threshold._threshold", _shifted_threshold(-4), _bisection_float_test),
     ],
-    ids=["unfolded_negative_zero", "threshold_one_float_up", "threshold_four_floats_down"],
+    ids=["unfolded_negative_zero", "mirror_of_equal_counts", "threshold_one_float_up", "threshold_four_floats_down"],
 )
 def test_fault_fails_its_test(monkeypatch, capsys, target, fault, check):
     monkeypatch.setattr(target, fault)

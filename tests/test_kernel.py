@@ -52,13 +52,14 @@ def _mp_entropy(m):
     return -sum(_mp_xlog2x(x) for x in mp.eigsy(m, eigvals_only=True))
 
 
-def mp_reference(gamma, b1, b2, t):
-    """Total, quantum, classical and concurrence of the Gibbs state at 50 digits, and its populations, ascending.
+def mp_reference(gamma, b1, b2, t, digits=50):
+    """Total, quantum, classical and concurrence of the Gibbs state, its populations, ascending, and |rho23|.
 
-    Generic dense route: Hamiltonian from Pauli products, spectral Gibbs
-    state, partial traces, and the Wootters spectrum of sqrt(rho) rho~ sqrt(rho).
+    Generic dense route at ``digits`` decimal digits: Hamiltonian from Pauli
+    products, spectral Gibbs state, partial traces, and the Wootters
+    spectrum of sqrt(rho) rho~ sqrt(rho).
     """
-    with mp.workdps(50):
+    with mp.workdps(digits):
         gamma, b1, b2, t = (mp.mpf(v) for v in (gamma, b1, b2, t))
         ident = mp.eye(2)
         h = (
@@ -82,7 +83,7 @@ def mp_reference(gamma, b1, b2, t):
         x = (1 + mp.sqrt(1 - c * c)) / 2
         quantum = -(_mp_xlog2x(x) + _mp_xlog2x(1 - x))
         outputs = {"total": total, "quantum": quantum, "classical": total - quantum, "concurrence": c}
-        return {**outputs, "populations": sorted(pops)}
+        return {**outputs, "populations": sorted(pops), "coherence": abs(rho[1, 2])}
 
 
 def assert_gibbs_matches_dense_and_reference(gamma, b1, b2, t):
@@ -277,6 +278,18 @@ def test_a_field_difference_past_half_the_largest_float_keeps_every_level():
     assert out["concurrence"] == float(want["concurrence"]) == 0.0
     for name in OUTPUTS:
         assert abs(out[name] - float(want[name])) < 1e-13, name
+
+
+def test_a_subnormal_coherence_is_rounded_once():
+    # at b1 = b2 = 0 and T ~ 1e308 the coherence (p_lo - p_hi) (1 - gamma) / 2r is subnormal; _x_form divides
+    # by 2r in one rounding, and its fork's other form, numerator / r * 0.5 (kept for a 2r that overflows),
+    # would round twice and land 0.80 ulp off, against 0.20.  The dense route needs about 360 digits to see
+    # an entry 1e-309 beside populations near 0.25
+    gamma, t = 0.5450296273265802, 1.2435284534052465e308
+    want = mp_reference(gamma, 0.0, 0.0, t, digits=400)["coherence"]
+    with mp.workdps(50):
+        assert mp.nstr(want, 50) == "9.1467624127847768203777440421362712290766790371439e-310"
+        assert abs(mp.mpf(_x_form(gamma, 0.0, 0.0, t)[6]) - want) < mp.mpf(2) ** -1075  # the nearest float
 
 
 # Corners of the kernel: extreme temperatures, fields whose square or

@@ -53,7 +53,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dimercorr"
-OUTPUT = ROOT / "MUTATION_39.json"
+OUTPUT = ROOT / "MUTATION_40.json"
 MODULES = ("__main__", "cli", "correlations", "domain", "matkernel", "models", "sweep", "threshold", "verify")
 TIMEOUT = 120  # seconds per pytest run; tier-1 takes about 11
 WORKERS = 2
@@ -77,7 +77,6 @@ EQUIVALENT: dict[tuple[str, str], str] = {
     ("cli", "_PARAMETERS: 4 -> 5"): "only the JSON writer reads it: a fifth parameter column is the total, which "
     "_tokens writes as _json_number, the token that the output path's shortcut and _json_token give it too",
     ("cli", "_fill: columns[0] -> columns[1]"): "every record column has the same length",
-    ("cli", "_table_to_json: columns[0] -> columns[1]"): "every record column has the same length",
     ("correlations", "_SUB_BATCH: 256 -> 257"): "each draw's average is computed on its own, and the minimum "
     "over all draws does not depend on how they are batched",
     ("correlations", "_xlog2x: x > 0.0 -> x >= 0.0"): "at x = 0 both branches give 0 (0 * log2(1))",
