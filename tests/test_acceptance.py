@@ -8,6 +8,7 @@ reads as a checklist.
 import math
 
 import numpy as np
+from test_kernel import mp_reference
 
 from dimercorr.correlations import (
     concurrence,
@@ -111,14 +112,28 @@ def test_criterion_07_quantum_exceeds_classical_window():
             base=ModelParams(gamma=-1.0, b1=b, b2=b), axis1=Axis("T", 0.01, 2.0, 400)
         )
         windows[b] = detect_quantum_exceeds_classical(run_sweep(spec))
+    # the window needs T > 0: at b = 0.95 the ground state is the entangled lower mixed level, pure, so quantum and
+    # classical are both half of total as T -> 0; at b = 1.05 it is |dd>, with no correlation at all
+    cold = {b: closed_form_correlations(-1.0, b, b, 1e-300) for b in (0.95, 1.05)}
+    warm = closed_form_correlations(-1.0, 0.95, 0.95, 0.05)
+    limits = {b: tuple(r[name] for name in ("total", "quantum", "classical")) for b, r in cold.items()}
+    drift = max(
+        abs(r["total"] - float(mp_reference(-1.0, b, b, t)["total"]))
+        for r, b, t in ((cold[0.95], 0.95, 1e-300), (cold[1.05], 1.05, 1e-300), (warm, 0.95, 0.05))
+    )
     _criterion(
         7,
-        "quantum part exceeds classical in a finite T window",
-        any(windows.values()),
+        "quantum part exceeds classical in a finite T window, and only at T > 0",
+        any(windows.values())
+        and limits == {0.95: (2.0, 1.0, 1.0), 1.05: (0.0, 0.0, 0.0)}
+        and warm["quantum"] > warm["classical"]
+        and drift < 1e-13,
         "; ".join(
             f"b={b}: " + (f"({iv[0][0]:.2f}, {iv[-1][1]:.2f})" if iv else "none")
             for b, iv in windows.items()
-        ),
+        )
+        + f"; (total, quantum, classical) at T=1e-300 {limits}; at b=0.95, T=0.05 quantum "
+        f"{warm['quantum']:.4f}, classical {warm['classical']:.4f}; total off the 50-digit reference by {drift:.1e}",
     )
 
 
@@ -190,4 +205,26 @@ def test_criterion_12_high_temperature_decay():
         "all correlations decay below 1e-3 by T=100",
         worst <= 1e-3,
         f"largest correlation {worst:.2e}",
+    )
+
+
+def test_criterion_13_quantum_is_the_more_fragile():
+    # at the zero-field threshold the concurrence has closed, so quantum is gone while classical still holds all of
+    # total
+    found = {}
+    for gamma in (-1.0, 0.0, 0.5):
+        t = tth_anisotropic(gamma)
+        r = closed_form_correlations(gamma, 0.0, 0.0, t)
+        found[gamma] = (r, abs(r["total"] - float(mp_reference(gamma, 0.0, 0.0, t)["total"])))
+    _criterion(
+        13,
+        "at the threshold quantum is gone and classical is all of total",
+        all(
+            r["quantum"] <= 1e-30 and r["concurrence"] <= 1e-15 and r["classical"] == r["total"] and drift < 1e-13
+            for r, drift in found.values()
+        ),
+        "; ".join(
+            f"gamma={g}: classical {r['classical']:.6f}, quantum {r['quantum']:.1e}, total off by {drift:.1e}"
+            for g, (r, drift) in found.items()
+        ),
     )

@@ -199,13 +199,6 @@ def test_threshold_rejects_gamma_outside_range(capsys):
     assert code == 3
 
 
-def test_threshold_rejects_malformed_range(capsys):
-    code, _, _ = run_cli(capsys, "threshold", "--gamma", "0:1")
-    assert code == 2
-    code, _, _ = run_cli(capsys, "threshold", "--gamma", "1:0:5")
-    assert code == 2
-
-
 def test_verify_runs_clean(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "gibbs", "--samples", "20")
     assert code == 0

@@ -4,18 +4,18 @@ Run from anywhere, with no arguments:
 
     python tools/mutate.py
 
-For each module in MODULES the sweep makes every mutant the operators below
-give, one at a time, by changing the module's parsed tree and writing it
-back with ``ast.unparse`` (the file loses its comments and layout, not its
-meaning) into a private copy of the repository.  There pytest (``-x``, under
-a time limit, no third-party plugin, STALENESS_TEST left out) runs the test
-that killed the mutant in the latest sweep alone, then all of tier-1
-(``tests``, in collection order) unless that test failed: one that passes,
-hangs or is not found (pytest's exit 4 or 5) is no kill.  Any failing test
-is a kill, as the unmutated copy passes them all: the mutant is ``killed``.
-One that passes is ``equivalent`` when EQUIVALENT gives the reason it
-cannot change any result, and ``survived`` otherwise; one that outruns the
-limit is ``hung``, and one whose run finds no test ``unfound``.
+For each module of the package the sweep makes every mutant the operators
+below give, one at a time, by changing the module's parsed tree and writing
+it back with ``ast.unparse`` (the file loses its comments and layout, not
+its meaning) into a private copy of the repository.  There pytest (``-x``,
+under a time limit, no third-party plugin, tests/test_mutation.py left out)
+runs the test that killed the mutant in the latest sweep alone, then all of
+tier-1 (``tests``, in collection order) unless that test failed: one that
+passes, hangs or is not found (pytest's exit 4 or 5) is no kill.  Any
+failing test is a kill, as the unmutated copy passes them all: the mutant
+is ``killed``.  One that passes is ``equivalent`` when EQUIVALENT gives the
+reason it cannot change any result, and ``survived`` otherwise; one that
+outruns the limit is ``hung``, and one whose run finds no test ``unfound``.
 
 The operators: + and - swapped, * and / swapped (both also in augmented
 assignments), < and <=, > and >=, == and != swapped, min and max (and
@@ -23,16 +23,17 @@ numpy's minimum and maximum) swapped, expm1 -> exp, log1p -> log, a numeric
 constant plus 1, and a unary minus dropped.  Docstrings and annotations are
 left alone.
 
-The result goes to OUTPUT, one entry per mutant, with each module's
-fingerprint (a SHA-256 of its syntax tree without docstrings).  The latest
-sweep is the highest-numbered MUTATION_<n>.json at the root; STALENESS_TEST
-requires today's source to match its fingerprints and sites, and EQUIVALENT
-its ``equivalent`` entries.  A mutant is named by where it sits (the
-function, or the module-level name it assigns) and its text before and
-after, so the name outlives edits elsewhere in its module.  The exit status
-is 1 if a mutant is neither ``killed`` nor ``equivalent``, if an EQUIVALENT
-key is not a mutant this sweep recorded ``equivalent``, or if the unmutated
-copy (every module written back by ``ast.unparse``) fails the suite.
+The result goes to OUTPUT, one entry per mutant, with the fingerprint (a
+SHA-256 of the syntax tree without docstrings) of each file the sweep
+reads: every module of the package and this script, keyed by path.  The
+sweep is current exactly when each still has it; tests/test_mutation.py
+checks that, and that EQUIVALENT is the file's ``equivalent`` entries.  A
+mutant is named by where it sits (the function, or the module-level name
+it assigns) and its text before and after, so the name outlives edits
+elsewhere in its module.  The exit status is 1 if a mutant is neither
+``killed`` nor ``equivalent``, if an EQUIVALENT key is not a mutant this
+sweep recorded ``equivalent``, or if the unmutated copy (every module
+written back by ``ast.unparse``) fails the suite.
 """
 
 from __future__ import annotations
@@ -48,20 +49,19 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dimercorr"
-OUTPUT = ROOT / "MUTATION_40.json"
-MODULES = ("__main__", "cli", "correlations", "domain", "matkernel", "models", "sweep", "threshold", "verify")
+OUTPUT = ROOT / "MUTATION.json"
 TIMEOUT = 120  # seconds per pytest run; tier-1 takes about 11
 WORKERS = 2
-# the staleness test compares the sweep's file with the sites and fingerprints of the source it runs on, and with
-# EQUIVALENT: a mutant's copy holds a mutated source, and an EQUIVALENT edit waits for this sweep to reach the file,
-# so it would fail for every mutant (or the unmutated run), and it is left out here
-STALENESS_TEST = "tests/test_mutation.py::test_the_sweep_is_of_todays_source"
-PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--deselect", STALENESS_TEST]
+# tests/test_mutation.py checks the sweep's file against the source and EQUIVALENT: a mutant's copy holds a mutated
+# source, an edit waits for this sweep to reach the file, and the last sweep may have left a mutant unresolved, so
+# it would fail for every mutant (or the unmutated run).  --ignore skips its import too, which --deselect does not
+PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--ignore=tests/test_mutation.py"]
 
 _ARITHMETIC = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult}
 _COMPARISON = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
@@ -168,13 +168,16 @@ def _skipped(tree: ast.Module) -> set[int]:
     return {id(n) for root in skip for n in ast.walk(root)}
 
 
-def _fingerprint(module: str) -> str:
-    """SHA-256 of the module's syntax tree without docstrings: comments, layout and docstrings leave it alone."""
-    tree = ast.parse((PACKAGE / f"{module}.py").read_bytes())
-    for node in ast.walk(tree):
-        if _docstring(node):
-            node.body = node.body[1:]
-    return hashlib.sha256(ast.dump(tree).encode()).hexdigest()
+def _fingerprints() -> dict[str, str]:
+    """Each file the sweep reads, by its path: a SHA-256 of its syntax tree without docstrings (or comments)."""
+    fingerprints = {}
+    for path in [*sorted(PACKAGE.glob("*.py")), Path(__file__).resolve()]:
+        tree = ast.parse(path.read_bytes())
+        for node in ast.walk(tree):
+            if _docstring(node):
+                node.body = node.body[1:]
+        fingerprints[path.relative_to(ROOT).as_posix()] = hashlib.sha256(ast.dump(tree).encode()).hexdigest()
+    return fingerprints
 
 
 def _scopes(tree: ast.Module) -> dict[int, str]:
@@ -270,9 +273,8 @@ def _sites(module: str) -> list[_Site]:
 
 
 def latest() -> dict:
-    """The latest sweep: the highest-numbered MUTATION_<n>.json at the root of the repository ({} if none)."""
-    last = max(ROOT.glob("MUTATION_*.json"), key=lambda path: int(path.stem.partition("_")[2]), default=None)
-    return json.loads(last.read_text(encoding="utf-8")) if last else {}
+    """The latest sweep, OUTPUT ({} if there is none)."""
+    return json.loads(OUTPUT.read_text(encoding="utf-8")) if OUTPUT.exists() else {}
 
 
 def _run(copy: Path, env: dict, tests: list[str]) -> tuple[str, str]:
@@ -314,12 +316,12 @@ def _worker_copy() -> tuple[Path, dict]:
 
 
 def main() -> int:
-    sites = [s for module in MODULES for s in _sites(module)]
+    sources = {path.stem: path.read_bytes() for path in sorted(PACKAGE.glob("*.py"))}
+    sites = [s for module in sources for s in _sites(module)]
     killers = {(e["module"], e["mutant"]): e.get("killed_by") for e in latest().get("mutants", [])}
     mutants = [site.source() for site in sites]  # all before the pool starts: a module's sites share one tree
-    sources = {module: (PACKAGE / f"{module}.py").read_bytes() for module in MODULES}
     trees = {site.module: site.tree for site in sites}
-    fingerprints = {module: _fingerprint(module) for module in MODULES}
+    fingerprints = _fingerprints()
     copies = [_worker_copy() for _ in range(WORKERS)]
     free = queue.Queue()  # the copies no run is using
     for copy in copies:
@@ -363,20 +365,16 @@ def main() -> int:
     finally:
         for copy, _ in copies:
             shutil.rmtree(copy.parent, ignore_errors=True)
-    score = {module: {} for module in MODULES}
-    for entry in entries:
-        counts = score[entry["module"]]
-        counts[entry["status"]] = counts.get(entry["status"], 0) + 1
     # every EQUIVALENT key must be a mutant this sweep made and the suite let pass: one a test now kills is stale too
     stale = sorted(set(EQUIVALENT) - {(e["module"], e["mutant"]) for e in entries if e["status"] == "equivalent"})
-    record = {"command": "python tools/mutate.py", "modules": list(MODULES), "fingerprints": fingerprints,
-              "seconds": round(time.monotonic() - started), "score": score, "mutants": entries}
+    record = {"command": "python tools/mutate.py", "fingerprints": fingerprints,
+              "seconds": round(time.monotonic() - started), "mutants": entries}
     OUTPUT.write_text(json.dumps(record, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
     for module, name in stale:
         print(f"EQUIVALENT names a mutant this sweep did not record equivalent: {module}: {name}", file=sys.stderr)
-    open_ = [e for e in entries if e["status"] not in ("killed", "equivalent")]
-    print(f"{len(entries)} mutants, {len(open_)} unresolved; written to {OUTPUT.name}", file=sys.stderr)
-    return 1 if open_ or stale else 0
+    counts = Counter(e["status"] for e in entries)
+    print(f"{len(entries)} mutants ({dict(counts)}); written to {OUTPUT.name}", file=sys.stderr)
+    return 1 if counts.keys() - {"killed", "equivalent"} or stale else 0
 
 
 if __name__ == "__main__":
